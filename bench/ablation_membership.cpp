@@ -30,22 +30,17 @@ using namespace daosim;
 using sim::CoTask;
 
 /// Forced eviction through the admin path (the `dmg pool exclude`
-/// equivalent): submit pool_evict to the service replicas until a leader
-/// accepts it. Used by the point series, where no failure detector runs.
+/// equivalent): engine 0 submits pool_evict through the pool-service client
+/// until a leader accepts it. Used by the point series, where no failure
+/// detector runs.
 CoTask<void> admin_evict(cluster::Testbed* tb, net::NodeId victim) {
-  for (int round = 0; round < 100; ++round) {
-    for (std::uint32_t s = 0; s < tb->svc_replica_count(); ++s) {
-      engine::PoolSvcReq req{strfmt("pool_evict %u", victim)};
-      net::Reply r = co_await tb->engine(0).endpoint().call(
-          tb->engine(s).node(), engine::kOpPoolSvc, net::Body::make(std::move(req)), 128);
-      if (r.status == Errno::ok &&
-          r.body.get<engine::PoolSvcResp>().response.rfind("ok", 0) == 0) {
-        co_return;
-      }
-    }
-    co_await tb->sched().delay(50 * sim::kMs);
-  }
-  raise("admin eviction never accepted");
+  net::RpcEndpoint& ep = tb->engine(0).endpoint();
+  pool::SvcClient svc(tb->sched(), tb->svc_nodes(), {100, 50 * sim::kMs},
+                      [&ep](net::NodeId dst, net::Body body, std::uint64_t) {
+                        return ep.call(dst, engine::kOpPoolSvc, std::move(body), 128);
+                      });
+  auto evicted = co_await svc.run(pool::PoolEvict{victim});
+  if (!evicted.ok()) raise("admin eviction never accepted");
 }
 
 /// One client of the iv wave: a minimal fetch against a live engine whose

@@ -58,7 +58,7 @@ struct Cell {
   /// Critical-path stage attribution of the sampled data ops (arr_write /
   /// arr_read trees), for the per-phase tables printed after the latency
   /// tables. Empty (count 0) when SweepOptions::trace_sample is 0.
-  telemetry::TraceLog::OpProfile write_path, read_path;
+  telemetry::TraceLog::OpProfile write_path{}, read_path{};
 };
 
 /// One row of the machine-readable BENCH_*.json perf trajectory.

@@ -1,7 +1,6 @@
 #include "agg/agg.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 namespace daosim::agg {
@@ -31,7 +30,11 @@ AggregationService::AggregationService(engine::Engine& eng, rebuild::RebuildServ
     : eng_(eng),
       sched_(eng.endpoint().domain().scheduler()),
       rebuild_(rebuild),
-      svc_nodes_(std::move(svc_nodes)),
+      svc_(sched_, std::move(svc_nodes), {kSnapQueryAttempts, kSnapQueryRetryDelay},
+           [this](net::NodeId dst, Body body, std::uint64_t) {
+             return eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body),
+                                         kSnapQueryWireBytes);
+           }),
       cfg_(cfg) {
   if (!cfg_.enabled) return;  // keep the metric tree untouched when off
   telemetry::Registry& reg = eng_.telemetry();
@@ -64,7 +67,7 @@ void AggregationService::stop() { running_ = false; }
 
 void AggregationService::note_restart() {
   // The pool-service leader may have moved while this engine was down.
-  svc_hint_.reset();
+  svc_.forget_leader();
 }
 
 sim::CoTask<void> AggregationService::agg_loop() {
@@ -161,41 +164,19 @@ sim::CoTask<void> AggregationService::run_pass() {
 
 sim::CoTask<std::optional<vos::Epoch>> AggregationService::snapshot_ceiling(vos::Uuid cont) {
   // No pool service wired (minimal harness): nothing can create snapshots.
-  if (svc_nodes_.empty()) co_return vos::kEpochMax;
-  // The same snap_list command the client's cont_aggregate issues, with the
-  // usual leader-hint redirect dance (see DtxService::engine_excluded).
-  for (int attempt = 0; attempt < kSnapQueryAttempts; ++attempt) {
-    const net::NodeId dst =
-        svc_hint_ ? *svc_hint_ : svc_nodes_[std::size_t(attempt) % svc_nodes_.size()];
-    engine::PoolSvcReq preq{strfmt("snap_list %llu %llu",
-                                   static_cast<unsigned long long>(cont.hi),
-                                   static_cast<unsigned long long>(cont.lo))};
-    Body body = Body::make(std::move(preq));
-    Reply r = co_await eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body),
-                                            kSnapQueryWireBytes);
-    if (r.status == Errno::ok) {
-      svc_hint_ = dst;
-      std::istringstream is(r.body.get<engine::PoolSvcResp>().response);
-      std::string status;
-      is >> status;
-      // ENOENT = the pool service never saw this container (created outside
-      // cont_create): no snapshot can exist for it either.
-      if (status == "ENOENT") co_return vos::kEpochMax;
-      if (status != "ok") co_return std::nullopt;
-      std::size_t n = 0;
-      is >> n;
-      if (n == 0) co_return vos::kEpochMax;
-      vos::Epoch min_snap = 0;
-      is >> min_snap;  // epochs arrive sorted ascending
-      co_return min_snap == 0 ? 0 : min_snap - 1;  // never merge across a snapshot
-    }
-    svc_hint_.reset();
-    if (r.status == Errno::again && r.body.has_value()) {
-      svc_hint_ = r.body.get<engine::PoolSvcResp>().leader_hint;
-    }
-    co_await sched_.delay(kSnapQueryRetryDelay);
+  if (svc_.replicas().empty()) co_return vos::kEpochMax;
+  // The same snap_list command the client's cont_aggregate issues.
+  auto snaps = co_await svc_.run(pool::SnapList{cont});
+  if (!snaps.ok()) {
+    // ENOENT = the pool service never saw this container (created outside
+    // cont_create): no snapshot can exist for it either. Anything else is
+    // not authoritative: defer the shard.
+    if (snaps.error() == Errno::no_entry) co_return vos::kEpochMax;
+    co_return std::nullopt;
   }
-  co_return std::nullopt;  // unreachable: not authoritative, defer the shard
+  if (snaps->empty()) co_return vos::kEpochMax;
+  const vos::Epoch min_snap = snaps->front();  // epochs arrive sorted ascending
+  co_return min_snap == 0 ? 0 : min_snap - 1;  // never merge across a snapshot
 }
 
 }  // namespace daosim::agg

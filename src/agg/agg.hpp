@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "pool/svc_client.hpp"
 #include "rebuild/rebuild.hpp"
 
 namespace daosim::agg {
@@ -95,8 +96,7 @@ class AggregationService {
   engine::Engine& eng_;
   sim::Scheduler& sched_;
   rebuild::RebuildService* rebuild_;
-  std::vector<net::NodeId> svc_nodes_;
-  std::optional<net::NodeId> svc_hint_;  // last pool-service leader that answered
+  pool::SvcClient svc_;
   AggConfig cfg_;
   bool running_ = false;
   bool passing_ = false;

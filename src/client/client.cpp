@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 namespace daosim::client {
 
@@ -55,10 +54,14 @@ DaosClient::DaosClient(net::RpcDomain& domain, net::NodeId node, pool::PoolMap m
     : ep_(domain, node),
       sched_(domain.scheduler()),
       map_(std::move(map)),
-      svc_replicas_(std::move(svc_replicas)),
+      svc_(sched_, std::move(svc_replicas), {kSvcMaxRetries, kSvcRetryDelay},
+           [this](net::NodeId dst, Body body, std::uint64_t command_bytes) {
+             return call_with_deadline(dst, engine::kOpPoolSvc, std::move(body),
+                                       kSvcMsgBytes + command_bytes, retry_.deadline);
+           }),
       cfg_(cfg),
       metrics_(strfmt("client/%u", node)) {
-  DAOSIM_REQUIRE(!svc_replicas_.empty(), "no pool service replicas");
+  DAOSIM_REQUIRE(!svc_.replicas().empty(), "no pool service replicas");
   DAOSIM_REQUIRE(map_.target_count() > 0, "empty pool map");
   DAOSIM_REQUIRE(cfg_.max_batch_extents >= 1, "max_batch_extents must be >= 1");
   DAOSIM_REQUIRE(cfg_.max_inflight_rpcs >= 1, "max_inflight_rpcs must be >= 1");
@@ -181,7 +184,7 @@ sim::CoTask<void> DaosClient::report_engine_failure(net::NodeId engine) {
   evict_gates_.emplace(engine, gate);
   ++evictions_;
   sched_.trace_note(kTraceEvictReport ^ engine);
-  auto evicted = co_await svc_command(strfmt("pool_evict %u", engine));
+  auto evicted = co_await svc_.run(pool::PoolEvict{engine});
   if (evicted.ok()) {
     Result<void> refreshed = co_await refresh_pool_map();
     if (!refreshed.ok()) {
@@ -218,88 +221,34 @@ void DaosClient::note_data_loss(vos::ObjId oid, std::uint32_t group) {
 // leader map query (direct-map-query lint rule).
 
 sim::CoTask<Result<void>> DaosClient::pool_reint(net::NodeId engine) {
-  auto res = co_await svc_command(strfmt("pool_reint %u", engine));
+  auto res = co_await svc_.run(pool::PoolReint{engine});
   if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  is >> status;
-  if (status != "ok") co_return Errno::io;
   co_return co_await refresh_pool_map();
-}
-
-sim::CoTask<Result<std::string>> DaosClient::svc_command(std::string cmd) {
-  std::size_t rr = 0;
-  for (int attempt = 0; attempt < kSvcMaxRetries; ++attempt) {
-    const net::NodeId dst =
-        cached_leader_.value_or(svc_replicas_[rr++ % svc_replicas_.size()]);
-    // Hoisted out of the co_await expression: GCC 12 miscompiles non-trivial
-    // temporaries nested in co_await argument lists (double destruction).
-    engine::PoolSvcReq preq{cmd};
-    Body body = Body::make(std::move(preq));
-    Reply r = co_await call_with_deadline(dst, engine::kOpPoolSvc, std::move(body),
-                                          kSvcMsgBytes + cmd.size(), retry_.deadline);
-    if (r.status == Errno::ok) {
-      cached_leader_ = dst;
-      co_return r.body.get<engine::PoolSvcResp>().response;
-    }
-    cached_leader_.reset();
-    if (r.status == Errno::again && r.body.has_value()) {
-      cached_leader_ = r.body.get<engine::PoolSvcResp>().leader_hint;
-    }
-    co_await sched_.delay(kSvcRetryDelay);
-  }
-  co_return Errno::timed_out;
 }
 
 // ---------------------------------------------------------------------------
 // Pool service operations
 
 sim::CoTask<Result<ContInfo>> DaosClient::cont_create(vos::Uuid uuid, pool::ContProps props) {
-  auto res = co_await svc_command(strfmt("cont_create %llu %llu %llu %u",
-                                         static_cast<unsigned long long>(uuid.hi), static_cast<unsigned long long>(uuid.lo),
-                                         static_cast<unsigned long long>(props.chunk_size),
-                                         unsigned(props.oclass)));
+  auto res = co_await svc_.run(pool::ContCreate{uuid, props});
   if (!res.ok()) co_return res.error();
-  if (*res == "EEXIST") co_return Errno::exists;
-  if (*res != "ok") co_return Errno::io;
   co_return ContInfo{uuid, props};
 }
 
 sim::CoTask<Result<ContInfo>> DaosClient::cont_open(vos::Uuid uuid) {
-  auto res = co_await svc_command(
-      strfmt("cont_open %llu %llu", static_cast<unsigned long long>(uuid.hi), static_cast<unsigned long long>(uuid.lo)));
+  auto res = co_await svc_.run(pool::ContOpen{uuid});
   if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  is >> status;
-  if (status == "ENOENT") co_return Errno::no_entry;
-  if (status != "ok") co_return Errno::io;
-  ContInfo info{uuid, {}};
-  unsigned oclass = 0;
-  is >> info.props.chunk_size >> oclass;
-  info.props.oclass = std::uint8_t(oclass);
-  co_return info;
+  co_return ContInfo{uuid, *res};
 }
 
 sim::CoTask<Result<void>> DaosClient::cont_destroy(vos::Uuid uuid) {
-  auto res = co_await svc_command(
-      strfmt("cont_destroy %llu %llu", static_cast<unsigned long long>(uuid.hi), static_cast<unsigned long long>(uuid.lo)));
+  auto res = co_await svc_.run(pool::ContDestroy{uuid});
   if (!res.ok()) co_return res.error();
-  if (*res == "ENOENT") co_return Errno::no_entry;
   co_return Result<void>{};
 }
 
 sim::CoTask<Result<std::uint64_t>> DaosClient::alloc_oids(vos::Uuid cont, std::uint64_t count) {
-  auto res = co_await svc_command(strfmt("alloc_oids %llu %llu %llu",
-                                         static_cast<unsigned long long>(cont.hi), static_cast<unsigned long long>(cont.lo),
-                                         static_cast<unsigned long long>(count)));
-  if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  std::uint64_t base = 0;
-  is >> status >> base;
-  if (status != "ok") co_return Errno::no_entry;
-  co_return base;
+  co_return co_await svc_.run(pool::AllocOids{cont, count});
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "engine/proto.hpp"
 #include "net/rpc.hpp"
 #include "pool/pool_map.hpp"
+#include "pool/svc_client.hpp"
 #include "sim/sync.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -293,7 +294,6 @@ class DaosClient {
  private:
   struct PendingCall;
 
-  sim::CoTask<Result<std::string>> svc_command(std::string cmd);
   static sim::CoTask<void> run_call(net::RpcEndpoint* ep, net::NodeId dst, std::uint16_t opcode,
                                     net::Body body, std::uint64_t wire_bytes,
                                     sim::TraceContext ctx, std::shared_ptr<PendingCall> st);
@@ -315,8 +315,7 @@ class DaosClient {
   net::RpcEndpoint ep_;
   sim::Scheduler& sched_;
   pool::PoolMap map_;
-  std::vector<net::NodeId> svc_replicas_;
-  std::optional<net::NodeId> cached_leader_;
+  pool::SvcClient svc_;
   RetryPolicy retry_;
   ClientConfig cfg_;
   std::unique_ptr<sim::Semaphore> rpc_credits_;

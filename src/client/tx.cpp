@@ -1,7 +1,6 @@
 #include "client/tx.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace daosim::client {
 
@@ -268,42 +267,19 @@ sim::CoTask<Result<vos::Epoch>> DaosClient::snapshot_create(vos::Uuid cont) {
   // A fresh HLC epoch is a consistent cut: every transaction this client
   // saw commit is at or below it, every later one lands above it.
   const vos::Epoch e = tx_alloc_epoch();
-  auto res = co_await svc_command(strfmt("snap_create %llu %llu %llu",
-                                         static_cast<unsigned long long>(cont.hi),
-                                         static_cast<unsigned long long>(cont.lo),
-                                         static_cast<unsigned long long>(e)));
+  auto res = co_await svc_.run(pool::SnapCreate{cont, e});
   if (!res.ok()) co_return res.error();
-  if (*res == "ENOENT") co_return Errno::no_entry;
-  if (*res != "ok") co_return Errno::io;
   co_return e;
 }
 
 sim::CoTask<Result<void>> DaosClient::snapshot_destroy(vos::Uuid cont, vos::Epoch epoch) {
-  auto res = co_await svc_command(strfmt("snap_destroy %llu %llu %llu",
-                                         static_cast<unsigned long long>(cont.hi),
-                                         static_cast<unsigned long long>(cont.lo),
-                                         static_cast<unsigned long long>(epoch)));
+  auto res = co_await svc_.run(pool::SnapDestroy{cont, epoch});
   if (!res.ok()) co_return res.error();
-  if (*res == "ENOENT") co_return Errno::no_entry;
-  if (*res != "ok") co_return Errno::io;
   co_return Result<void>{};
 }
 
 sim::CoTask<Result<std::vector<vos::Epoch>>> DaosClient::list_snapshots(vos::Uuid cont) {
-  auto res = co_await svc_command(strfmt("snap_list %llu %llu",
-                                         static_cast<unsigned long long>(cont.hi),
-                                         static_cast<unsigned long long>(cont.lo)));
-  if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  is >> status;
-  if (status == "ENOENT") co_return Errno::no_entry;
-  if (status != "ok") co_return Errno::io;
-  std::size_t n = 0;
-  is >> n;
-  std::vector<vos::Epoch> out(n, 0);
-  for (std::size_t i = 0; i < n; ++i) is >> out[i];
-  co_return out;
+  co_return co_await svc_.run(pool::SnapList{cont});
 }
 
 sim::CoTask<Result<void>> DaosClient::cont_aggregate(vos::Uuid cont, vos::Epoch upto) {

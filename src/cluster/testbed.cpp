@@ -21,7 +21,6 @@ Testbed::Testbed(ClusterConfig cfg) : cfg_(cfg), fabric_(sched_, cfg.fabric) {
   domain_->name_opcode(engine::kOpPoolSvc, "pool_svc");
   domain_->name_opcode(engine::kOpRebuildScan, "rebuild_scan");
   domain_->name_opcode(engine::kOpRebuildFetch, "rebuild_fetch");
-  domain_->name_opcode(engine::kOpRebuildDone, "rebuild_done");
   domain_->name_opcode(engine::kOpTxPrepare, "tx_prepare");
   domain_->name_opcode(engine::kOpTxCommit, "tx_commit");
   domain_->name_opcode(engine::kOpTxAbort, "tx_abort");

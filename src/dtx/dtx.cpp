@@ -1,7 +1,6 @@
 #include "dtx/dtx.hpp"
 
 #include <set>
-#include <sstream>
 #include <utility>
 
 namespace daosim::dtx {
@@ -33,7 +32,11 @@ DtxService::DtxService(engine::Engine& eng, pool::PoolMap base_map,
     : eng_(eng),
       sched_(eng.endpoint().domain().scheduler()),
       base_map_(std::move(base_map)),
-      svc_nodes_(std::move(svc_nodes)),
+      svc_(sched_, std::move(svc_nodes), {kMapQueryAttempts, kMapQueryRetryDelay},
+           [this](net::NodeId dst, net::Body body, std::uint64_t) {
+             return eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body),
+                                         kMapQueryWireBytes);
+           }),
       cfg_(cfg) {
   eng_.endpoint().register_handler(
       engine::kOpTxPrepare, [this](net::Request req) { return on_prepare(std::move(req)); });
@@ -245,7 +248,7 @@ sim::CoTask<void> DtxService::settle(SweepItem item) {
       if (item.age < cfg_.orphan_timeout) co_return;
       const std::uint32_t failures = ++resolve_failures_[fkey];
       bool abandoned = failures >= cfg_.abandon_resolve_failures;
-      if (!abandoned && !svc_nodes_.empty() && failures % 4 == 0) {
+      if (!abandoned && !svc_.replicas().empty() && failures % 4 == 0) {
         abandoned = co_await engine_excluded(lt.engine);
       }
       if (!abandoned) co_return;
@@ -303,37 +306,10 @@ sim::CoTask<void> DtxService::settle(SweepItem item) {
 }
 
 sim::CoTask<bool> DtxService::engine_excluded(net::NodeId engine) {
-  // The same map_query the clients use, with the usual leader-hint redirect
-  // dance (see RebuildService::report_done for the engine-side idiom).
-  for (int attempt = 0; attempt < kMapQueryAttempts; ++attempt) {
-    const net::NodeId dst =
-        svc_hint_ ? *svc_hint_ : svc_nodes_[std::size_t(attempt) % svc_nodes_.size()];
-    engine::PoolSvcReq preq{"map_query"};
-    Body body = Body::make(std::move(preq));
-    Reply r = co_await eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body),
-                                            kMapQueryWireBytes);
-    if (r.status == Errno::ok) {
-      svc_hint_ = dst;
-      std::istringstream is(r.body.get<engine::PoolSvcResp>().response);
-      std::string status;
-      std::uint32_t version = 0;
-      std::size_t count = 0;
-      is >> status >> version >> count;
-      if (status != "ok") co_return false;
-      for (std::size_t i = 0; i < count; ++i) {
-        net::NodeId e = 0;
-        is >> e;
-        if (e == engine) co_return true;
-      }
-      co_return false;
-    }
-    svc_hint_.reset();
-    if (r.status == Errno::again && r.body.has_value()) {
-      svc_hint_ = r.body.get<engine::PoolSvcResp>().leader_hint;
-    }
-    co_await sched_.delay(kMapQueryRetryDelay);
-  }
-  co_return false;  // pool service unreachable: not authoritative, keep waiting
+  // The same map_query the clients use. An unreachable pool service is not
+  // authoritative: keep waiting.
+  auto map = co_await svc_.run(pool::MapQuery{});
+  co_return map.ok() && map->excluded.contains(engine);
 }
 
 }  // namespace daosim::dtx

@@ -14,6 +14,7 @@
 
 #include "engine/engine.hpp"
 #include "pool/pool_map.hpp"
+#include "pool/svc_client.hpp"
 
 namespace daosim::dtx {
 
@@ -100,8 +101,7 @@ class DtxService {
   engine::Engine& eng_;
   sim::Scheduler& sched_;
   pool::PoolMap base_map_;
-  std::vector<net::NodeId> svc_nodes_;
-  std::optional<net::NodeId> svc_hint_;  // last pool-service leader that answered
+  pool::SvcClient svc_;
   /// Consecutive failed leader resolves per prepared entry; reset on any
   /// successful resolve and pruned when the entry settles by other means.
   std::map<EntryKey, std::uint32_t> resolve_failures_;

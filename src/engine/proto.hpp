@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@ constexpr std::uint16_t kOpPoolSvc = 0x30;
 // replicas onto walk-forward targets.
 constexpr std::uint16_t kOpRebuildScan = 0x40;
 constexpr std::uint16_t kOpRebuildFetch = 0x41;
-constexpr std::uint16_t kOpRebuildDone = 0x42;
 
 // DTX protocol opcodes (0x50 block): client-coordinated two-phase commit
 // over the participating shards, resolve queries for crash resync, and
@@ -226,17 +224,6 @@ struct RebuildFetchResp {
   std::uint64_t bytes = 0;      // logical bytes transferred
 };
 
-/// Engine -> pool-service leader: all assigned entries for `version` landed.
-/// Raft-committed so a leader crash mid-rebuild resumes instead of redoing.
-struct RebuildDoneReq {
-  net::NodeId engine = 0;
-  std::uint32_t version = 0;
-};
-
-struct RebuildDoneResp {
-  std::optional<net::NodeId> leader_hint{};
-};
-
 /// One staged write of a transaction, scoped to the receiving shard. Arrays
 /// are pre-split into chunk pieces (dkey-relative offsets) by the client.
 struct TxOpDesc {
@@ -293,17 +280,6 @@ struct ContAggregateReq {
   vos::Uuid cont;
   std::uint32_t target = 0;
   vos::Epoch upto = 0;
-};
-
-/// Pool service client command: an opaque state-machine command string
-/// submitted to the Raft leader co-located with the engine.
-struct PoolSvcReq {
-  std::string command;
-};
-
-struct PoolSvcResp {
-  std::string response;                      // state machine output
-  std::optional<net::NodeId> leader_hint{};  // when redirected
 };
 
 /// SWIM gossip: one member's state as known to the sender, piggybacked on

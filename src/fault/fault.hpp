@@ -41,8 +41,8 @@ struct Event {
   sim::Time amount = 0;        // delay: per-call extra latency; stall: duration
   // partition only: engine-index groups whose cross traffic is severed for
   // the window. Symmetric by default; oneway drops only group_a -> group_b.
-  std::vector<std::uint32_t> group_a;
-  std::vector<std::uint32_t> group_b;
+  std::vector<std::uint32_t> group_a{};
+  std::vector<std::uint32_t> group_b{};
   bool oneway = false;
 };
 

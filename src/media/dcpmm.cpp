@@ -18,20 +18,4 @@ sim::CoTask<void> DcpmmInterleaveSet::write(std::uint64_t bytes) {
   co_await write_bw_->transfer(bytes);
 }
 
-NvmeDevice::NvmeDevice(sim::Scheduler& s, NvmeConfig cfg)
-    : sched_(s),
-      cfg_(cfg),
-      bw_(std::make_unique<sim::SharedBandwidth>(s, cfg.bytes_per_sec)),
-      slots_(s, cfg.queue_depth) {}
-
-sim::CoTask<void> NvmeDevice::io(std::uint64_t bytes, sim::Time latency) {
-  co_await slots_.acquire();
-  co_await sched_.delay(latency);
-  co_await bw_->transfer(bytes);
-  slots_.release();
-}
-
-sim::CoTask<void> NvmeDevice::read(std::uint64_t bytes) { return io(bytes, cfg_.read_latency); }
-sim::CoTask<void> NvmeDevice::write(std::uint64_t bytes) { return io(bytes, cfg_.write_latency); }
-
 }  // namespace daosim::media

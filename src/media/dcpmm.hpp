@@ -4,11 +4,8 @@
 // set (six 256 GiB DIMMs on NEXTGenIO): byte-addressable, asymmetric
 // read/write bandwidth, sub-microsecond access latency, and a concave
 // efficiency curve under many concurrent streams (Optane's well-documented
-// behaviour when writers interleave).
-//
-// NvmeDevice models a block SSD: per-op latency, queue depth, and symmetric
-// streaming bandwidth. DAOS uses NVMe for bulk data when Optane holds only
-// metadata; the testbed configures Optane as primary, matching the paper.
+// behaviour when writers interleave). The testbed configures Optane as the
+// only data tier, matching the paper.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +14,6 @@
 #include "sim/bandwidth.hpp"
 #include "sim/co_task.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/sync.hpp"
 
 namespace daosim::media {
 
@@ -49,33 +45,6 @@ class DcpmmInterleaveSet {
   DcpmmConfig cfg_;
   std::unique_ptr<sim::SharedBandwidth> read_bw_;
   std::unique_ptr<sim::SharedBandwidth> write_bw_;
-};
-
-struct NvmeConfig {
-  double bytes_per_sec = 3.2e9;        // PCIe gen3 x4 class device
-  sim::Time read_latency = 80 * sim::kUs;
-  sim::Time write_latency = 20 * sim::kUs;
-  std::uint32_t queue_depth = 128;
-};
-
-class NvmeDevice {
- public:
-  NvmeDevice(sim::Scheduler& s, NvmeConfig cfg = {});
-  NvmeDevice(const NvmeDevice&) = delete;
-  NvmeDevice& operator=(const NvmeDevice&) = delete;
-
-  sim::CoTask<void> read(std::uint64_t bytes);
-  sim::CoTask<void> write(std::uint64_t bytes);
-
-  const NvmeConfig& config() const { return cfg_; }
-
- private:
-  sim::CoTask<void> io(std::uint64_t bytes, sim::Time latency);
-
-  sim::Scheduler& sched_;
-  NvmeConfig cfg_;
-  std::unique_ptr<sim::SharedBandwidth> bw_;
-  sim::Semaphore slots_;
 };
 
 }  // namespace daosim::media

@@ -57,7 +57,7 @@ struct Reply {
   /// Causal trace context of the server-side span that produced this reply,
   /// stamped centrally in RpcEndpoint::call (like map_version). Inactive
   /// when the call was not part of a sampled trace.
-  sim::TraceContext ctx;
+  sim::TraceContext ctx{};
 };
 
 struct Request {

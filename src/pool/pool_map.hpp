@@ -49,6 +49,7 @@ struct PoolMap {
 struct ContProps {
   std::uint64_t chunk_size = 1 << 20;  // DFS/array chunking (DAOS default 1 MiB)
   std::uint8_t oclass = 0;             // default object class (client enum value)
+  bool operator==(const ContProps&) const = default;
 };
 
 }  // namespace daosim::pool

@@ -27,119 +27,93 @@ constexpr std::uint64_t kTraceRebuildDone = 0xFA17E007'0000'0000ULL;
 }  // namespace
 
 std::string PoolMetaSm::apply(const std::string& command) {
-  std::istringstream is(command);
-  std::string op;
-  is >> op;
-  if (op == "cont_create") {
-    vos::Uuid u;
-    ContMeta meta;
-    std::uint64_t chunk = 0;
-    unsigned oclass = 0;
-    is >> u.hi >> u.lo >> chunk >> oclass;
-    meta.props.chunk_size = chunk;
-    meta.props.oclass = std::uint8_t(oclass);
-    if (containers_.contains(u)) return "EEXIST";
-    containers_.emplace(u, meta);
-    return "ok";
+  const Result<SvcCmd> cmd = decode(command);
+  if (!cmd.ok()) return errno_name(cmd.error());
+  return std::visit([this](const auto& c) { return encode_reply(execute(c)); }, *cmd);
+}
+
+Result<Ack> PoolMetaSm::execute(const ContCreate& c) {
+  ContMeta meta;
+  meta.props = c.props;
+  if (!containers_.emplace(c.cont, meta).second) return Errno::exists;
+  return Ack{};
+}
+
+Result<ContProps> PoolMetaSm::execute(const ContOpen& c) {
+  const auto it = containers_.find(c.cont);
+  if (it == containers_.end()) return Errno::no_entry;
+  return it->second.props;
+}
+
+Result<Ack> PoolMetaSm::execute(const ContDestroy& c) {
+  if (containers_.erase(c.cont) == 0) return Errno::no_entry;
+  return Ack{};
+}
+
+Result<std::uint64_t> PoolMetaSm::execute(const AllocOids& c) {
+  const auto it = containers_.find(c.cont);
+  if (it == containers_.end()) return Errno::no_entry;
+  const std::uint64_t base = it->second.oid_counter;
+  it->second.oid_counter += c.count;
+  return base;
+}
+
+Result<std::vector<vos::Uuid>> PoolMetaSm::execute(const ListConts&) {
+  std::vector<vos::Uuid> out;
+  for (const auto& [u, meta] : containers_) out.push_back(u);
+  return out;
+}
+
+Result<std::uint32_t> PoolMetaSm::execute(const PoolEvict& c) {
+  if (excluded_.insert(c.engine).second) {
+    ++map_version_;
+    evicted_at_[c.engine] = map_version_;
+    // Delta log BEFORE start_rebuild: requeues may bump map_version_ again
+    // without a membership change, and the log records only the latter.
+    deltas_.push_back(MapDelta{map_version_, c.engine, /*excluded=*/true});
+    start_rebuild(/*resync=*/false, c.engine, 0);
   }
-  if (op == "cont_open") {
-    vos::Uuid u;
-    is >> u.hi >> u.lo;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    return strfmt("ok %llu %u", static_cast<unsigned long long>(it->second.props.chunk_size),
-                  unsigned(it->second.props.oclass));
+  return map_version_;
+}
+
+Result<std::uint32_t> PoolMetaSm::execute(const PoolReint& c) {
+  if (excluded_.erase(c.engine) > 0) {
+    ++map_version_;
+    deltas_.push_back(MapDelta{map_version_, c.engine, /*excluded=*/false});
+    const auto it = evicted_at_.find(c.engine);
+    start_rebuild(/*resync=*/true, c.engine, it != evicted_at_.end() ? it->second : 0);
   }
-  if (op == "cont_destroy") {
-    vos::Uuid u;
-    is >> u.hi >> u.lo;
-    return containers_.erase(u) > 0 ? "ok" : "ENOENT";
-  }
-  if (op == "alloc_oids") {
-    vos::Uuid u;
-    std::uint64_t count = 0;
-    is >> u.hi >> u.lo >> count;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    const std::uint64_t base = it->second.oid_counter;
-    it->second.oid_counter += count;
-    return strfmt("ok %llu", static_cast<unsigned long long>(base));
-  }
-  if (op == "list_conts") {
-    std::ostringstream os;
-    os << "ok " << containers_.size();
-    for (const auto& [u, meta] : containers_) os << ' ' << u.hi << ' ' << u.lo;
-    return os.str();
-  }
-  if (op == "pool_evict") {
-    net::NodeId engine = 0;
-    is >> engine;
-    if (excluded_.insert(engine).second) {
-      ++map_version_;
-      evicted_at_[engine] = map_version_;
-      // Delta log BEFORE start_rebuild: requeues may bump map_version_ again
-      // without a membership change, and the log records only the latter.
-      deltas_.push_back(MapDelta{map_version_, engine, /*excluded=*/true});
-      start_rebuild(/*resync=*/false, engine, 0);
-    }
-    return strfmt("ok %u", map_version_);
-  }
-  if (op == "pool_reint") {
-    net::NodeId engine = 0;
-    is >> engine;
-    if (excluded_.erase(engine) > 0) {
-      ++map_version_;
-      deltas_.push_back(MapDelta{map_version_, engine, /*excluded=*/false});
-      const auto it = evicted_at_.find(engine);
-      start_rebuild(/*resync=*/true, engine, it != evicted_at_.end() ? it->second : 0);
-    }
-    return strfmt("ok %u", map_version_);
-  }
-  if (op == "rebuild_done") {
-    net::NodeId engine = 0;
-    std::uint32_t version = 0;
-    is >> engine >> version;
-    auto it = rebuilds_.find(version);
-    if (it == rebuilds_.end()) return "ok stale";
-    // Duplicate-apply guard: a retried report (lost reply, re-driven task)
-    // must not double-count the engine.
-    if (!it->second.done.insert(engine).second) return "ok dup";
-    return "ok";
-  }
-  if (op == "snap_create") {
-    vos::Uuid u;
-    vos::Epoch e = 0;
-    is >> u.hi >> u.lo >> e;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    it->second.snapshots.insert(e);  // idempotent: re-creating is a no-op
-    return "ok";
-  }
-  if (op == "snap_destroy") {
-    vos::Uuid u;
-    vos::Epoch e = 0;
-    is >> u.hi >> u.lo >> e;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    return it->second.snapshots.erase(e) > 0 ? "ok" : "ENOENT";
-  }
-  if (op == "snap_list") {
-    vos::Uuid u;
-    is >> u.hi >> u.lo;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    std::ostringstream os;
-    os << "ok " << it->second.snapshots.size();
-    for (const vos::Epoch e : it->second.snapshots) os << ' ' << e;
-    return os.str();
-  }
-  if (op == "map_query") {
-    std::ostringstream os;
-    os << "ok " << map_version_ << ' ' << excluded_.size();
-    for (const net::NodeId e : excluded_) os << ' ' << e;
-    return os.str();
-  }
-  return "EINVAL";
+  return map_version_;
+}
+
+Result<MapState> PoolMetaSm::execute(const MapQuery&) { return MapState{map_version_, excluded_}; }
+
+Result<RebuildAck> PoolMetaSm::execute(const RebuildDone& c) {
+  const auto it = rebuilds_.find(c.version);
+  if (it == rebuilds_.end()) return RebuildAck::stale;
+  // Duplicate-apply guard: a retried report (lost reply, re-driven task)
+  // must not double-count the engine.
+  if (!it->second.done.insert(c.engine).second) return RebuildAck::dup;
+  return RebuildAck::done;
+}
+
+Result<Ack> PoolMetaSm::execute(const SnapCreate& c) {
+  const auto it = containers_.find(c.cont);
+  if (it == containers_.end()) return Errno::no_entry;
+  it->second.snapshots.insert(c.epoch);  // idempotent: re-creating is a no-op
+  return Ack{};
+}
+
+Result<Ack> PoolMetaSm::execute(const SnapDestroy& c) {
+  const auto it = containers_.find(c.cont);
+  if (it == containers_.end() || it->second.snapshots.erase(c.epoch) == 0) return Errno::no_entry;
+  return Ack{};
+}
+
+Result<std::vector<vos::Epoch>> PoolMetaSm::execute(const SnapList& c) {
+  const auto it = containers_.find(c.cont);
+  if (it == containers_.end()) return Errno::no_entry;
+  return std::vector<vos::Epoch>(it->second.snapshots.begin(), it->second.snapshots.end());
 }
 
 void PoolMetaSm::start_rebuild(bool resync, net::NodeId node, std::uint32_t since_version) {
@@ -255,8 +229,7 @@ std::string PoolMetaSm::snapshot() const {
     for (const net::NodeId e : t.done) os << ' ' << e;
     os << '\n';
   }
-  // Container snapshot epochs, appended last so older snapshots (without the
-  // section) still restore.
+  // Container snapshot epochs.
   std::size_t with_snaps = 0;
   for (const auto& [u, m] : containers_) with_snaps += m.snapshots.empty() ? 0 : 1;
   os << with_snaps << '\n';
@@ -266,7 +239,7 @@ std::string PoolMetaSm::snapshot() const {
     for (const vos::Epoch e : m.snapshots) os << ' ' << e;
     os << '\n';
   }
-  // IV delta log, appended last so older snapshots still restore.
+  // IV delta log.
   os << deltas_.size() << '\n';
   for (const MapDelta& d : deltas_) {
     os << d.version << ' ' << d.engine << ' ' << (d.excluded ? 1 : 0) << '\n';
@@ -296,18 +269,14 @@ void PoolMetaSm::restore(const std::string& snap) {
     containers_.emplace(u, m);
   }
   std::size_t nexcluded = 0;
-  if (is >> map_version_ >> nexcluded) {
-    for (std::size_t i = 0; i < nexcluded; ++i) {
-      net::NodeId e = 0;
-      is >> e;
-      excluded_.insert(e);
-    }
-  } else {
-    map_version_ = 1;  // snapshot from before health tracking existed
-    return;
+  is >> map_version_ >> nexcluded;
+  for (std::size_t i = 0; i < nexcluded; ++i) {
+    net::NodeId e = 0;
+    is >> e;
+    excluded_.insert(e);
   }
   std::size_t nevict = 0;
-  if (!(is >> nevict)) return;  // snapshot from before rebuild tracking existed
+  is >> nevict;
   for (std::size_t i = 0; i < nevict; ++i) {
     net::NodeId e = 0;
     std::uint32_t v = 0;
@@ -338,7 +307,7 @@ void PoolMetaSm::restore(const std::string& snap) {
     rebuilds_.emplace(t.version, std::move(t));
   }
   std::size_t nsnap = 0;
-  if (!(is >> nsnap)) return;  // snapshot from before container snapshots existed
+  is >> nsnap;
   for (std::size_t i = 0; i < nsnap; ++i) {
     vos::Uuid u;
     std::size_t count = 0;
@@ -351,7 +320,7 @@ void PoolMetaSm::restore(const std::string& snap) {
     }
   }
   std::size_t ndelta = 0;
-  if (!(is >> ndelta)) return;  // snapshot from before the IV delta log existed
+  is >> ndelta;
   for (std::size_t i = 0; i < ndelta; ++i) {
     MapDelta d;
     int excluded = 0;
@@ -373,10 +342,7 @@ PoolServiceReplica::PoolServiceReplica(net::RpcEndpoint& ep, std::vector<net::No
   metrics_.add_probe("rebuild/tasks_incomplete", [this] { return sm_.rebuilds_incomplete(); });
   metrics_.add_probe("map_version", [this] { return sm_.map_version(); });
   raft_ = std::make_unique<raft::RaftNode>(ep_, std::move(replicas), sm_, cfg, seed);
-  ep_.register_handler(engine::kOpPoolSvc,
-                       [this](Request r) { return on_client_command(std::move(r)); });
-  ep_.register_handler(engine::kOpRebuildDone,
-                       [this](Request r) { return on_rebuild_done(std::move(r)); });
+  ep_.register_handler(engine::kOpPoolSvc, [this](Request r) { return on_command(std::move(r)); });
 }
 
 void PoolServiceReplica::start() {
@@ -441,7 +407,7 @@ sim::CoTask<void> PoolServiceReplica::drive_task(std::uint32_t version) {
     Reply r = co_await ep_.call(node, engine::kOpRebuildScan, std::move(body), 512);
     if (r.status != Errno::ok) {
       if (++scan_fail_[{version, node}] >= kScanFailEvict) {
-        co_await raft_->submit(strfmt("pool_evict %u", node));
+        co_await raft_->submit(encode(PoolEvict{node}));
       }
       co_return;  // superseded or retried next tick
     }
@@ -465,7 +431,7 @@ sim::CoTask<void> PoolServiceReplica::drive_task(std::uint32_t version) {
     Reply r = co_await ep_.call(node, engine::kOpRebuildScan, std::move(body), wire);
     if (r.status != Errno::ok) {
       if (++scan_fail_[{version, node}] >= kScanFailEvict) {
-        co_await raft_->submit(strfmt("pool_evict %u", node));
+        co_await raft_->submit(encode(PoolEvict{node}));
       }
       co_return;
     }
@@ -474,38 +440,25 @@ sim::CoTask<void> PoolServiceReplica::drive_task(std::uint32_t version) {
   ep_.domain().scheduler().trace_note(kTraceRebuildAssign ^ version);
 }
 
-sim::CoTask<net::Reply> PoolServiceReplica::on_rebuild_done(net::Request req) {
-  const auto& r = req.body.get<engine::RebuildDoneReq>();
+sim::CoTask<net::Reply> PoolServiceReplica::on_command(net::Request req) {
+  const SvcCmd cmd = req.body.get<PoolSvcReq>().cmd;
   if (!raft_->is_leader()) {
-    engine::RebuildDoneResp resp{raft_->leader_hint()};
+    PoolSvcResp resp{{}, raft_->leader_hint()};
     co_return Reply{Errno::again, 64, Body::make(std::move(resp))};
   }
-  raft::SubmitResult sr = co_await raft_->submit(
-      strfmt("rebuild_done %u %u", r.engine, r.version));
+  raft::SubmitResult sr = co_await raft_->submit(encode(cmd));
   if (sr.status != Errno::ok) {
-    engine::RebuildDoneResp resp{sr.leader_hint};
+    PoolSvcResp resp{{}, sr.leader_hint};
     co_return Reply{sr.status, 64, Body::make(std::move(resp))};
   }
-  rebuild_reports_->inc();
-  ep_.domain().scheduler().trace_note(kTraceRebuildDone ^ (std::uint64_t(r.version) << 16) ^
-                                      r.engine);
-  engine::RebuildDoneResp resp{raft_->leader_hint()};
-  co_return Reply{Errno::ok, 64, Body::make(std::move(resp))};
-}
-
-sim::CoTask<net::Reply> PoolServiceReplica::on_client_command(net::Request req) {
-  const auto& r = req.body.get<engine::PoolSvcReq>();
-  if (!raft_->is_leader()) {
-    engine::PoolSvcResp resp{{}, raft_->leader_hint()};
-    co_return Reply{Errno::again, 64, Body::make(std::move(resp))};
+  if (const auto* done = std::get_if<RebuildDone>(&cmd)) {
+    rebuild_reports_->inc();
+    ep_.domain().scheduler().trace_note(kTraceRebuildDone ^ (std::uint64_t(done->version) << 16) ^
+                                        done->engine);
+  } else {
+    commands_applied_->inc();
   }
-  raft::SubmitResult sr = co_await raft_->submit(r.command);
-  if (sr.status != Errno::ok) {
-    engine::PoolSvcResp resp{{}, sr.leader_hint};
-    co_return Reply{sr.status, 64, Body::make(std::move(resp))};
-  }
-  commands_applied_->inc();
-  engine::PoolSvcResp resp{std::move(sr.response), raft_->leader_hint()};
+  PoolSvcResp resp{std::move(sr.response), raft_->leader_hint()};
   co_return Reply{Errno::ok, 64 + resp.response.size(), Body::make(std::move(resp))};
 }
 

@@ -1,21 +1,16 @@
 // The pool service: DAOS's Raft-replicated metadata service, co-located with
 // a subset of engines. It owns container metadata (create/open/destroy,
-// properties) and object-ID range allocation, all serialized through the
-// Raft log so every replica applies the same transactional updates.
+// snapshots), object-ID range allocation, pool-map health and the rebuild
+// task table, all serialized through the Raft log so every replica applies
+// the same transactional updates.
 //
-// Commands are line-oriented strings (deterministic, snapshot-friendly):
-//   cont_create <hi> <lo> <chunk> <oclass>   -> "ok" | "EEXIST"
-//   cont_open <hi> <lo>                      -> "ok <chunk> <oclass>" | "ENOENT"
-//   cont_destroy <hi> <lo>                   -> "ok" | "ENOENT"
-//   alloc_oids <hi> <lo> <count>             -> "ok <base>" | "ENOENT"
-//   list_conts                               -> "ok <n> <hi> <lo> ..."
-//   pool_evict <engine>                      -> "ok <map_version>"   (idempotent)
-//   pool_reint <engine>                      -> "ok <map_version>"   (idempotent)
-//   map_query                                -> "ok <map_version> <k> <engine> ..."
-//   rebuild_done <engine> <version>          -> "ok" | "ok dup" | "ok stale"
-//   snap_create <hi> <lo> <epoch>            -> "ok" | "ENOENT"
-//   snap_destroy <hi> <lo> <epoch>           -> "ok" | "ENOENT"
-//   snap_list <hi> <lo>                      -> "ok <n> <epoch> ..." | "ENOENT"
+// Requests are typed: one pool::SvcCmd alternative per command, each naming
+// its typed reply (pool/svc_cmd.hpp, which also lists the text form). A
+// kOpPoolSvc request carries the SvcCmd; the leader appends its encoded text
+// to the Raft log, PoolMetaSm::apply decodes it once and dispatches on the
+// alternative, and the encoded reply travels back in PoolSvcResp. Followers
+// redirect with a leader hint; pool::SvcClient (pool/svc_client.hpp) is the
+// one client that follows it.
 #pragma once
 
 #include <map>
@@ -28,6 +23,7 @@
 
 #include "net/rpc.hpp"
 #include "pool/pool_map.hpp"
+#include "pool/svc_cmd.hpp"
 #include "raft/raft.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -36,9 +32,25 @@ namespace daosim::pool {
 /// Raft state machine holding the pool's container metadata.
 class PoolMetaSm final : public raft::StateMachine {
  public:
+  /// Decodes one log entry and runs it; the reply comes back encoded
+  /// ("EINVAL" for an entry that does not decode).
   std::string apply(const std::string& command) override;
   std::string snapshot() const override;
   void restore(const std::string& snap) override;
+
+  /// Typed commands, one overload each (apply() dispatches here).
+  Result<Ack> execute(const ContCreate& c);
+  Result<ContProps> execute(const ContOpen& c);
+  Result<Ack> execute(const ContDestroy& c);
+  Result<std::uint64_t> execute(const AllocOids& c);
+  Result<std::vector<vos::Uuid>> execute(const ListConts& c);
+  Result<std::uint32_t> execute(const PoolEvict& c);
+  Result<std::uint32_t> execute(const PoolReint& c);
+  Result<MapState> execute(const MapQuery& c);
+  Result<RebuildAck> execute(const RebuildDone& c);
+  Result<Ack> execute(const SnapCreate& c);
+  Result<Ack> execute(const SnapDestroy& c);
+  Result<std::vector<vos::Epoch>> execute(const SnapList& c);
 
   struct ContMeta {
     ContProps props;
@@ -123,8 +135,9 @@ class PoolMetaSm final : public raft::StateMachine {
 };
 
 /// One pool-service replica, sharing an engine's RPC endpoint. The replica
-/// answers kOpPoolSvc requests: the Raft leader executes the command, others
-/// redirect with a leader hint.
+/// answers kOpPoolSvc requests: the Raft leader commits the command, others
+/// redirect with a leader hint. Committed rebuild_done reports also bump the
+/// rebuild/done_reports counter and note the trace digest.
 class PoolServiceReplica {
  public:
   PoolServiceReplica(net::RpcEndpoint& ep, std::vector<net::NodeId> replicas, PoolMap map,
@@ -143,8 +156,7 @@ class PoolServiceReplica {
   const telemetry::Registry& telemetry() const { return metrics_; }
 
  private:
-  sim::CoTask<net::Reply> on_client_command(net::Request req);
-  sim::CoTask<net::Reply> on_rebuild_done(net::Request req);
+  sim::CoTask<net::Reply> on_command(net::Request req);
   /// Leader-side rebuild coordinator: a periodic tick that drives the newest
   /// incomplete task (scan -> assign). Runs on every replica; only the
   /// current leader acts, so a new leader resumes a crashed leader's task

@@ -25,7 +25,10 @@ RebuildService::RebuildService(engine::Engine& eng, pool::PoolMap base_map,
     : eng_(eng),
       sched_(eng.endpoint().domain().scheduler()),
       base_map_(std::move(base_map)),
-      svc_nodes_(std::move(svc_nodes)),
+      svc_(sched_, std::move(svc_nodes), {kDoneAttempts, kDoneRetryDelay},
+           [this](net::NodeId dst, net::Body body, std::uint64_t) {
+             return eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body), 128);
+           }),
       cfg_(cfg),
       inflight_(sched_, cfg.max_inflight) {
   DAOSIM_REQUIRE(cfg.max_inflight >= 1, "rebuild needs at least one transfer slot");
@@ -388,23 +391,10 @@ void RebuildService::apply_records(std::uint32_t version, const engine::RebuildE
 }
 
 sim::CoTask<void> RebuildService::report_done(std::uint32_t version) {
-  engine::RebuildDoneReq done{eng_.node(), version};
-  std::optional<net::NodeId> hint;
-  for (int attempt = 0; attempt < kDoneAttempts; ++attempt) {
-    const net::NodeId dst =
-        hint ? *hint : svc_nodes_[std::size_t(attempt) % svc_nodes_.size()];
-    hint.reset();
-    net::Body body = net::Body::make(done);
-    net::Reply r =
-        co_await eng_.endpoint().call(dst, engine::kOpRebuildDone, std::move(body), 128);
-    if (r.status == Errno::ok) co_return;
-    if (r.status == Errno::again && r.body.has_value()) {
-      hint = r.body.get<engine::RebuildDoneResp>().leader_hint;
-    }
-    co_await sched_.delay(kDoneRetryDelay);
-  }
-  // Give up quietly: the coordinator re-drives incomplete tasks, the assign
-  // handler re-reports from completed_, and the state machine dup-guards.
+  // Any outcome will do, giving up included: the coordinator re-drives
+  // incomplete tasks, the assign handler re-reports from completed_, and the
+  // state machine dup-guards.
+  (void)co_await svc_.run(pool::RebuildDone{eng_.node(), version});
 }
 
 }  // namespace daosim::rebuild

@@ -18,6 +18,7 @@
 
 #include "engine/engine.hpp"
 #include "pool/pool_map.hpp"
+#include "pool/svc_client.hpp"
 #include "sim/sync.hpp"
 
 namespace daosim::rebuild {
@@ -87,7 +88,7 @@ class RebuildService {
   engine::Engine& eng_;
   sim::Scheduler& sched_;
   pool::PoolMap base_map_;
-  std::vector<net::NodeId> svc_nodes_;
+  pool::SvcClient svc_;
   RebuildConfig cfg_;
   sim::Semaphore inflight_;
   std::uint32_t cur_inflight_ = 0;

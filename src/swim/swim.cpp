@@ -1,6 +1,5 @@
 #include "swim/swim.hpp"
 
-#include <sstream>
 #include <utility>
 
 namespace daosim::swim {
@@ -19,8 +18,8 @@ constexpr std::uint64_t kTraceIvFetch = 0xFA17E013'0000'0000ULL;
 /// Wire size of a SWIM probe / ack / delta fetch (small control messages).
 constexpr std::uint64_t kSwimMsgBytes = 128;
 
-// pool_evict submission: bounded attempts with the usual leader-hint
-// redirect; a failed campaign is NOT retried (see submit_evict).
+// pool_evict submission budget for pool::SvcClient; a failed campaign is NOT
+// retried (see submit_evict).
 constexpr int kEvictAttempts = 4;
 constexpr sim::Time kEvictRetryDelay = 50 * sim::kMs;
 
@@ -37,7 +36,10 @@ SwimService::SwimService(engine::Engine& eng, std::uint32_t index,
       sched_(eng.endpoint().domain().scheduler()),
       index_(index),
       members_(std::move(members)),
-      svc_nodes_(std::move(svc_nodes)),
+      svc_(sched_, std::move(svc_nodes), {kEvictAttempts, kEvictRetryDelay},
+           [this](net::NodeId dst, Body body, std::uint64_t) {
+             return eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body), kSwimMsgBytes);
+           }),
       cfg_(cfg),
       rng_(seed),
       state_(members_.size()) {
@@ -421,29 +423,10 @@ sim::CoTask<void> SwimService::submit_evict(std::uint32_t m) {
   // service evicts it; if we were wrong, refutation revives the member.
   state_[m].evict_tried = true;
   const net::NodeId member = members_[m];
-  for (int attempt = 0; attempt < kEvictAttempts; ++attempt) {
-    const net::NodeId dst =
-        svc_hint_ ? *svc_hint_ : svc_nodes_[std::size_t(attempt) % svc_nodes_.size()];
-    engine::PoolSvcReq preq{strfmt("pool_evict %u", member)};
-    Body body = Body::make(std::move(preq));
-    Reply r =
-        co_await eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body), kSwimMsgBytes);
-    if (r.status == Errno::ok) {
-      svc_hint_ = dst;
-      // The committed eviction comes back as a delta; apply_map_fetch marks
-      // the member excluded when it arrives.
-      std::istringstream is(r.body.get<engine::PoolSvcResp>().response);
-      std::string status;
-      std::uint32_t version = 0;
-      if (is >> status >> version && status == "ok") note_remote_map_version(version);
-      co_return;
-    }
-    svc_hint_.reset();
-    if (r.status == Errno::again && r.body.has_value()) {
-      svc_hint_ = r.body.get<engine::PoolSvcResp>().leader_hint;
-    }
-    co_await sched_.delay(kEvictRetryDelay);
-  }
+  auto version = co_await svc_.run(pool::PoolEvict{member});
+  // The committed eviction comes back as a delta; apply_map_fetch marks the
+  // member excluded when it arrives.
+  if (version.ok()) note_remote_map_version(*version);
 }
 
 }  // namespace daosim::swim

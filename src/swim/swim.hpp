@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "pool/svc_client.hpp"
 #include "sim/random.hpp"
 
 namespace daosim::swim {
@@ -130,8 +131,7 @@ class SwimService {
   sim::Scheduler& sched_;
   std::uint32_t index_;
   std::vector<net::NodeId> members_;
-  std::vector<net::NodeId> svc_nodes_;
-  std::optional<net::NodeId> svc_hint_;  // last pool-service leader that answered
+  pool::SvcClient svc_;
   SwimConfig cfg_;
   sim::Xoshiro256 rng_;
   std::vector<Member> state_;  // parallel to members_

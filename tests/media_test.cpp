@@ -85,41 +85,5 @@ TEST(Dcpmm, ByteCountersTrack) {
   EXPECT_EQ(pmem.bytes_read(), 777u);
 }
 
-TEST(Nvme, QueueDepthLimitsConcurrency) {
-  sim::Scheduler s;
-  NvmeConfig cfg;
-  cfg.bytes_per_sec = 1e9;
-  cfg.read_latency = 1000;
-  cfg.write_latency = 1000;
-  cfg.queue_depth = 2;
-  NvmeDevice dev(s, cfg);
-  Time done = 0;
-  for (int i = 0; i < 4; ++i) {
-    s.spawn([&]() -> CoTask<void> {
-      co_await dev.write(1000);
-      done = std::max(done, s.now());
-    });
-  }
-  s.run();
-  // With QD=2, the 4 ops' fixed latencies overlap pairwise: at least 2 rounds.
-  EXPECT_GE(done, Time(2 * 1000));
-}
-
-TEST(Nvme, StreamingBandwidth) {
-  sim::Scheduler s;
-  NvmeConfig cfg;
-  cfg.bytes_per_sec = 2e9;
-  cfg.read_latency = 0;
-  cfg.write_latency = 0;
-  NvmeDevice dev(s, cfg);
-  Time done = 0;
-  s.spawn([&]() -> CoTask<void> {
-    co_await dev.read(4'000'000);
-    done = s.now();
-  });
-  s.run();
-  EXPECT_NEAR(double(done), 2'000'000.0, 5.0);
-}
-
 }  // namespace
 }  // namespace daosim::media

@@ -1,9 +1,13 @@
-// Pool-service tests: the Raft-replicated metadata state machine (container
-// lifecycle, OID allocation, snapshots) and leader redirection, including
-// behaviour across service-replica fail-over.
+// Pool-service tests: the typed command codec, the Raft-replicated metadata
+// state machine (container lifecycle, OID allocation, snapshots), and the
+// SvcClient's leader redirection, including behaviour across service-replica
+// fail-over.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <optional>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "co_assert.hpp"
 #include "cluster/testbed.hpp"
@@ -16,58 +20,213 @@ using cluster::kPoolUuid;
 using cluster::Testbed;
 using sim::CoTask;
 
+// ---------------------------------------------------------------------------
+// Codec
+
+TEST(SvcCodec, EveryCommandEncodesToItsPinnedText) {
+  const std::vector<std::pair<SvcCmd, std::string>> table = {
+      {ContCreate{{7, 8}, {1048576, 2}}, "cont_create 7 8 1048576 2"},
+      {ContOpen{{7, 8}}, "cont_open 7 8"},
+      {ContDestroy{{7, 8}}, "cont_destroy 7 8"},
+      {AllocOids{{1, 2}, 100}, "alloc_oids 1 2 100"},
+      {ListConts{}, "list_conts"},
+      {PoolEvict{11}, "pool_evict 11"},
+      {PoolReint{3}, "pool_reint 3"},
+      {MapQuery{}, "map_query"},
+      {RebuildDone{10, 2}, "rebuild_done 10 2"},
+      {SnapCreate{{1, 2}, 99}, "snap_create 1 2 99"},
+      {SnapDestroy{{1, 2}, 99}, "snap_destroy 1 2 99"},
+      {SnapList{{1, 2}}, "snap_list 1 2"},
+  };
+  std::set<std::size_t> kinds;
+  for (const auto& [cmd, text] : table) {
+    kinds.insert(cmd.index());
+    EXPECT_EQ(encode(cmd), text);
+    const Result<SvcCmd> back = decode(text);
+    ASSERT_TRUE(back.ok()) << text;
+    EXPECT_TRUE(*back == cmd) << text;
+  }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<SvcCmd>);  // every kind pinned
+}
+
+TEST(SvcCodec, UnknownOrTruncatedCommandIsInvalid) {
+  for (const char* bad : {"", "bogus", "cont_create 7 8 1048576", "cont_open 7", "snap_list 1",
+                          "rebuild_done 10", "pool_evict", "pool_evict x", "cont_open 7 8 9",
+                          "map_query 1"}) {
+    EXPECT_EQ(decode(bad).error(), Errno::invalid) << '"' << bad << '"';
+  }
+  PoolMetaSm sm;
+  EXPECT_EQ(sm.apply("bogus"), "EINVAL");
+  EXPECT_EQ(sm.apply("cont_create 7 8"), "EINVAL");
+  EXPECT_TRUE(sm.containers().empty());
+}
+
+TEST(SvcCodec, RepliesEncodeToTheirPinnedText) {
+  EXPECT_EQ(encode_reply(Result<Ack>(Ack{})), "ok");
+  EXPECT_EQ(encode_reply(Result<Ack>(Errno::exists)), "EEXIST");
+  EXPECT_EQ(encode_reply(Result<ContProps>(ContProps{1048576, 2})), "ok 1048576 2");
+  EXPECT_EQ(encode_reply(Result<std::uint32_t>(5u)), "ok 5");
+  EXPECT_EQ(encode_reply(Result<std::vector<vos::Epoch>>(std::vector<vos::Epoch>{5, 9})),
+            "ok 2 5 9");
+  EXPECT_EQ(encode_reply(Result<std::vector<vos::Epoch>>(Errno::no_entry)), "ENOENT");
+  EXPECT_EQ(encode_reply(Result<MapState>(MapState{3, {4, 7}})), "ok 3 2 4 7");
+  EXPECT_EQ(encode_reply(Result<RebuildAck>(RebuildAck::done)), "ok");
+  EXPECT_EQ(encode_reply(Result<RebuildAck>(RebuildAck::dup)), "ok dup");
+  EXPECT_EQ(encode_reply(Result<RebuildAck>(RebuildAck::stale)), "ok stale");
+
+  EXPECT_EQ(decode_reply<RebuildAck>("ok").value(), RebuildAck::done);
+  EXPECT_EQ(decode_reply<RebuildAck>("ok stale").value(), RebuildAck::stale);
+  EXPECT_EQ(decode_reply<MapState>("ok 3 2 4 7").value(), (MapState{3, {4, 7}}));
+  EXPECT_EQ(decode_reply<ContProps>("ENOENT").error(), Errno::no_entry);
+  EXPECT_EQ(decode_reply<Ack>("EEXIST").error(), Errno::exists);
+  EXPECT_EQ(decode_reply<std::uint64_t>("ok").error(), Errno::io);  // truncated
+  EXPECT_EQ(decode_reply<Ack>("garbage").error(), Errno::io);
+}
+
+// ---------------------------------------------------------------------------
+// State machine
+
 TEST(PoolMetaSm, ContainerLifecycleCommands) {
   PoolMetaSm sm;
-  EXPECT_EQ(sm.apply("cont_create 7 8 1048576 2"), "ok");
-  EXPECT_EQ(sm.apply("cont_create 7 8 1048576 2"), "EEXIST");
-  EXPECT_EQ(sm.apply("cont_open 7 8"), "ok 1048576 2");
-  EXPECT_EQ(sm.apply("cont_open 9 9"), "ENOENT");
-  EXPECT_EQ(sm.apply("cont_destroy 7 8"), "ok");
-  EXPECT_EQ(sm.apply("cont_destroy 7 8"), "ENOENT");
-  EXPECT_EQ(sm.apply("bogus"), "EINVAL");
+  const vos::Uuid u{7, 8};
+  EXPECT_TRUE(sm.execute(ContCreate{u, {1048576, 2}}).ok());
+  EXPECT_EQ(sm.execute(ContCreate{u, {1048576, 2}}).error(), Errno::exists);
+  EXPECT_EQ(sm.execute(ContOpen{u}).value(), (ContProps{1048576, 2}));
+  EXPECT_EQ(sm.execute(ContOpen{{9, 9}}).error(), Errno::no_entry);
+  EXPECT_TRUE(sm.execute(ContDestroy{u}).ok());
+  EXPECT_EQ(sm.execute(ContDestroy{u}).error(), Errno::no_entry);
 }
 
 TEST(PoolMetaSm, OidAllocationAdvances) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 1 1048576 0");
-  EXPECT_EQ(sm.apply("alloc_oids 1 1 100"), "ok 1");
-  EXPECT_EQ(sm.apply("alloc_oids 1 1 50"), "ok 101");
-  EXPECT_EQ(sm.apply("alloc_oids 9 9 10"), "ENOENT");
+  ASSERT_TRUE(sm.execute(ContCreate{{1, 1}, {1048576, 0}}).ok());
+  EXPECT_EQ(sm.execute(AllocOids{{1, 1}, 100}).value(), 1u);
+  EXPECT_EQ(sm.execute(AllocOids{{1, 1}, 50}).value(), 101u);
+  EXPECT_EQ(sm.execute(AllocOids{{9, 9}, 10}).error(), Errno::no_entry);
 }
 
 TEST(PoolMetaSm, SnapshotRoundTrip) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 2 4096 1");
-  sm.apply("cont_create 3 4 1048576 5");
-  sm.apply("alloc_oids 1 2 500");
+  ASSERT_TRUE(sm.execute(ContCreate{{1, 2}, {4096, 1}}).ok());
+  ASSERT_TRUE(sm.execute(ContCreate{{3, 4}, {1048576, 5}}).ok());
+  ASSERT_TRUE(sm.execute(AllocOids{{1, 2}, 500}).ok());
   const std::string snap = sm.snapshot();
 
   PoolMetaSm restored;
   restored.restore(snap);
-  EXPECT_EQ(restored.apply("cont_open 1 2"), "ok 4096 1");
-  EXPECT_EQ(restored.apply("cont_open 3 4"), "ok 1048576 5");
+  EXPECT_EQ(restored.execute(ContOpen{{1, 2}}).value(), (ContProps{4096, 1}));
+  EXPECT_EQ(restored.execute(ContOpen{{3, 4}}).value(), (ContProps{1048576, 5}));
   // The OID cursor survives: next range continues after 1..500.
-  EXPECT_EQ(restored.apply("alloc_oids 1 2 1"), "ok 501");
+  EXPECT_EQ(restored.execute(AllocOids{{1, 2}, 1}).value(), 501u);
   EXPECT_EQ(restored.containers().size(), 2u);
 }
 
 TEST(PoolMetaSm, RestoreFromEmptyResets) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 1 4096 0");
+  ASSERT_TRUE(sm.execute(ContCreate{{1, 1}, {4096, 0}}).ok());
   sm.restore("");
   EXPECT_EQ(sm.containers().size(), 0u);
 }
 
 TEST(PoolMetaSm, ListContainers) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 1 4096 0");
-  sm.apply("cont_create 2 2 4096 0");
-  std::istringstream is(sm.apply("list_conts"));
-  std::string ok;
-  std::size_t n = 0;
-  is >> ok >> n;
-  EXPECT_EQ(ok, "ok");
-  EXPECT_EQ(n, 2u);
+  ASSERT_TRUE(sm.execute(ContCreate{{1, 1}, {4096, 0}}).ok());
+  ASSERT_TRUE(sm.execute(ContCreate{{2, 2}, {4096, 0}}).ok());
+  EXPECT_EQ(sm.execute(ListConts{}).value(), (std::vector<vos::Uuid>{{1, 1}, {2, 2}}));
+}
+
+// ---------------------------------------------------------------------------
+// SvcClient
+
+/// One send the client made: where to, how it went, and the redirect hint.
+struct Sent {
+  net::NodeId dst = 0;
+  Errno status = Errno::ok;
+  std::optional<net::NodeId> hint;
+};
+
+CoTask<net::Reply> logged_send(net::RpcEndpoint* ep, net::NodeId dst, net::Body body,
+                               std::vector<Sent>* log) {
+  net::Reply r = co_await ep->call(dst, engine::kOpPoolSvc, std::move(body), 128);
+  Sent sent{dst, r.status, std::nullopt};
+  if (r.status == Errno::again && r.body.has_value()) {
+    sent.hint = r.body.get<PoolSvcResp>().leader_hint;
+  }
+  log->push_back(sent);
+  co_return r;
+}
+
+/// A client on engine 3 (not a service replica) that logs every send.
+SvcClient logging_client(Testbed& tb, std::vector<net::NodeId> replicas, int attempts,
+                         std::vector<Sent>* log) {
+  net::RpcEndpoint* ep = &tb.engine(3).endpoint();
+  return SvcClient(tb.sched(), std::move(replicas), {attempts, 20 * sim::kMs},
+                   [ep, log](net::NodeId dst, net::Body body, std::uint64_t) {
+                     return logged_send(ep, dst, std::move(body), log);
+                   });
+}
+
+TEST(SvcClient, FollowsHintToNewLeaderThenTimesOutWhenAllReplicasDown) {
+  ClusterConfig cfg;
+  cfg.server_nodes = 2;
+  cfg.engines_per_server = 2;  // 4 engines; replica s lives on engine s
+  cfg.targets_per_engine = 2;
+  Testbed tb(cfg);
+  tb.start();
+  const std::vector<net::NodeId> svc = tb.svc_nodes();
+  ASSERT_EQ(svc.size(), 3u);
+  ASSERT_TRUE(tb.svc_leader().has_value());
+  const std::uint32_t old_leader = *tb.svc_leader();
+
+  // The leader crashes; let a successor win and its heartbeats reach the
+  // surviving follower, so the follower redirects with a hint.
+  tb.crash_engine(old_leader);
+  tb.run([&]() -> CoTask<void> { co_await tb.sched().delay(2 * sim::kSec); });
+  ASSERT_TRUE(tb.svc_leader().has_value());
+  const std::uint32_t new_leader = *tb.svc_leader();
+  ASSERT_NE(new_leader, old_leader);
+  const std::uint32_t follower = 3 - old_leader - new_leader;
+
+  // First choice the dead leader, second the follower: the call times out on
+  // the first, is redirected by the second, and lands on the new leader.
+  std::vector<Sent> log;
+  SvcClient client =
+      logging_client(tb, {svc[old_leader], svc[follower], svc[new_leader]}, 16, &log);
+  tb.run([&]() -> CoTask<void> {
+    auto created = co_await client.run(ContCreate{{5, 5}, {4096, 1}});
+    CO_ASSERT_OK(created);
+  });
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].dst, svc[old_leader]);
+  EXPECT_EQ(log[0].status, Errno::timed_out);
+  EXPECT_EQ(log[1].dst, svc[follower]);
+  EXPECT_EQ(log[1].status, Errno::again);
+  EXPECT_EQ(log[1].hint, std::optional<net::NodeId>(svc[new_leader]));
+  EXPECT_EQ(log[2].dst, svc[new_leader]);
+  EXPECT_EQ(log[2].status, Errno::ok);
+
+  // The leader is cached: the next call goes straight to it.
+  log.clear();
+  tb.run([&]() -> CoTask<void> {
+    auto opened = co_await client.run(ContOpen{{5, 5}});
+    CO_ASSERT_OK(opened);
+    CO_ASSERT_EQ(*opened, (ContProps{4096, 1}));
+  });
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].dst, svc[new_leader]);
+
+  // Every replica down: exactly `attempts` sends, then Errno::timed_out.
+  tb.crash_engine(new_leader);
+  tb.crash_engine(follower);
+  log.clear();
+  SvcClient doomed = logging_client(tb, svc, 5, &log);
+  tb.run([&]() -> CoTask<void> {
+    auto map = co_await doomed.run(MapQuery{});
+    CO_ASSERT_EQ(map.error(), Errno::timed_out);
+  });
+  EXPECT_EQ(log.size(), 5u);
+  for (const Sent& s : log) EXPECT_EQ(s.status, Errno::timed_out);
+  tb.stop();
 }
 
 TEST(PoolService, MetadataSurvivesLeaderFailover) {

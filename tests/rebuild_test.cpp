@@ -145,7 +145,7 @@ TEST(RebuildSm, EvictionCreatesTaskAndDoneIsGuarded) {
   sm.set_engines({10, 11, 12, 13});
   EXPECT_EQ(sm.map_version(), 1u);
 
-  EXPECT_EQ(sm.apply("pool_evict 11"), "ok 2");
+  EXPECT_EQ(sm.execute(pool::PoolEvict{11}).value(), 2u);
   ASSERT_EQ(sm.rebuild_tasks().size(), 1u);
   const auto* task = sm.rebuild_task(2);
   ASSERT_NE(task, nullptr);
@@ -156,18 +156,18 @@ TEST(RebuildSm, EvictionCreatesTaskAndDoneIsGuarded) {
   EXPECT_EQ(sm.rebuilds_incomplete(), 1u);
 
   // Idempotent eviction: same version, no second task.
-  EXPECT_EQ(sm.apply("pool_evict 11"), "ok 2");
+  EXPECT_EQ(sm.execute(pool::PoolEvict{11}).value(), 2u);
   EXPECT_EQ(sm.rebuild_tasks().size(), 1u);
 
   // Duplicate and stale reports are absorbed, not double-counted.
-  EXPECT_EQ(sm.apply("rebuild_done 10 2"), "ok");
-  EXPECT_EQ(sm.apply("rebuild_done 10 2"), "ok dup");
-  EXPECT_EQ(sm.apply("rebuild_done 10 7"), "ok stale");
+  EXPECT_EQ(sm.execute(pool::RebuildDone{10, 2}).value(), pool::RebuildAck::done);
+  EXPECT_EQ(sm.execute(pool::RebuildDone{10, 2}).value(), pool::RebuildAck::dup);
+  EXPECT_EQ(sm.execute(pool::RebuildDone{10, 7}).value(), pool::RebuildAck::stale);
   EXPECT_EQ(task->done.size(), 1u);
 
-  EXPECT_EQ(sm.apply("rebuild_done 12 2"), "ok");
+  EXPECT_EQ(sm.execute(pool::RebuildDone{12, 2}).value(), pool::RebuildAck::done);
   EXPECT_FALSE(task->complete());
-  EXPECT_EQ(sm.apply("rebuild_done 13 2"), "ok");
+  EXPECT_EQ(sm.execute(pool::RebuildDone{13, 2}).value(), pool::RebuildAck::done);
   EXPECT_TRUE(task->complete());
   EXPECT_EQ(sm.rebuilds_incomplete(), 0u);
 }
@@ -176,21 +176,21 @@ TEST(RebuildSm, NewerMapChangeSupersedesAndReintResyncs) {
   pool::PoolMetaSm sm;
   sm.set_engines({1, 2, 3, 4});
 
-  EXPECT_EQ(sm.apply("pool_evict 3"), "ok 2");
-  EXPECT_EQ(sm.apply("pool_evict 4"), "ok 3");
+  EXPECT_EQ(sm.execute(pool::PoolEvict{3}).value(), 2u);
+  EXPECT_EQ(sm.execute(pool::PoolEvict{4}).value(), 3u);
   // The v2 scan is invalidated by the newer map; v3 covers its work.
   EXPECT_TRUE(sm.rebuild_task(2)->superseded);
   EXPECT_TRUE(sm.rebuild_task(2)->complete());
   ASSERT_TRUE(sm.newest_incomplete_rebuild().has_value());
   EXPECT_EQ(*sm.newest_incomplete_rebuild(), 3u);
 
-  EXPECT_EQ(sm.apply("rebuild_done 1 3"), "ok");
-  EXPECT_EQ(sm.apply("rebuild_done 2 3"), "ok");
+  EXPECT_EQ(sm.execute(pool::RebuildDone{1, 3}).value(), pool::RebuildAck::done);
+  EXPECT_EQ(sm.execute(pool::RebuildDone{2, 3}).value(), pool::RebuildAck::done);
   EXPECT_EQ(sm.rebuilds_incomplete(), 0u);
 
   // Reintegration starts a resync task remembering the eviction's version,
   // so participants copy only the epoch window the engine missed.
-  EXPECT_EQ(sm.apply("pool_reint 3"), "ok 4");
+  EXPECT_EQ(sm.execute(pool::PoolReint{3}).value(), 4u);
   const auto* resync = sm.rebuild_task(4);
   ASSERT_NE(resync, nullptr);
   EXPECT_TRUE(resync->resync);
@@ -203,12 +203,12 @@ TEST(RebuildSm, NewerMapChangeSupersedesAndReintResyncs) {
 TEST(RebuildSm, EvictionRequeuesSupersededResync) {
   pool::PoolMetaSm sm;
   sm.set_engines({1, 2, 3, 4});
-  EXPECT_EQ(sm.apply("pool_evict 3"), "ok 2");
-  EXPECT_EQ(sm.apply("rebuild_done 1 2"), "ok");
-  EXPECT_EQ(sm.apply("rebuild_done 2 2"), "ok");
-  EXPECT_EQ(sm.apply("rebuild_done 4 2"), "ok");
+  EXPECT_EQ(sm.execute(pool::PoolEvict{3}).value(), 2u);
+  EXPECT_EQ(sm.execute(pool::RebuildDone{1, 2}).value(), pool::RebuildAck::done);
+  EXPECT_EQ(sm.execute(pool::RebuildDone{2, 2}).value(), pool::RebuildAck::done);
+  EXPECT_EQ(sm.execute(pool::RebuildDone{4, 2}).value(), pool::RebuildAck::done);
   EXPECT_EQ(sm.rebuilds_incomplete(), 0u);
-  EXPECT_EQ(sm.apply("pool_reint 3"), "ok 3");
+  EXPECT_EQ(sm.execute(pool::PoolReint{3}).value(), 3u);
   ASSERT_NE(sm.rebuild_task(3), nullptr);
   EXPECT_TRUE(sm.rebuild_task(3)->resync);
 
@@ -216,7 +216,7 @@ TEST(RebuildSm, EvictionRequeuesSupersededResync) {
   // its work: the eviction scan covers re-replication for the new exclusion
   // set, not engine 3's window diff. The resync is re-queued at a fresh map
   // version — hence "ok 5", one bump for the eviction, one for the re-queue.
-  EXPECT_EQ(sm.apply("pool_evict 4"), "ok 5");
+  EXPECT_EQ(sm.execute(pool::PoolEvict{4}).value(), 5u);
   EXPECT_TRUE(sm.rebuild_task(3)->superseded);
   const auto* repair = sm.rebuild_task(4);
   ASSERT_NE(repair, nullptr);
@@ -232,23 +232,23 @@ TEST(RebuildSm, EvictionRequeuesSupersededResync) {
 
   // Re-evicting the resyncing engine itself drops its resync for good: the
   // eviction rebuild restores its replicas from the survivors instead.
-  EXPECT_EQ(sm.apply("pool_evict 3"), "ok 6");
+  EXPECT_EQ(sm.execute(pool::PoolEvict{3}).value(), 6u);
   EXPECT_EQ(sm.incomplete_rebuilds(), (std::vector<std::uint32_t>{6}));
 }
 
 TEST(RebuildSm, ReintRequeuesSupersededEvictionRepair) {
   pool::PoolMetaSm sm;
   sm.set_engines({1, 2, 3, 4});
-  EXPECT_EQ(sm.apply("pool_evict 3"), "ok 2");
+  EXPECT_EQ(sm.execute(pool::PoolEvict{3}).value(), 2u);
   // A second eviction's scan runs against the full exclusion set, so the
   // superseded v2 task needs no re-queue.
-  EXPECT_EQ(sm.apply("pool_evict 4"), "ok 3");
+  EXPECT_EQ(sm.execute(pool::PoolEvict{4}).value(), 3u);
   EXPECT_EQ(sm.incomplete_rebuilds(), (std::vector<std::uint32_t>{3}));
 
   // Reintegrating 3 supersedes the v3 repair, but a resync scan does not
   // re-replicate data for engine 4 (still excluded): the repair is re-queued
   // against the new map alongside the resync task.
-  EXPECT_EQ(sm.apply("pool_reint 3"), "ok 5");
+  EXPECT_EQ(sm.execute(pool::PoolReint{3}).value(), 5u);
   const auto* resync = sm.rebuild_task(4);
   ASSERT_NE(resync, nullptr);
   EXPECT_TRUE(resync->resync);
@@ -273,9 +273,9 @@ TEST(RebuildSm, ReintRequeuesSupersededEvictionRepair) {
 TEST(RebuildSm, SnapshotRoundTripsRebuildState) {
   pool::PoolMetaSm sm;
   sm.set_engines({1, 2, 3, 4});
-  EXPECT_EQ(sm.apply("cont_create 9 9 1048576 5"), "ok");
-  EXPECT_EQ(sm.apply("pool_evict 2"), "ok 2");
-  EXPECT_EQ(sm.apply("rebuild_done 1 2"), "ok");
+  EXPECT_TRUE(sm.execute(pool::ContCreate{{9, 9}, {1048576, 5}}).ok());
+  EXPECT_EQ(sm.execute(pool::PoolEvict{2}).value(), 2u);
+  EXPECT_EQ(sm.execute(pool::RebuildDone{1, 2}).value(), pool::RebuildAck::done);
 
   const std::string snap = sm.snapshot();
   pool::PoolMetaSm fresh;
@@ -290,7 +290,7 @@ TEST(RebuildSm, SnapshotRoundTripsRebuildState) {
   EXPECT_EQ(task->done, (std::set<net::NodeId>{1}));
   EXPECT_FALSE(task->complete());
   // A leader restoring this snapshot resumes where the old one stopped.
-  EXPECT_EQ(fresh.apply("rebuild_done 1 2"), "ok dup");
+  EXPECT_EQ(fresh.execute(pool::RebuildDone{1, 2}).value(), pool::RebuildAck::dup);
   EXPECT_EQ(fresh.snapshot(), snap);
 }
 

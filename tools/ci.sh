@@ -72,11 +72,13 @@ print_stage_summary() {
 }
 trap print_stage_summary EXIT
 
+# Every matrix configuration builds warning-clean: -Werror rides in on the
+# command line, so the CMake files carry no option for it.
 run_config() {
   local name=$1
   shift
   echo "=== [$name] configure: $* ==="
-  cmake -B "build-ci-$name" -S . "$@"
+  cmake -B "build-ci-$name" -S . -DCMAKE_CXX_FLAGS=-Werror "$@"
   echo "=== [$name] build ==="
   cmake --build "build-ci-$name" -j "$JOBS"
   echo "=== [$name] ctest ==="
