@@ -121,7 +121,8 @@ sim::CoTask<Result<std::unique_ptr<H5File>>> H5File::open(posix::Vfs& vfs,
   if (auto parsed = parse_symtab(sb, symtab)) {
     *file->meta_ = std::move(*parsed);
   } else if (!shadow->created) {
-    // Zeroed payload (discard mode) and no shared shadow: not an H5 file.
+    // Nothing parsed (discard mode returns no bytes) and no shared shadow:
+    // not an H5 file.
     co_return Errno::invalid;
   }
   co_return std::move(file);

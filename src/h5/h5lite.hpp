@@ -14,10 +14,12 @@
 //     driver (`direct_large_io`) bypasses the buffer for large aligned I/O,
 //     matching HDF5's better shared-file behaviour in Fig. 2.
 //
-// Payload note: with PayloadMode::discard the underlying store returns zeros,
-// so open() cannot re-parse serialized metadata from disk. Callers then share
-// one H5Meta shadow per file across ranks (the IOR harness does this); with
-// payloads stored, open() genuinely parses the bytes it reads back.
+// Payload note: with PayloadMode::discard the underlying store returns no
+// bytes at all, so the superblock and symbol-table reads leave open()'s own
+// zero-initialised buffers as they were, and those fail to parse. Callers
+// then share one H5Meta shadow per file across ranks (the IOR harness does
+// this); with payloads stored, open() genuinely parses the bytes it reads
+// back.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "ior/ior.hpp"
 
 #include <cstring>
+#include <memory>
 
 namespace daosim::ior {
 
@@ -441,11 +442,15 @@ sim::CoTask<void> IorRunner::rank_body(mpi::Comm comm, const IorConfig* cfg,
       for (std::uint32_t t = 0; t < transfers; ++t) {
         const std::uint64_t off = file_offset(target, seg, t);
         auto op = [&, off]() -> sim::CoTask<void> {
-          // Per-op sink (bounded by eq_depth); in discard mode the payload
-          // bytes never materialize, only the size matters.
-          std::vector<std::byte> rbuf(std::size_t(cfg->transfer_size));
+          // Per-op sink (bounded by eq_depth). Store mode zeroes it for
+          // check_pattern; in discard mode no read layer writes it
+          // (docs/io_path.md), so its pages are never touched.
+          const std::size_t rlen = std::size_t(cfg->transfer_size);
+          const auto rbuf = store ? std::make_unique<std::byte[]>(rlen)
+                                  : std::make_unique_for_overwrite<std::byte[]>(rlen);
+          const std::span<std::byte> sink(rbuf.get(), rlen);
           std::uint64_t filled = cfg->transfer_size;
-          auto n = co_await rf->read(off, rbuf);
+          auto n = co_await rf->read(off, sink);
           if (!n.ok() && n.error() == Errno::data_loss) {
             // Every replica of the group is gone: count the event, read on.
             ++st->data_loss_errors;
@@ -453,7 +458,7 @@ sim::CoTask<void> IorRunner::rank_body(mpi::Comm comm, const IorConfig* cfg,
           } else {
             DAOSIM_REQUIRE(n.ok(), "rank %d: read failed: %s", me, errno_name(n.error()));
             filled = *n;
-            if (store && cfg->verify) st->verify_errors += check_pattern(rbuf, off, seed);
+            if (store && cfg->verify) st->verify_errors += check_pattern(sink, off, seed);
           }
           if (filled != cfg->transfer_size) ++st->fill_errors;
         };

@@ -183,6 +183,9 @@ sim::CoTask<Result<std::uint64_t>> CollectiveFile::write_at_all(mpi::Comm comm,
 sim::CoTask<void> CollectiveFile::read_and_scatter(int me, std::uint64_t lo, std::uint64_t hi,
                                                    std::shared_ptr<Errno> status) {
   auto& st = ranks_[std::size_t(me)];
+  // Zeroed, and copied into every sink below even in discard mode, where
+  // pread leaves it as is: the one read path that writes the caller's sink
+  // without payloads (docs/io_path.md).
   std::vector<std::byte> buf(std::size_t(hi - lo));
   std::uint64_t pos = lo;
   while (pos < hi) {

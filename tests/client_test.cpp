@@ -7,24 +7,7 @@
 #include <set>
 
 #include "cluster/testbed.hpp"
-
-// gtest's ASSERT_* macros use `return`, which is illegal inside a coroutine:
-// these CO_ variants record the failure and co_return instead.
-#define CO_ASSERT_TRUE(cond)             \
-  do {                                   \
-    if (!(cond)) {                       \
-      ADD_FAILURE() << "CO_ASSERT_TRUE(" #cond ")"; \
-      co_return;                         \
-    }                                    \
-  } while (0)
-
-#define CO_ASSERT_EQ(a, b)               \
-  do {                                   \
-    if (!((a) == (b))) {                 \
-      ADD_FAILURE() << "CO_ASSERT_EQ(" #a ", " #b ")"; \
-      co_return;                         \
-    }                                    \
-  } while (0)
+#include "discard_stack.hpp"
 
 namespace daosim::client {
 namespace {
@@ -289,6 +272,24 @@ TEST(Cluster, MetadataOnlyWritesTrackSizes) {
     auto filled = co_await arr.read(0, out);
     CO_ASSERT_TRUE(filled.ok());
     EXPECT_EQ(*filled, 128u);  // extent metadata says data exists
+  });
+  tb.stop();
+}
+
+TEST(Cluster, DiscardModeReadLeavesSinkUntouched) {
+  Testbed tb(testkit::discard_cluster());
+  tb.start();
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_TRUE((co_await cl.cont_create(kPoolUuid, {})).ok());
+    ArrayObject arr(cl, kPoolUuid, make_oid(9, ObjClass::SX), 64 * 1024);
+    const std::uint64_t len = 1 << 20;  // 16 chunks across every engine
+    EXPECT_EQ(co_await arr.write(0, len, {}), Errno::ok);
+    auto sink = testkit::sentinel_sink(len);
+    auto filled = co_await arr.read(0, sink);
+    CO_ASSERT_TRUE(filled.ok());
+    EXPECT_EQ(*filled, len);
+    EXPECT_TRUE(testkit::sink_untouched(sink));
   });
   tb.stop();
 }

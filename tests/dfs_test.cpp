@@ -9,6 +9,7 @@
 
 #include "co_assert.hpp"
 #include "dfs/dfs.hpp"
+#include "discard_stack.hpp"
 #include "ior/ior.hpp"  // fill/check pattern helpers
 #include "sim/random.hpp"
 
@@ -236,6 +237,21 @@ TEST_F(DfsTest, RemountSeesExistingNamespace) {
     auto st = co_await (*m2)->stat("/persist/f");
     CO_ASSERT_OK(st);
     CO_ASSERT_EQ(st->size, 64u);
+  });
+}
+
+TEST(DfsDiscard, ReadLeavesSinkUntouched) {
+  testkit::DiscardStack stack;
+  stack.tb.run([&]() -> CoTask<void> {
+    auto f = co_await stack.dfs->open("/sink.dat", OpenFlags{.create = true});
+    CO_ASSERT_OK(f);
+    const std::uint64_t len = 3 * kMiB + 4096;  // spans several chunks, one partial
+    CO_ASSERT_ERRNO(co_await f->write(0, len, {}), Errno::ok);
+    auto sink = testkit::sentinel_sink(len);
+    auto n = co_await f->read(0, sink);
+    CO_ASSERT_OK(n);
+    CO_ASSERT_EQ(*n, len);
+    CO_ASSERT_TRUE(testkit::sink_untouched(sink));
   });
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "co_assert.hpp"
+#include "discard_stack.hpp"
 #include "h5/h5lite.hpp"
 #include "ior/ior.hpp"
 #include "posix/vfs.hpp"
@@ -169,21 +170,23 @@ TEST(H5Lite, MetadataCacheFlushesPeriodically) {
 TEST(H5Lite, SharedShadowAllowsZeroedPayloadOpen) {
   Env env;
   env.run([&]() -> CoTask<void> {
-    // Simulate discard-mode: file exists but reads back zeros. A shared
-    // shadow lets a second opener proceed (the cross-rank shared-file case).
+    // Simulate discard mode: the file exists but open()'s metadata reads
+    // leave its zeroed buffers unparsable. A shared shadow lets a second
+    // opener proceed (the cross-rank shared-file case).
     auto shadow = std::make_shared<H5Meta>();
     auto f = co_await H5File::create(env.vfs, "/shadow.h5", shadow);
     CO_ASSERT_OK(f);
     auto d = co_await (*f)->create_dataset("x", 2048);
     CO_ASSERT_OK(d);
     CO_ASSERT_ERRNO(co_await (*f)->close(), Errno::ok);
-    // Wipe the metadata bytes to zeros, as a discard-mode store would return.
+    // Wipe the metadata bytes to zeros: what open()'s buffers hold after a
+    // discard-mode store returns no bytes.
     posix::VfsOpenFlags wf;
     auto fd = co_await env.vfs.open("/shadow.h5", wf);
     CO_ASSERT_OK(fd);
     std::vector<std::byte> zeros(4096, std::byte{0});
-    (void)co_await env.vfs.pwrite(*fd, 0, zeros.size(), zeros);
-    (void)co_await env.vfs.close(*fd);
+    CO_ASSERT_OK(co_await env.vfs.pwrite(*fd, 0, zeros.size(), zeros));
+    CO_ASSERT_ERRNO(co_await env.vfs.close(*fd), Errno::ok);
     auto f2 = co_await H5File::open(env.vfs, "/shadow.h5", shadow);
     CO_ASSERT_OK(f2);  // proceeds via the shared shadow
     auto d2 = co_await (*f2)->open_dataset("x");
@@ -211,6 +214,39 @@ TEST(H5Lite, DirectLargeIoBypassesBuffer) {
     CO_ASSERT_EQ(ior::check_pattern(out, 0, 2), 0u);
     CO_ASSERT_ERRNO(co_await (*f)->close(), Errno::ok);
   });
+}
+
+// Discard-mode sink contract over DFuse, for both raw-data drivers: sec2
+// moves the read in conversion_buffer pieces, direct_large_io in one request.
+void expect_discard_read_leaves_sink_untouched(bool direct_large_io,
+                                               std::uint64_t expected_requests) {
+  testkit::DiscardStack stack;
+  stack.tb.run([&]() -> CoTask<void> {
+    H5Config cfg;
+    cfg.direct_large_io = direct_large_io;
+    auto f = co_await H5File::create(*stack.dfuse, "/sink.h5", std::make_shared<H5Meta>(), cfg);
+    CO_ASSERT_OK(f);
+    const std::uint64_t len = kMiB;
+    auto d = co_await (*f)->create_dataset("x", 2 * len);
+    CO_ASSERT_OK(d);
+    CO_ASSERT_ERRNO(co_await d->write(0, len, {}), Errno::ok);
+    auto sink = testkit::sentinel_sink(len);
+    const std::uint64_t before = stack.dfuse->requests_served();
+    auto n = co_await d->read(0, sink);
+    CO_ASSERT_OK(n);
+    CO_ASSERT_EQ(*n, len);
+    CO_ASSERT_EQ(stack.dfuse->requests_served() - before, expected_requests);
+    CO_ASSERT_TRUE(testkit::sink_untouched(sink));
+    CO_ASSERT_ERRNO(co_await (*f)->close(), Errno::ok);
+  });
+}
+
+TEST(H5Discard, Sec2ReadLeavesSinkUntouched) {
+  expect_discard_read_leaves_sink_untouched(/*direct_large_io=*/false, /*requests=*/4);
+}
+
+TEST(H5Discard, DirectLargeIoReadLeavesSinkUntouched) {
+  expect_discard_read_leaves_sink_untouched(/*direct_large_io=*/true, /*requests=*/1);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "co_assert.hpp"
+#include "discard_stack.hpp"
 #include "ior/ior.hpp"
 #include "mpiio/mpiio.hpp"
 #include "posix/vfs.hpp"
@@ -153,6 +154,39 @@ TEST(MpiIo, SizeReflectsWrites) {
     co_await w.world->run_spmd(std::move(body));
   });
   w.sched.run();
+}
+
+TEST(MpiIoDiscard, ReadAtLeavesSinkUntouched) {
+  testkit::DiscardStack stack;
+  const net::NodeId node = stack.tb.client(0).endpoint().node();
+  mpi::MpiWorld world(stack.tb.sched(), stack.tb.fabric(), {node, node});
+  CollectiveFile cf(world);
+  const std::uint64_t block = 2 * kMiB;
+  stack.tb.run([&]() -> CoTask<void> {
+    std::function<CoTask<void>(mpi::Comm)> body = [&](mpi::Comm c) -> CoTask<void> {
+      posix::VfsOpenFlags flags;
+      flags.create = true;
+      CO_ASSERT_ERRNO(co_await cf.open(c, *stack.dfuse, "/sink", flags), Errno::ok);
+      const std::uint64_t off = std::uint64_t(c.rank()) * block;
+      CO_ASSERT_OK(co_await cf.write_at(c, off, block, {}));
+      co_await c.barrier();
+      auto sink = testkit::sentinel_sink(block);
+      auto n = co_await cf.read_at(c, off, sink);
+      CO_ASSERT_OK(n);
+      CO_ASSERT_EQ(*n, block);
+      CO_ASSERT_TRUE(testkit::sink_untouched(sink));
+      // The documented exception: two-phase read_at_all copies the
+      // aggregator's zero-initialised buffer into every sink.
+      auto coll = testkit::sentinel_sink(block);
+      auto m = co_await cf.read_at_all(c, off, coll);
+      CO_ASSERT_OK(m);
+      CO_ASSERT_EQ(*m, block);
+      CO_ASSERT_TRUE(std::all_of(coll.begin(), coll.end(),
+                                 [](std::byte b) { return b == std::byte{0}; }));
+      CO_ASSERT_ERRNO(co_await cf.close(c), Errno::ok);
+    };
+    co_await world.run_spmd(std::move(body));
+  });
 }
 
 }  // namespace

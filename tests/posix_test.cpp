@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "co_assert.hpp"
+#include "discard_stack.hpp"
 #include "ior/ior.hpp"
 #include "posix/dfuse.hpp"
 #include "posix/vfs.hpp"
@@ -223,6 +224,24 @@ TEST_F(DfuseTest, BadFdRejected) {
     CO_ASSERT_EQ(r.error(), Errno::bad_fd);
     auto w = co_await dfuse_->pwrite(999, 0, 8, {});
     CO_ASSERT_EQ(w.error(), Errno::bad_fd);
+  });
+}
+
+TEST(DfuseDiscard, PreadLeavesSinkUntouched) {
+  testkit::DiscardStack stack;
+  stack.tb.run([&]() -> CoTask<void> {
+    VfsOpenFlags flags;
+    flags.create = true;
+    auto fd = co_await stack.dfuse->open("/sink", flags);
+    CO_ASSERT_OK(fd);
+    const std::uint64_t len = 3 * kMiB + 4096;  // four FUSE requests, one partial
+    CO_ASSERT_OK(co_await stack.dfuse->pwrite(*fd, 0, len, {}));
+    auto sink = testkit::sentinel_sink(len);
+    auto r = co_await stack.dfuse->pread(*fd, 0, sink);
+    CO_ASSERT_OK(r);
+    CO_ASSERT_EQ(*r, len);
+    CO_ASSERT_TRUE(testkit::sink_untouched(sink));
+    CO_ASSERT_ERRNO(co_await stack.dfuse->close(*fd), Errno::ok);
   });
 }
 
