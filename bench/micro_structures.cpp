@@ -9,6 +9,7 @@
 #include "sim/bandwidth.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/sync.hpp"
 #include "vos/btree.hpp"
 #include "vos/value_store.hpp"
 
@@ -131,6 +132,32 @@ void BM_SchedulerEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(std::int64_t(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SchedulerEventThroughput);
+
+// The client RPC deadline pattern (DaosClient::call_with_deadline): N
+// requests in flight, each waiting on its reply Event with a 5 s deadline
+// that the reply, a few microseconds later, cancels.
+void BM_SchedulerDeadlineTimers(benchmark::State& state) {
+  const int inflight = int(state.range(0));
+  constexpr int kRequests = 64;  // issued back to back by each in-flight slot
+  for (auto _ : state) {
+    sim::Scheduler s;
+    for (int i = 0; i < inflight; ++i) {
+      s.spawn([&s, i]() -> sim::CoTask<void> {
+        for (int r = 0; r < kRequests; ++r) {
+          sim::Event reply(s);
+          const sim::Time rtt = 2 * sim::kUs + sim::Time((i * 7919 + r * 104729) % 100'000);
+          s.schedule_callback(s.now() + rtt, [&reply] { reply.set(); });
+          const bool replied = co_await reply.wait_for(5 * sim::kSec);
+          benchmark::DoNotOptimize(replied);
+        }
+      });
+    }
+    s.run();
+    benchmark::DoNotOptimize(s.events_processed());
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) * inflight * kRequests);
+}
+BENCHMARK(BM_SchedulerDeadlineTimers)->Arg(64)->Arg(512);
 
 void BM_SharedBandwidthFairShare(benchmark::State& state) {
   const int flows = int(state.range(0));

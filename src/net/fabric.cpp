@@ -84,6 +84,7 @@ sim::CoTask<void> Fabric::transfer(NodeId src, NodeId dst, std::uint64_t bytes,
   // slowest of the three shared stages; we serve them concurrently.
   const sim::Time stages_begin = sched_.now();
   std::vector<sim::CoTask<void>> stages;
+  stages.reserve(3);
   stages.push_back(stage(*nodes_[src].egress, wire));
   stages.push_back(stage(*switch_, wire));
   stages.push_back(stage(*nodes_[dst].ingress, wire));

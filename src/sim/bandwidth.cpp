@@ -65,32 +65,38 @@ void SharedBandwidth::advance() {
 }
 
 void SharedBandwidth::reschedule() {
-  next_.cancel();
-  if (flows_.empty()) return;
+  if (flows_.empty()) {
+    next_.cancel();
+    return;
+  }
   double min_remaining = flows_.front().remaining;
   for (const auto& f : flows_) min_remaining = std::min(min_remaining, f.remaining);
   const double per_flow_rate = rate_ns_ * eff_(flows_.size()) / double(flows_.size());
   const double dt = std::max(0.0, min_remaining) / per_flow_rate;
   const Time fire = sched_.now() + Time(std::ceil(dt));
-  next_ = sched_.schedule_callback(fire, [this] { on_completion(); });
+  if (next_.armed()) {
+    sched_.rearm(next_, fire);
+  } else {
+    next_ = sched_.schedule_callback(fire, [this] { on_completion(); });
+  }
 }
 
 void SharedBandwidth::on_completion() {
   advance();
   // Resume every flow that has (numerically) finished.
-  std::vector<std::coroutine_handle<>> done;
+  done_.clear();
   std::size_t kept = 0;
   for (auto& f : flows_) {
     if (f.remaining <= kEpsilonBytes) {
-      done.push_back(f.h);
+      done_.push_back(f.h);
     } else {
       flows_[kept++] = f;
     }
   }
   flows_.resize(kept);
-  if (flows_.empty() && !done.empty()) busy_accum_ += sched_.now() - busy_since_;
+  if (flows_.empty() && !done_.empty()) busy_accum_ += sched_.now() - busy_since_;
   reschedule();
-  for (auto h : done) sched_.schedule(sched_.now(), h);
+  for (auto h : done_) sched_.schedule(sched_.now(), h);
 }
 
 Time SharedBandwidth::busy_time() const {

@@ -59,13 +59,14 @@ class SharedBandwidth {
 
   void add_flow(double bytes, std::coroutine_handle<> h);
   void advance();     // apply service accrued since last_update_
-  void reschedule();  // (re)arm the next-completion timer
+  void reschedule();  // re-arm the next-completion timer in place
   void on_completion();
 
   Scheduler& sched_;
   double rate_ns_;  // bytes per nanosecond
   EfficiencyCurve eff_;
   std::vector<Flow> flows_;
+  std::vector<std::coroutine_handle<>> done_;  // on_completion scratch
   Time last_update_ = 0;
   Timer next_;
   double bytes_served_ = 0.0;

@@ -11,6 +11,8 @@
 // (fixed in GCC 13). Hoist them into named locals and pass with std::move:
 //   auto op = [...](){...};            // NOT: co_await eq.launch([...]{...})
 //   co_await eq.launch(std::move(op));
+// Likewise keep a co_await on an awaiter with a destructor (Event::wait_for)
+// out of an if condition; bind the result to a local first.
 #pragma once
 
 #include <coroutine>

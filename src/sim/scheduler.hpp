@@ -1,6 +1,9 @@
-// The discrete-event scheduler: a priority queue of (time, sequence) ordered
-// events driving coroutine resumptions and plain callbacks under a virtual
-// clock. Single-threaded and fully deterministic.
+// The discrete-event scheduler: events ordered by (time, sequence) drive
+// coroutine resumptions and plain callbacks under a virtual clock.
+// Single-threaded and fully deterministic. Resumptions due at the current
+// time wait in a FIFO ready ring; everything later, and every callback timer,
+// waits in a binary heap indexed by timer slot, so cancelling a timer removes
+// it outright (see DESIGN.md, "Event queue").
 #pragma once
 
 #include <concepts>
@@ -8,8 +11,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -62,25 +63,22 @@ class SpanSink {
 };
 
 /// Handle to a cancellable callback timer (see Scheduler::schedule_callback).
+/// A plain value naming a scheduler-owned timer slot and the generation it
+/// was armed in: copies refer to the same timer, and dropping a handle does
+/// not cancel it. A handle must not be used after its Scheduler is gone.
 class Timer {
  public:
   Timer() = default;
   /// Cancels the timer; a cancelled timer's callback never fires.
-  void cancel() {
-    if (state_) state_->cancelled = true;
-    state_.reset();
-  }
-  bool armed() const { return state_ && !state_->cancelled && !state_->fired; }
+  void cancel();
+  bool armed() const;
 
  private:
   friend class Scheduler;
-  struct State {
-    std::function<void()> fn;
-    bool cancelled = false;
-    bool fired = false;
-  };
-  explicit Timer(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
+  Timer(Scheduler* s, std::uint32_t slot, std::uint64_t gen) : sched_(s), slot_(slot), gen_(gen) {}
+  Scheduler* sched_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint64_t gen_ = 0;
 };
 
 class Scheduler {
@@ -98,10 +96,21 @@ class Scheduler {
 
   /// Resumes `h` at virtual time `at` (>= now). Events with equal time fire
   /// in scheduling order.
-  void schedule(Time at, std::coroutine_handle<> h);
+  void schedule(Time at, std::coroutine_handle<> h) {
+    if (at == now_) {
+      ready_.push_back(ReadyItem{seq_++, h});
+    } else {
+      schedule_later(at, h);
+    }
+  }
 
   /// Runs `fn` at virtual time `at` unless the returned Timer is cancelled.
   Timer schedule_callback(Time at, std::function<void()> fn);
+
+  /// Moves the armed timer `t` to fire at `at` (>= now) with its callback
+  /// kept. Takes a fresh sequence number, so the timer orders exactly as if
+  /// it had been cancelled and scheduled again.
+  void rearm(const Timer& t, Time at);
 
   /// Launches `t` as a detached top-level process starting at the current
   /// time. Exceptions escaping the process abort run().
@@ -137,6 +146,8 @@ class Scheduler {
 
   /// Drains the event queue. Throws the first exception that escaped a
   /// spawned process, or DaosimError if processes remain blocked (deadlock).
+  /// Leaves now() at the last dispatched event; a cancelled timer never
+  /// moves the clock.
   void run();
 
   /// Runs until the virtual clock would pass `t`; returns true if events
@@ -144,11 +155,14 @@ class Scheduler {
   bool run_until(Time t);
 
   std::size_t live_processes() const { return live_; }
+  /// Resumptions and timer callbacks dispatched so far. A cancelled timer is
+  /// never dispatched, so it is not counted.
   std::uint64_t events_processed() const { return events_; }
 
   /// Determinism-audit digest: an FNV-1a hash folding every dispatched event
-  /// as the tuple (virtual time, sequence number, kind). Two runs of the same
-  /// scenario must produce bit-identical digests; any divergence means hidden
+  /// as the tuple (virtual time, sequence number, kind); cancelled timers are
+  /// never dispatched and never folded. Two runs of the same scenario must
+  /// produce bit-identical digests; any divergence means hidden
   /// nondeterminism (wall-clock input, hash-order iteration, an unseeded RNG)
   /// leaked into event scheduling.
   std::uint64_t trace_hash() const { return trace_hash_; }
@@ -201,20 +215,64 @@ class Scheduler {
     co_await f();
   }
 
-  struct Item {
+  friend class Timer;
+
+  static constexpr std::uint32_t kNone = ~0u;  // no timer slot / not in the heap
+
+  /// A resumption due at now(): the ready ring keeps these in FIFO order.
+  struct ReadyItem {
+    std::uint64_t seq;
+    std::coroutine_handle<> h;
+  };
+  /// A heap entry: a future resumption (`h` set) or a timer (`slot` set).
+  struct HeapItem {
     Time at;
     std::uint64_t seq;
-    std::coroutine_handle<> h;            // exactly one of h / cb is set
-    std::shared_ptr<Timer::State> cb;
-    bool operator>(const Item& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
+    std::coroutine_handle<> h;
+    std::uint32_t slot;
+    bool before(const HeapItem& o) const { return at != o.at ? at < o.at : seq < o.seq; }
+  };
+  /// A callback timer. `gen` advances whenever the timer fires or is
+  /// cancelled, which invalidates every outstanding handle; `pos` is the
+  /// timer's heap index while it is armed.
+  struct TimerSlot {
+    std::function<void()> fn;
+    std::uint64_t gen = 0;
+    std::uint32_t pos = kNone;
   };
 
   /// What a dispatched event did, folded into the trace digest.
-  enum class EventKind : std::uint8_t { resume = 0, callback = 1, cancelled = 2 };
+  enum class EventKind : std::uint8_t { resume = 0, callback = 1 };
 
-  void dispatch(Item& it);
+  void schedule_later(Time at, std::coroutine_handle<> h);
+  bool timer_armed(std::uint32_t slot, std::uint64_t gen) const {
+    return slot < slots_.size() && slots_[slot].gen == gen;
+  }
+  void cancel_timer(std::uint32_t slot, std::uint64_t gen);
+  void free_slot(std::uint32_t slot);
+
+  /// Dispatches the next event if it is due at or before `limit`.
+  bool dispatch_next(Time limit);
+  void count_event(Time at, std::uint64_t seq, EventKind kind) {
+    ++events_;
+    fold_trace(at);
+    fold_trace(seq);
+    fold_trace(std::uint64_t(kind));
+  }
+  bool ready_empty() const { return ready_head_ == ready_.size(); }
+
+  // Indexed binary heap over heap_: every placement of a timer entry updates
+  // its slot's back-index.
+  void heap_push(const HeapItem& it);
+  void heap_erase(std::size_t pos);
+  void heap_place(std::size_t pos, const HeapItem& it) {
+    heap_[pos] = it;
+    if (it.slot != kNone) slots_[it.slot].pos = std::uint32_t(pos);
+  }
+  void sift_up(std::size_t pos, HeapItem it);
+  void sift_down(std::size_t pos, HeapItem it);
+  void audit_heap_at(std::size_t pos) const;
+
   void finish_run();
   void fold_trace(std::uint64_t v) {
     // FNV-1a over the value's 8 little-endian bytes.
@@ -224,7 +282,11 @@ class Scheduler {
     }
   }
 
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> queue_;
+  std::vector<ReadyItem> ready_;
+  std::size_t ready_head_ = 0;
+  std::vector<HeapItem> heap_;
+  std::vector<TimerSlot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   Time now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t events_ = 0;
@@ -235,5 +297,12 @@ class Scheduler {
   std::vector<std::coroutine_handle<Detached::promise_type>> detached_;
   SpanSink* span_sink_ = nullptr;
 };
+
+inline void Timer::cancel() {
+  if (sched_) sched_->cancel_timer(slot_, gen_);
+  sched_ = nullptr;
+}
+
+inline bool Timer::armed() const { return sched_ && sched_->timer_armed(slot_, gen_); }
 
 }  // namespace daosim::sim

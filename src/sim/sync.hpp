@@ -5,6 +5,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <deque>
 #include <optional>
 #include <utility>
@@ -15,6 +16,79 @@
 
 namespace daosim::sim {
 
+namespace detail {
+
+class WaitList;
+
+/// A suspended waiter threaded into a WaitList. Awaiters derive from it, so
+/// the links live in the suspended coroutine frame and waiting allocates
+/// nothing. Destroying a linked node (its frame was destroyed while
+/// suspended) unlinks it; destroying the list first unlinks every node.
+class WaitNode {
+ public:
+  WaitNode() = default;
+  WaitNode(const WaitNode&) = delete;
+  WaitNode& operator=(const WaitNode&) = delete;
+  inline ~WaitNode();
+
+  std::coroutine_handle<> handle{};
+
+ private:
+  friend class WaitList;
+  WaitNode* prev_ = nullptr;
+  WaitNode* next_ = nullptr;
+  WaitList* list_ = nullptr;
+};
+
+/// Intrusive FIFO of WaitNodes.
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+  ~WaitList() {
+    while (pop_front() != nullptr) {
+    }
+  }
+
+  std::size_t size() const { return size_; }
+
+  void push_back(WaitNode* n) {
+    n->list_ = this;
+    n->prev_ = tail_;
+    n->next_ = nullptr;
+    (tail_ ? tail_->next_ : head_) = n;
+    tail_ = n;
+    ++size_;
+  }
+
+  /// Unlinks and returns the oldest node, or nullptr when empty.
+  WaitNode* pop_front() {
+    WaitNode* n = head_;
+    if (n) erase(n);
+    return n;
+  }
+
+  void erase(WaitNode* n) {
+    (n->prev_ ? n->prev_->next_ : head_) = n->next_;
+    (n->next_ ? n->next_->prev_ : tail_) = n->prev_;
+    n->prev_ = n->next_ = nullptr;
+    n->list_ = nullptr;
+    --size_;
+  }
+
+ private:
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+inline WaitNode::~WaitNode() {
+  if (list_) list_->erase(this);
+}
+
+}  // namespace detail
+
 /// One-to-many level-triggered event. wait() completes immediately if the
 /// event is set; otherwise the waiter suspends until set() fires.
 class Event {
@@ -24,28 +98,32 @@ class Event {
   Event& operator=(const Event&) = delete;
 
   auto wait() {
-    struct Awaiter {
+    struct Awaiter : detail::WaitNode {
+      explicit Awaiter(Event& ev) : e(ev) {}
       Event& e;
       bool await_ready() const noexcept { return e.set_; }
-      void await_suspend(std::coroutine_handle<> h) { e.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) {
+        handle = h;
+        e.waiters_.push_back(this);
+      }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter(*this);
   }
 
   /// Timed wait: resumes with true when the event fires, false on timeout.
-  auto wait_for(Time timeout) { return TimedAwaiter{*this, timeout}; }
+  auto wait_for(Time timeout) { return TimedAwaiter(*this, timeout); }
 
+  /// Wakes every waiter in arrival order: plain waiters first, then timed.
   void set() {
     set_ = true;
-    for (auto h : waiters_) sched_.schedule(sched_.now(), h);
-    waiters_.clear();
-    for (auto* w : timed_waiters_) {
+    while (detail::WaitNode* w = waiters_.pop_front()) sched_.schedule(sched_.now(), w->handle);
+    while (detail::WaitNode* n = timed_waiters_.pop_front()) {
+      auto* w = static_cast<TimedAwaiter*>(n);
       w->timer.cancel();
       w->fired = true;
       sched_.schedule(sched_.now(), w->handle);
     }
-    timed_waiters_.clear();
   }
 
   void reset() { set_ = false; }
@@ -53,19 +131,21 @@ class Event {
   std::size_t waiter_count() const { return waiters_.size() + timed_waiters_.size(); }
 
  private:
-  struct TimedAwaiter {
+  struct TimedAwaiter : detail::WaitNode {
+    TimedAwaiter(Event& ev, Time t) : e(ev), timeout(t) {}
+    // A frame destroyed mid-wait must not leave its timeout armed.
+    ~TimedAwaiter() { timer.cancel(); }
     Event& e;
     Time timeout;
     bool fired = false;
     Timer timer{};
-    std::coroutine_handle<> handle{};
 
     bool await_ready() const noexcept { return e.set_; }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
       e.timed_waiters_.push_back(this);
       timer = e.sched_.schedule_callback(e.sched_.now() + timeout, [this] {
-        std::erase(e.timed_waiters_, this);
+        e.timed_waiters_.erase(this);
         fired = false;
         e.sched_.schedule(e.sched_.now(), handle);
       });
@@ -75,8 +155,8 @@ class Event {
 
   Scheduler& sched_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
-  std::vector<TimedAwaiter*> timed_waiters_;
+  detail::WaitList waiters_;
+  detail::WaitList timed_waiters_;
 };
 
 /// FIFO counting semaphore. release() hands the permit directly to the oldest
@@ -88,7 +168,8 @@ class Semaphore {
   Semaphore& operator=(const Semaphore&) = delete;
 
   auto acquire() {
-    struct Awaiter {
+    struct Awaiter : detail::WaitNode {
+      explicit Awaiter(Semaphore& s) : sem(s) {}
       Semaphore& sem;
       bool await_ready() const noexcept {
         if (sem.permits_ > 0) {
@@ -97,17 +178,18 @@ class Semaphore {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) { sem.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) {
+        handle = h;
+        sem.waiters_.push_back(this);
+      }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter(*this);
   }
 
   void release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sched_.schedule(sched_.now(), h);  // permit handed to waiter
+    if (detail::WaitNode* w = waiters_.pop_front()) {
+      sched_.schedule(sched_.now(), w->handle);  // permit handed to waiter
     } else {
       ++permits_;
     }
@@ -119,7 +201,7 @@ class Semaphore {
  private:
   Scheduler& sched_;
   std::size_t permits_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Scoped-release mutex built on Semaphore.
@@ -170,9 +252,8 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   void push(T v) {
-    if (!poppers_.empty()) {
-      PopAwaiter* p = poppers_.front();
-      poppers_.pop_front();
+    if (detail::WaitNode* n = poppers_.pop_front()) {
+      auto* p = static_cast<PopAwaiter*>(n);
       p->value.emplace(std::move(v));
       sched_.schedule(sched_.now(), p->handle);
     } else {
@@ -180,16 +261,16 @@ class Channel {
     }
   }
 
-  auto pop() { return PopAwaiter{*this}; }
+  auto pop() { return PopAwaiter(*this); }
 
   std::size_t size() const { return buf_.size(); }
   bool empty() const { return buf_.empty(); }
 
  private:
-  struct PopAwaiter {
+  struct PopAwaiter : detail::WaitNode {
+    explicit PopAwaiter(Channel& c) : ch(c) {}
     Channel& ch;
     std::optional<T> value{};
-    std::coroutine_handle<> handle{};
     bool await_ready() noexcept {
       if (!ch.buf_.empty()) {
         value.emplace(std::move(ch.buf_.front()));
@@ -207,7 +288,7 @@ class Channel {
 
   Scheduler& sched_;
   std::deque<T> buf_;
-  std::deque<PopAwaiter*> poppers_;
+  detail::WaitList poppers_;
 };
 
 /// Fork/join helper: spawn N child tasks, then `co_await wg.wait()`.

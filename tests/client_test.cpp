@@ -604,7 +604,7 @@ TEST(Cluster, ConcurrentClientsFromTwoNodes) {
   Testbed tb(cfg);
   tb.start();
   tb.run([&]() -> CoTask<void> {
-    (void)co_await tb.client(0).cont_create(kPoolUuid, {});
+    CO_ASSERT_TRUE((co_await tb.client(0).cont_create(kPoolUuid, {})).ok());
     sim::WaitGroup wg(tb.sched());
     for (std::uint32_t c = 0; c < 2; ++c) {
       wg.spawn([&tb, c]() -> CoTask<void> {

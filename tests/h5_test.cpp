@@ -80,7 +80,8 @@ TEST(H5Lite, OpenNonH5FileFails) {
     auto fd = co_await env.vfs.open("/junk", flags);
     CO_ASSERT_OK(fd);
     std::vector<std::byte> noise(4096, std::byte{0x42});
-    (void)co_await env.vfs.pwrite(*fd, 0, noise.size(), noise);
+    auto wrote = co_await env.vfs.pwrite(*fd, 0, noise.size(), noise);
+    CO_ASSERT_OK(wrote);
     (void)co_await env.vfs.close(*fd);
     auto shadow = std::make_shared<H5Meta>();
     auto f = co_await H5File::open(env.vfs, "/junk", shadow);

@@ -191,7 +191,8 @@ TEST_F(DfuseTest, MetadataOpsForwarded) {
     auto fd = co_await dfuse_->open("/dir/f", flags);
     CO_ASSERT_OK(fd);
     std::vector<std::byte> d(64, std::byte{1});
-    (void)co_await dfuse_->pwrite(*fd, 0, d.size(), d);
+    auto wrote = co_await dfuse_->pwrite(*fd, 0, d.size(), d);
+    CO_ASSERT_OK(wrote);
     auto st = co_await dfuse_->stat("/dir/f");
     CO_ASSERT_OK(st);
     CO_ASSERT_EQ(st->size, 64u);

@@ -1,7 +1,12 @@
 // Unit and property tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <exception>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/bandwidth.hpp"
@@ -288,6 +293,358 @@ TEST(WhenAll, CompletesAtSlowestTask) {
   });
   s.run();
   EXPECT_EQ(done_at, 500u);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel contract: dispatch order against a reference model, FIFO wake-up
+// order of the waiter lists, and frames destroyed while suspended.
+
+// Drives the scheduler with a seeded mix of resumptions, callback timers,
+// cancels, re-arms and yields, recording every scheduling action with the
+// sequence number the scheduler assigns to it (each schedule, callback, spawn
+// and re-arm takes the next one; a cancel takes none). The reference order is
+// then simply every entry sorted by (time, seq) with cancelled ones dropped.
+class KernelModel {
+ public:
+  explicit KernelModel(std::uint64_t seed) : rng_(seed) {}
+
+  void run(bool stepwise) {
+    for (int i = 0; i < 6; ++i) {
+      arm_timer();
+      spawn_process();
+    }
+    if (stepwise) {
+      while (s_.run_until(s_.now() + 37)) {
+      }
+    } else {
+      s_.run();
+    }
+  }
+
+  Scheduler& sched() { return s_; }
+  const std::vector<std::size_t>& dispatched() const { return dispatched_; }
+  std::vector<std::size_t> reference_order() const {
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (!entries_[i].cancelled) live.push_back(i);
+    }
+    std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
+      const Entry& x = entries_[a];
+      const Entry& y = entries_[b];
+      return x.at != y.at ? x.at < y.at : x.seq < y.seq;
+    });
+    return live;
+  }
+  /// The digest Scheduler::trace_hash() must reach: FNV-1a over each live
+  /// event's (time, seq, kind) in dispatch order.
+  std::uint64_t reference_hash() const {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto fold = [&h](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= 0x100000001B3ULL;
+      }
+    };
+    for (std::size_t i : reference_order()) {
+      fold(entries_[i].at);
+      fold(entries_[i].seq);
+      fold(entries_[i].callback ? 1 : 0);
+    }
+    return h;
+  }
+  std::size_t cancelled() const {
+    return std::size_t(std::count_if(entries_.begin(), entries_.end(),
+                                     [](const Entry& e) { return e.cancelled; }));
+  }
+  bool any_timer_armed() const {
+    return std::any_of(timers_.begin(), timers_.end(),
+                       [](const Tracked& t) { return t.timer.armed(); });
+  }
+
+ private:
+  struct Entry {
+    Time at;
+    std::uint64_t seq;
+    bool callback;
+    bool cancelled = false;
+  };
+  struct Tracked {
+    Timer timer;
+    std::size_t entry;  // the timer's current (latest armed) entry
+    bool live;
+  };
+
+  std::size_t record(Time at, bool callback) {
+    entries_.push_back(Entry{at, next_seq_++, callback});
+    return entries_.size() - 1;
+  }
+
+  /// Mostly collisions: now() itself, a few ns ahead, or further out.
+  Time pick_time() {
+    switch (rng_.uniform(3)) {
+      case 0: return s_.now();
+      case 1: return s_.now() + rng_.uniform(4);
+      default: return s_.now() + rng_.uniform(200);
+    }
+  }
+
+  void arm_timer() {
+    const std::size_t k = timers_.size();
+    const Time at = pick_time();
+    const std::size_t e = record(at, true);
+    Timer t = s_.schedule_callback(at, [this, k] { on_timer(k); });
+    timers_.push_back(Tracked{t, e, true});
+  }
+
+  void on_timer(std::size_t k) {
+    EXPECT_TRUE(timers_[k].live) << "a cancelled or fired timer ran";
+    EXPECT_FALSE(timers_[k].timer.armed()) << "a running timer is no longer armed";
+    dispatched_.push_back(timers_[k].entry);
+    timers_[k].live = false;
+    act();
+  }
+
+  Tracked* pick_timer() {
+    return timers_.empty() ? nullptr : &timers_[rng_.uniform(timers_.size())];
+  }
+
+  void cancel_timer() {
+    Tracked* t = pick_timer();
+    if (!t) return;
+    EXPECT_EQ(t->timer.armed(), t->live);
+    if (t->live) entries_[t->entry].cancelled = true;
+    t->live = false;
+    t->timer.cancel();
+  }
+
+  void rearm_timer() {
+    Tracked* t = pick_timer();
+    if (!t || !t->live) return;
+    entries_[t->entry].cancelled = true;  // superseded, never dispatched
+    const Time at = pick_time();
+    t->entry = record(at, true);
+    s_.rearm(t->timer, at);
+  }
+
+  void spawn_process() {
+    const std::size_t e = record(s_.now(), false);
+    s_.spawn(process(e));
+  }
+
+  CoTask<void> process(std::size_t first) {
+    dispatched_.push_back(first);
+    const std::uint64_t steps = 1 + rng_.uniform(4);
+    for (std::uint64_t i = 0; i < steps; ++i) {
+      act();
+      std::size_t e;
+      if (rng_.uniform(2) == 0) {
+        e = record(s_.now(), false);
+        co_await s_.yield();
+      } else {
+        const Time at = pick_time();
+        e = record(at, false);
+        co_await s_.delay(at - s_.now());
+      }
+      dispatched_.push_back(e);
+    }
+  }
+
+  void act() {
+    for (std::uint64_t n = rng_.uniform(3); n > 0 && budget_ > 0; --n, --budget_) {
+      switch (rng_.uniform(5)) {
+        case 0: arm_timer(); break;
+        case 1: cancel_timer(); break;
+        case 2: rearm_timer(); break;
+        case 3: spawn_process(); break;
+        default: arm_timer(); break;
+      }
+    }
+  }
+
+  Scheduler s_;
+  Xoshiro256 rng_;
+  std::vector<Entry> entries_;
+  std::vector<Tracked> timers_;
+  std::vector<std::size_t> dispatched_;
+  std::uint64_t next_seq_ = 0;
+  int budget_ = 600;
+};
+
+class KernelOrderProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(KernelOrderProperty, DispatchOrderMatchesReferenceModel) {
+  for (const bool stepwise : {false, true}) {
+    KernelModel m(GetParam());
+    m.run(stepwise);
+    const std::vector<std::size_t> want = m.reference_order();
+    EXPECT_GT(m.cancelled(), 0u) << "the seed should exercise cancel / re-arm";
+    EXPECT_EQ(m.dispatched(), want) << "stepwise=" << stepwise;
+    EXPECT_EQ(m.sched().events_processed(), want.size()) << "cancelled entries are not counted";
+    EXPECT_EQ(m.sched().trace_hash(), m.reference_hash()) << "cancelled entries are not folded";
+    EXPECT_FALSE(m.any_timer_armed());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelOrderProperty, ::testing::Range<std::uint64_t>(1, 13));
+
+TEST(Event, WakesPlainWaitersThenTimedInArrivalOrder) {
+  Scheduler s;
+  Event ev(s);
+  std::vector<int> order;
+  auto plain = [&](int id) -> CoTask<void> {
+    co_await ev.wait();
+    order.push_back(id);
+  };
+  auto timed = [&](int id, Time timeout) -> CoTask<void> {
+    const bool set = co_await ev.wait_for(timeout);
+    order.push_back(set ? id : -id);
+  };
+  // Interleaved arrivals; waiter 11 times out first and leaves from the
+  // middle of the timed list.
+  s.spawn(timed(10, 1000));
+  s.spawn(plain(0));
+  s.spawn(timed(11, 1));
+  s.spawn(plain(1));
+  s.spawn(timed(12, 1000));
+  s.spawn(plain(2));
+  s.spawn([&]() -> CoTask<void> {
+    co_await s.delay(5);
+    EXPECT_EQ(ev.waiter_count(), 5u);
+    ev.set();
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{-11, 0, 1, 2, 10, 12}));
+  EXPECT_EQ(ev.waiter_count(), 0u);
+  EXPECT_EQ(s.now(), 5u) << "cancelled timeouts leave the clock at the last live event";
+}
+
+TEST(Semaphore, ReleaseWakesWaitersInArrivalOrder) {
+  Scheduler s;
+  Semaphore sem(s, 0);
+  std::vector<int> order;
+  auto waiter = [&](int id) -> CoTask<void> {
+    co_await sem.acquire();
+    order.push_back(id);
+  };
+  for (int i = 0; i < 5; ++i) s.spawn(waiter(i));
+  s.spawn([&]() -> CoTask<void> {
+    co_await s.delay(10);
+    EXPECT_EQ(sem.waiting(), 5u);
+    for (int i = 0; i < 5; ++i) sem.release();
+    EXPECT_EQ(sem.waiting(), 0u);
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sem.available(), 0u) << "every permit was handed to a waiter";
+}
+
+TEST(Channel, PushHandsValuesToPoppersInArrivalOrder) {
+  Scheduler s;
+  Channel<int> ch(s);
+  std::vector<std::pair<int, int>> got;  // (popper, value)
+  auto popper = [&](int id) -> CoTask<void> {
+    const int v = co_await ch.pop();
+    got.emplace_back(id, v);
+  };
+  for (int i = 0; i < 4; ++i) s.spawn(popper(i));
+  s.spawn([&]() -> CoTask<void> {
+    co_await s.delay(10);
+    for (int v = 100; v < 104; ++v) ch.push(v);
+  });
+  s.run();
+  EXPECT_EQ(got, (std::vector<std::pair<int, int>>{{0, 100}, {1, 101}, {2, 102}, {3, 103}}));
+  EXPECT_TRUE(ch.empty());
+}
+
+// An eagerly started coroutine whose frame the test owns, so it can be
+// destroyed while suspended, as Scheduler teardown does to blocked processes.
+class OwnedFrame {
+ public:
+  struct promise_type {
+    OwnedFrame get_return_object() {
+      return OwnedFrame(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_never initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    void unhandled_exception() noexcept { std::terminate(); }
+  };
+  explicit OwnedFrame(std::coroutine_handle<promise_type> h) : h_(h) {}
+  OwnedFrame(OwnedFrame&& o) noexcept : h_(std::exchange(o.h_, {})) {}
+  OwnedFrame& operator=(OwnedFrame&&) = delete;
+  ~OwnedFrame() { destroy(); }
+  void destroy() {
+    if (h_) h_.destroy();
+    h_ = {};
+  }
+
+ private:
+  std::coroutine_handle<promise_type> h_;
+};
+
+OwnedFrame wait_for_event(Event& ev, Time timeout, int& woke) {
+  // Not `if (co_await ...)`: GCC 12 miscompiles a co_await in a condition.
+  const bool set = co_await ev.wait_for(timeout);
+  if (set) ++woke;
+}
+
+OwnedFrame acquire_permit(Semaphore& sem, int& acquired) {
+  co_await sem.acquire();
+  ++acquired;
+}
+
+OwnedFrame pop_value(Channel<int>& ch, int& got) { got = co_await ch.pop(); }
+
+TEST(Event, FrameDestroyedInWaitForUnlinksAndDisarms) {
+  Scheduler s;
+  Event ev(s);
+  int woke = 0;
+  OwnedFrame doomed = wait_for_event(ev, 100, woke);
+  OwnedFrame kept = wait_for_event(ev, 100, woke);
+  EXPECT_EQ(ev.waiter_count(), 2u);
+  doomed.destroy();
+  EXPECT_EQ(ev.waiter_count(), 1u);
+  ev.set();
+  s.run();
+  EXPECT_EQ(woke, 1);
+  EXPECT_EQ(s.events_processed(), 1u) << "only the surviving waiter resumes";
+  EXPECT_EQ(s.now(), 0u) << "no timeout is left armed";
+
+  // Destroyed with nobody ever setting the event: its timeout must not fire.
+  Event never(s);
+  OwnedFrame abandoned = wait_for_event(never, 50, woke);
+  abandoned.destroy();
+  EXPECT_FALSE(s.run_until(1000)) << "the destroyed waiter's timeout is gone";
+  EXPECT_EQ(never.waiter_count(), 0u);
+}
+
+TEST(Semaphore, FrameDestroyedInAcquireGivesUpItsPlace) {
+  Scheduler s;
+  Semaphore sem(s, 0);
+  int acquired = 0;
+  OwnedFrame doomed = acquire_permit(sem, acquired);
+  OwnedFrame kept = acquire_permit(sem, acquired);
+  EXPECT_EQ(sem.waiting(), 2u);
+  doomed.destroy();
+  EXPECT_EQ(sem.waiting(), 1u);
+  sem.release();
+  s.run();
+  EXPECT_EQ(acquired, 1);
+  EXPECT_EQ(sem.available(), 0u) << "the permit went to the surviving waiter";
+  sem.release();
+  EXPECT_EQ(sem.available(), 1u);
+}
+
+TEST(Channel, DestroyedBeforeItsSuspendedPopper) {
+  // Testbed teardown order: components (and their channels) die before the
+  // Scheduler destroys the service loops still blocked on them.
+  Scheduler s;
+  int got = -1;
+  auto ch = std::make_unique<Channel<int>>(s);
+  OwnedFrame popper = pop_value(*ch, got);
+  ch.reset();
+  popper.destroy();  // must not touch the dead channel
+  EXPECT_EQ(got, -1);
 }
 
 // ---------------------------------------------------------------------------

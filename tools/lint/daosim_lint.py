@@ -131,6 +131,16 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+def is_digit_separator(text, i):
+    """True when the apostrophe at text[i] sits inside a numeric literal: the
+    token to its left (identifier characters and earlier separators) starts
+    with a digit. An encoding prefix (u8'a', L'x') starts with a letter."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_'"):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def blank_comments_and_strings(text):
     """Returns text with comments, string and char literals replaced by spaces
     (newlines preserved) so rule regexes never match inside them."""
@@ -155,6 +165,8 @@ def blank_comments_and_strings(text):
                 if i + 1 < n:
                     out[i + 1] = " "
                 i += 2
+        elif c == "'" and is_digit_separator(text, i):
+            i += 1  # C++14 digit separator (10'000, 0xFF'FF), not a literal
         elif c == '"' or c == "'":
             quote = c
             # Raw strings: R"delim( ... )delim"
