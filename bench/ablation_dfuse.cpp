@@ -4,28 +4,23 @@
 
 int main() {
   using namespace daosim;
-  ior::IorConfig cfg;
-  cfg.api = ior::Api::posix;
-  cfg.transfer_size = 8 * kMiB;
-  cfg.block_size = 32 * kMiB;
-  cfg.oclass = std::uint8_t(client::ObjClass::SX);
+  bench::CellSpec spec{bench::nextgenio_cluster(8)};
+  spec.ior.api = ior::Api::posix;
+  spec.ior.transfer_size = 8 * kMiB;
+  spec.ior.block_size = 32 * kMiB;
+  spec.ior.oclass = std::uint8_t(client::ObjClass::SX);
 
   std::printf("\n# A2 DFuse cost ablation — POSIX backend, 8 client nodes, 16 ppn\n");
   std::printf("%-12s %-14s %12s %12s\n", "op_cost_us", "max_request", "write_GiB/s",
               "read_GiB/s");
   for (const sim::Time op_cost : {sim::Time(0), 35 * sim::kUs, 100 * sim::kUs}) {
     for (const std::uint64_t max_req : {256 * kKiB, 1 * kMiB, 4 * kMiB}) {
-      posix::DfuseConfig dfuse;
-      dfuse.op_cost = op_cost;
-      dfuse.max_request_bytes = max_req;
-      cluster::Testbed tb(bench::nextgenio_cluster(8));
-      tb.start();
-      ior::IorRunner runner(tb, 16, 1 * kMiB, dfuse);
-      const ior::IorResult r = runner.run(cfg);
+      spec.dfuse.op_cost = op_cost;
+      spec.dfuse.max_request_bytes = max_req;
+      const bench::Cell c = bench::run_cell(spec);
       std::printf("%-12llu %-14s %12.2f %12.2f\n",
                   static_cast<unsigned long long>(op_cost / sim::kUs), format_bytes(max_req).c_str(),
-                  r.write.gib_per_sec(), r.read.gib_per_sec());
-      tb.stop();
+                  c.write_gibs, c.read_gibs);
     }
   }
   std::printf("\n");

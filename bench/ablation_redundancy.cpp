@@ -9,39 +9,24 @@
 int main() {
   using namespace daosim;
   using client::ObjClass;
-
-  auto mk = [](ObjClass oc, bool fpp) {
-    ior::IorConfig cfg;
-    cfg.api = ior::Api::daos_array;
-    cfg.transfer_size = 4 * kMiB;
-    cfg.block_size = 16 * kMiB;
-    cfg.file_per_process = fpp;
-    cfg.oclass = std::uint8_t(oc);
-    return cfg;
-  };
-
-  const std::vector<std::uint32_t> node_counts{4, 8, 16};
   for (const bool fpp : {true, false}) {
     std::printf("\n# A5 redundancy (%s) — DAOS array API, RP_2GX vs SX\n",
                 fpp ? "file-per-process" : "shared-file");
     std::printf("%-12s %12s %12s %12s %12s %14s\n", "client_nodes", "SX write", "RP write",
                 "SX read", "RP read", "write amp");
-    for (const std::uint32_t nodes : node_counts) {
-      cluster::Testbed tb(bench::nextgenio_cluster(nodes));
-      tb.start();
-      ior::IorRunner runner(tb, /*ppn=*/16);
-
-      const std::uint64_t u0 = tb.total_updates();
-      const ior::IorResult sx = runner.run(mk(ObjClass::SX, fpp));
-      const std::uint64_t u1 = tb.total_updates();
-      const ior::IorResult rp = runner.run(mk(ObjClass::RP_2GX, fpp));
-      const std::uint64_t u2 = tb.total_updates();
-      tb.stop();
-
-      const double amp = u1 > u0 ? double(u2 - u1) / double(u1 - u0) : 0;
-      std::printf("%-12u %12.2f %12.2f %12.2f %12.2f %14.2f\n", nodes,
-                  sx.write.gib_per_sec(), rp.write.gib_per_sec(), sx.read.gib_per_sec(),
-                  rp.read.gib_per_sec(), amp);
+    for (const std::uint32_t nodes : {4u, 8u, 16u}) {
+      bench::CellSpec spec{bench::nextgenio_cluster(nodes)};
+      spec.ior.api = ior::Api::daos_array;
+      spec.ior.transfer_size = 4 * kMiB;
+      spec.ior.block_size = 16 * kMiB;
+      spec.ior.file_per_process = fpp;
+      spec.ior.oclass = std::uint8_t(ObjClass::SX);
+      const bench::Cell sx = bench::run_cell(spec);
+      spec.ior.oclass = std::uint8_t(ObjClass::RP_2GX);
+      const bench::Cell rp = bench::run_cell(spec);
+      const double amp = sx.updates > 0 ? double(rp.updates) / double(sx.updates) : 0;
+      std::printf("%-12u %12.2f %12.2f %12.2f %12.2f %14.2f\n", nodes, sx.write_gibs,
+                  rp.write_gibs, sx.read_gibs, rp.read_gibs, amp);
     }
   }
   return 0;

@@ -15,68 +15,50 @@
 // sends 32.
 //
 //   ablation_xfersize [--smoke]   # --smoke: 2 client nodes, 2 sizes (CI)
-#include <array>
-
 #include "figure_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace daosim;
   const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
   const std::uint32_t nodes = smoke ? 2 : 16;
-  const std::uint32_t ppn = 16;
   const std::uint64_t block = smoke ? 8 * kMiB : 32 * kMiB;
   const std::uint64_t chunk = 8 * kKiB;
   const std::vector<std::uint64_t> sizes =
       smoke ? std::vector<std::uint64_t>{256 * kKiB, 8 * kMiB}
             : std::vector<std::uint64_t>{256 * kKiB, 1 * kMiB, 4 * kMiB, 8 * kMiB};
 
-  struct Spec {
+  struct Variant {
     const char* name;
     std::uint32_t max_batch;
     std::uint32_t eq_depth;
   };
-  const std::array<Spec, 3> specs{{{"batch16", 16, 1}, {"batch1", 1, 1}, {"batch16-eq8", 16, 8}}};
+  const Variant variants[] = {{"batch16", 16, 1}, {"batch1", 1, 1}, {"batch16-eq8", 16, 8}};
 
   std::vector<bench::JsonRow> rows;
   // Headline numbers for the analysis: hard-mode write GiB/s per (series, size).
   std::map<std::string, std::map<std::uint64_t, double>> hard_write;
 
-  for (const Spec& spec : specs) {
-    cluster::ClusterConfig ccfg = bench::nextgenio_cluster(nodes);
-    ccfg.client.max_batch_extents = spec.max_batch;
-    cluster::Testbed tb(ccfg);
-    tb.start();
-    ior::IorRunner runner(tb, ppn, chunk);
+  for (const Variant& v : variants) {
+    bench::CellSpec spec{bench::nextgenio_cluster(nodes)};
+    spec.dfs_chunk = chunk;
+    spec.cluster.client.max_batch_extents = v.max_batch;
+    spec.ior.api = ior::Api::dfs;
+    spec.ior.block_size = block;
+    spec.ior.oclass = std::uint8_t(client::ObjClass::S1);
+    spec.ior.eq_depth = v.eq_depth;
     for (const bool fpp : {true, false}) {
       const char* mode = fpp ? "easy" : "hard";
       for (const std::uint64_t xfer : sizes) {
-        ior::IorConfig cfg;
-        cfg.api = ior::Api::dfs;
-        cfg.transfer_size = xfer;
-        cfg.block_size = block;
-        cfg.file_per_process = fpp;
-        cfg.oclass = std::uint8_t(client::ObjClass::S1);
-        cfg.eq_depth = spec.eq_depth;
-        const std::uint64_t events0 = tb.sched().events_processed();
-        const auto wall0 = std::chrono::steady_clock::now();
-        const ior::IorResult r = runner.run(cfg);
-        bench::JsonRow row;
-        row.x = double(xfer) / double(kKiB);
-        row.series = std::string(mode) + "/" + spec.name;
-        row.read_gibs = r.read.gib_per_sec();
-        row.write_gibs = r.write.gib_per_sec();
-        row.read_p99_us = r.read_rpc_latency.percentile_ns(99) / 1e3;
-        row.write_p99_us = r.write_rpc_latency.percentile_ns(99) / 1e3;
-        row.events = tb.sched().events_processed() - events0;
-        row.wall_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
+        spec.ior.file_per_process = fpp;
+        spec.ior.transfer_size = xfer;
+        const bench::Cell c = bench::run_cell(spec);
         std::fprintf(stderr, "  %-4s %-12s t=%-8s write %8.2f GiB/s  read %8.2f GiB/s\n", mode,
-                     spec.name, format_bytes(xfer).c_str(), row.write_gibs, row.read_gibs);
-        if (!fpp) hard_write[spec.name][xfer] = row.write_gibs;
-        rows.push_back(std::move(row));
+                     v.name, format_bytes(xfer).c_str(), c.write_gibs, c.read_gibs);
+        if (!fpp) hard_write[v.name][xfer] = c.write_gibs;
+        rows.push_back(bench::json_row(double(xfer) / double(kKiB),
+                                       std::string(mode) + "/" + v.name, c));
       }
     }
-    tb.stop();
   }
 
   std::printf("\n# Ablation — transfer size vs batching (DFS, chunk %s, S1, %u nodes)\n",

@@ -1,6 +1,13 @@
-// Shared sweep driver for the figure benchmarks: builds the NEXTGenIO-like
-// testbed at each client-node count, runs one IOR job per series, and prints
-// the read/write bandwidth tables the paper's figures plot.
+// Shared cell runner for the figure and ablation benchmarks, plus the
+// read/write bandwidth, latency and critical-path tables the paper's figures
+// plot.
+//
+// A cell is one IOR job at one sweep point. run_cell gives every cell its own
+// fresh cluster::Testbed: it builds and starts the testbed, runs the job and
+// tears the testbed down before returning. Nothing carries from one cell to
+// the next (per-target stream contexts, VOS trees, the container OID
+// allocator, IorRunner's job sequence, HLC clocks and RNG positions), so a
+// cell's numbers do not depend on which cells ran before it or in what order.
 #pragma once
 
 #include <chrono>
@@ -29,7 +36,9 @@ struct SweepOptions {
   std::uint64_t trace_sample = 16;
 };
 
-/// The paper's benchmark deployment: 8 server nodes, 2 engines each.
+/// The paper's benchmark deployment: 8 server nodes, 2 engines each. Op
+/// tracing is off; a cell that wants critical-path profiles sets
+/// client.trace_sample (run_sweep does, from SweepOptions).
 inline cluster::ClusterConfig nextgenio_cluster(std::uint32_t client_nodes,
                                                 std::uint64_t seed = 42) {
   cluster::ClusterConfig cfg;
@@ -39,8 +48,18 @@ inline cluster::ClusterConfig nextgenio_cluster(std::uint32_t client_nodes,
   cfg.client_nodes = client_nodes;
   cfg.payload = vos::PayloadMode::discard;  // timing-only at benchmark scale
   cfg.seed = seed;
+  cfg.client.trace_sample = 0;
   return cfg;
 }
+
+/// Everything one cell needs: the deployment, the IorRunner knobs and the job.
+struct CellSpec {
+  cluster::ClusterConfig cluster;
+  std::uint32_t ppn = 16;
+  std::uint64_t dfs_chunk = 1 * kMiB;
+  posix::DfuseConfig dfuse{};
+  ior::IorConfig ior{};
+};
 
 struct Cell {
   double read_gibs = 0;
@@ -55,11 +74,45 @@ struct Cell {
   /// trades simulated bandwidth for simulation slowness is visible.
   std::uint64_t events = 0;
   double wall_s = 0;
+  /// Engine-side update RPCs the job caused, counting every replica; the
+  /// ratio between two cells' counts is their write amplification.
+  std::uint64_t updates = 0;
   /// Critical-path stage attribution of the sampled data ops (arr_write /
-  /// arr_read trees), for the per-phase tables printed after the latency
-  /// tables. Empty (count 0) when SweepOptions::trace_sample is 0.
+  /// arr_read trees). Empty (count 0) when the cell's trace_sample is 0.
   telemetry::TraceLog::OpProfile write_path{}, read_path{};
 };
+
+/// Runs one cell on a fresh testbed (see the header comment).
+inline Cell run_cell(const CellSpec& spec) {
+  // Keeps only the sampled trees, so memory stays bounded by the sampling
+  // rate. Attaching it never perturbs timing (span ids are allocated whether
+  // or not a sink listens). Declared first so it outlives the testbed.
+  telemetry::TraceLog trace;
+  trace.set_keep_unsampled(false);
+  const bool traced = spec.cluster.client.trace_sample != 0;
+  cluster::Testbed tb(spec.cluster);
+  tb.start();
+  if (traced) tb.attach_trace(&trace);
+  ior::IorRunner runner(tb, spec.ppn, spec.dfs_chunk, spec.dfuse);
+  const std::uint64_t events0 = tb.sched().events_processed();
+  const std::uint64_t updates0 = tb.total_updates();
+  const auto wall0 = std::chrono::steady_clock::now();
+  const ior::IorResult r = runner.run(spec.ior);
+  Cell cell{r.read.gib_per_sec(), r.write.gib_per_sec()};
+  cell.read_p50_us = r.read_rpc_latency.percentile_ns(50) / 1e3;
+  cell.read_p99_us = r.read_rpc_latency.percentile_ns(99) / 1e3;
+  cell.write_p50_us = r.write_rpc_latency.percentile_ns(50) / 1e3;
+  cell.write_p99_us = r.write_rpc_latency.percentile_ns(99) / 1e3;
+  cell.events = tb.sched().events_processed() - events0;
+  cell.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
+  cell.updates = tb.total_updates() - updates0;
+  if (traced) {
+    const auto prof = trace.profile_ops();
+    if (const auto it = prof.find("arr_write"); it != prof.end()) cell.write_path = it->second;
+    if (const auto it = prof.find("arr_read"); it != prof.end()) cell.read_path = it->second;
+  }
+  return cell;
+}
 
 /// One row of the machine-readable BENCH_*.json perf trajectory.
 struct JsonRow {
@@ -70,6 +123,12 @@ struct JsonRow {
   std::uint64_t events = 0;
   double wall_s = 0;
 };
+
+/// The BENCH row for a cell at sweep coordinate `x`.
+inline JsonRow json_row(double x, std::string series, const Cell& c) {
+  return JsonRow{x, std::move(series), c.read_gibs, c.write_gibs, c.read_p99_us,
+                 c.write_p99_us, c.events, c.wall_s};
+}
 
 /// Writes BENCH_<bench>.json in the current directory: a flat row list so CI
 /// and the trajectory tooling parse it with nothing but the json module.
@@ -96,103 +155,41 @@ inline void write_bench_json(const std::string& bench, const std::vector<JsonRow
   std::fprintf(stderr, "wrote %s (%zu rows)\n", path.c_str(), rows.size());
 }
 
-/// Flattens a node-count sweep into JSON rows (x = client nodes).
-inline std::vector<JsonRow> sweep_rows(const std::vector<Series>& series,
-                                       const SweepOptions& opt,
-                                       const std::vector<std::vector<Cell>>& results) {
-  std::vector<JsonRow> rows;
-  for (std::size_t i = 0; i < opt.node_counts.size(); ++i) {
-    for (std::size_t j = 0; j < series.size(); ++j) {
-      const Cell& c = results[i][j];
-      rows.push_back(JsonRow{double(opt.node_counts[i]), series[j].name, c.read_gibs,
-                             c.write_gibs, c.read_p99_us, c.write_p99_us, c.events, c.wall_s});
-    }
-  }
-  return rows;
-}
-
-/// Runs the sweep; returns results[node_count_index][series_index].
+/// Runs one cell per (node count, series); returns
+/// results[node_count_index][series_index].
 inline std::vector<std::vector<Cell>> run_sweep(const std::vector<Series>& series,
                                                 const SweepOptions& opt) {
   std::vector<std::vector<Cell>> results;
   for (const std::uint32_t nodes : opt.node_counts) {
-    cluster::ClusterConfig ccfg = nextgenio_cluster(nodes, opt.seed);
-    ccfg.client.trace_sample = opt.trace_sample;
-    ccfg.client.trace_seed = opt.seed;
-    cluster::Testbed tb(ccfg);
-    tb.start();
-    ior::IorRunner runner(tb, opt.ppn, opt.dfs_chunk, opt.dfuse);
-    std::vector<Cell> row;
+    CellSpec spec{nextgenio_cluster(nodes, opt.seed), opt.ppn, opt.dfs_chunk, opt.dfuse};
+    spec.cluster.client.trace_sample = opt.trace_sample;
+    spec.cluster.client.trace_seed = opt.seed;
+    std::vector<Cell>& row = results.emplace_back();
     for (const Series& s : series) {
-      // Fresh per-series span log, keeping only the sampled trees so memory
-      // stays bounded by the sampling rate. Attaching it never perturbs
-      // timing (span ids are allocated whether or not a sink listens).
-      telemetry::TraceLog trace;
-      trace.set_keep_unsampled(false);
-      if (opt.trace_sample != 0) tb.attach_trace(&trace);
-      const std::uint64_t events0 = tb.sched().events_processed();
-      const auto wall0 = std::chrono::steady_clock::now();
-      const ior::IorResult r = runner.run(s.cfg);
-      Cell cell{r.read.gib_per_sec(), r.write.gib_per_sec()};
-      cell.read_p50_us = r.read_rpc_latency.percentile_ns(50) / 1e3;
-      cell.read_p99_us = r.read_rpc_latency.percentile_ns(99) / 1e3;
-      cell.write_p50_us = r.write_rpc_latency.percentile_ns(50) / 1e3;
-      cell.write_p99_us = r.write_rpc_latency.percentile_ns(99) / 1e3;
-      cell.events = tb.sched().events_processed() - events0;
-      cell.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-      if (opt.trace_sample != 0) {
-        const auto prof = trace.profile_ops();
-        if (const auto it = prof.find("arr_write"); it != prof.end()) cell.write_path = it->second;
-        if (const auto it = prof.find("arr_read"); it != prof.end()) cell.read_path = it->second;
-        tb.attach_trace(nullptr);
-      }
-      row.push_back(cell);
+      spec.ior = s.cfg;
+      const Cell& c = row.emplace_back(run_cell(spec));
       std::fprintf(stderr,
                    "  [%2u nodes] %-10s write %8.2f GiB/s (p99 %7.0f us)"
                    "  read %8.2f GiB/s (p99 %7.0f us)\n",
-                   nodes, s.name.c_str(), r.write.gib_per_sec(), cell.write_p99_us,
-                   r.read.gib_per_sec(), cell.read_p99_us);
+                   nodes, s.name.c_str(), c.write_gibs, c.write_p99_us, c.read_gibs,
+                   c.read_p99_us);
     }
-    results.push_back(std::move(row));
-    tb.stop();
   }
   return results;
 }
 
-inline void print_table(const char* title, bool read, const std::vector<Series>& series,
-                        const SweepOptions& opt,
-                        const std::vector<std::vector<Cell>>& results) {
-  std::printf("\n# %s — %s bandwidth (GiB/s)\n", title, read ? "read" : "write");
-  std::printf("%-12s", "client_nodes");
-  for (const auto& s : series) std::printf(" %12s", s.name.c_str());
+/// One line per node count, one column per series, each cell formatted by
+/// `fmt`: the layout of the bandwidth and latency tables.
+template <class Fmt>
+void print_grid(const std::string& heading, int width, const std::vector<Series>& series,
+                const SweepOptions& opt, const std::vector<std::vector<Cell>>& results,
+                Fmt fmt) {
+  std::printf("\n# %s\n%-12s", heading.c_str(), "client_nodes");
+  for (const auto& s : series) std::printf(" %*s", width, s.name.c_str());
   std::printf("\n");
   for (std::size_t i = 0; i < opt.node_counts.size(); ++i) {
     std::printf("%-12u", opt.node_counts[i]);
-    for (std::size_t j = 0; j < series.size(); ++j) {
-      std::printf(" %12.2f", read ? results[i][j].read_gibs : results[i][j].write_gibs);
-    }
-    std::printf("\n");
-  }
-}
-
-/// Per-phase RPC latency table mirroring the bandwidth table's layout:
-/// "p50/p99" in µs per cell. Printed after the bandwidth tables so existing
-/// output (and any parser of it) is untouched.
-inline void print_latency_table(const char* title, bool read, const std::vector<Series>& series,
-                                const SweepOptions& opt,
-                                const std::vector<std::vector<Cell>>& results) {
-  std::printf("\n# %s — %s RPC latency p50/p99 (us)\n", title, read ? "read" : "write");
-  std::printf("%-12s", "client_nodes");
-  for (const auto& s : series) std::printf(" %16s", s.name.c_str());
-  std::printf("\n");
-  for (std::size_t i = 0; i < opt.node_counts.size(); ++i) {
-    std::printf("%-12u", opt.node_counts[i]);
-    for (std::size_t j = 0; j < series.size(); ++j) {
-      const Cell& c = results[i][j];
-      const std::string cell = strfmt("%.0f/%.0f", read ? c.read_p50_us : c.write_p50_us,
-                                      read ? c.read_p99_us : c.write_p99_us);
-      std::printf(" %16s", cell.c_str());
-    }
+    for (const Cell& c : results[i]) std::printf(" %*s", width, fmt(c).c_str());
     std::printf("\n");
   }
 }
@@ -227,19 +224,38 @@ inline void print_critical_path_table(const char* title, bool read,
   }
 }
 
+/// Runs the sweep and prints the bandwidth tables, then the per-phase RPC
+/// latency ("p50/p99" µs) and critical-path tables; optionally writes
+/// BENCH_<json_name>.json (x = client nodes).
 inline void print_figure(const char* title, const std::vector<Series>& series,
                          const SweepOptions& opt, const char* json_name = nullptr) {
   const auto results = run_sweep(series, opt);
-  print_table(title, /*read=*/true, series, opt, results);
-  print_table(title, /*read=*/false, series, opt, results);
-  print_latency_table(title, /*read=*/true, series, opt, results);
-  print_latency_table(title, /*read=*/false, series, opt, results);
+  for (const bool read : {true, false}) {
+    print_grid(strfmt("%s — %s bandwidth (GiB/s)", title, read ? "read" : "write"), 12, series,
+               opt, results,
+               [read](const Cell& c) { return strfmt("%.2f", read ? c.read_gibs : c.write_gibs); });
+  }
+  for (const bool read : {true, false}) {
+    print_grid(strfmt("%s — %s RPC latency p50/p99 (us)", title, read ? "read" : "write"), 16,
+               series, opt, results, [read](const Cell& c) {
+                 return strfmt("%.0f/%.0f", read ? c.read_p50_us : c.write_p50_us,
+                               read ? c.read_p99_us : c.write_p99_us);
+               });
+  }
   if (opt.trace_sample != 0) {
-    print_critical_path_table(title, /*read=*/true, series, opt, results);
-    print_critical_path_table(title, /*read=*/false, series, opt, results);
+    for (const bool read : {true, false}) {
+      print_critical_path_table(title, read, series, opt, results);
+    }
   }
   std::printf("\n");
-  if (json_name != nullptr) write_bench_json(json_name, sweep_rows(series, opt, results));
+  if (json_name == nullptr) return;
+  std::vector<JsonRow> rows;
+  for (std::size_t i = 0; i < opt.node_counts.size(); ++i) {
+    for (std::size_t j = 0; j < series.size(); ++j) {
+      rows.push_back(json_row(double(opt.node_counts[i]), series[j].name, results[i][j]));
+    }
+  }
+  write_bench_json(json_name, rows);
 }
 
 /// The figure-1/2 series: DFS ("DAOS") under S1/S2/SX plus MPI-IO and HDF5

@@ -1,6 +1,7 @@
 // ior_cli: a command-line IOR front-end for the simulated cluster, with the
 // familiar flag names. Example:
 //   ior_cli -a DFS -t 8m -b 32m -N 8 -n 16 -F -o SX
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,6 +30,15 @@ std::uint64_t parse_size(const char* s) {
     }
   }
   return std::uint64_t(v * double(mult));
+}
+
+/// Parses a decimal count: digits only, no sign or trailing text, within
+/// uint32_t. Returns 0, which every caller rejects, for anything else.
+std::uint32_t parse_count(const char* s) {
+  std::uint32_t v = 0;
+  const char* end = s + std::strlen(s);
+  const auto [p, ec] = std::from_chars(s, end, v);
+  return ec == std::errc{} && p == end ? v : 0;
 }
 
 int usage() {
@@ -115,39 +125,33 @@ int main(int argc, char** argv) {
       else return usage();
     } else if (arg == "-t") cfg.transfer_size = parse_size(next());
     else if (arg == "-b") cfg.block_size = parse_size(next());
-    else if (arg == "-s") cfg.segments = std::uint32_t(std::atoi(next()));
-    else if (arg == "-N") client_nodes = std::uint32_t(std::atoi(next()));
-    else if (arg == "-n") ppn = std::uint32_t(std::atoi(next()));
+    else if (arg == "-s") cfg.segments = parse_count(next());
+    else if (arg == "-N") client_nodes = parse_count(next());
+    else if (arg == "-n") ppn = parse_count(next());
     else if (arg == "-F") cfg.file_per_process = true;
     else if (arg == "-c") cfg.collective = true;
-    else if (arg == "-S") servers = std::uint32_t(std::atoi(next()));
+    else if (arg == "-S") servers = parse_count(next());
     else if (arg == "-V") verify = true;
     else if (arg == "--eq-depth") {
-      const int v = std::atoi(next());
-      if (v <= 0) {
+      if ((cfg.eq_depth = parse_count(next())) == 0) {
         std::fprintf(stderr, "ior_cli: --eq-depth must be positive\n");
         return usage();
       }
-      cfg.eq_depth = std::uint32_t(v);
     }
     else if (arg == "--max-batch-extents") {
-      const int v = std::atoi(next());
-      if (v <= 0) {
+      if ((max_batch_extents = parse_count(next())) == 0) {
         std::fprintf(stderr, "ior_cli: --max-batch-extents must be positive\n");
         return usage();
       }
-      max_batch_extents = std::uint32_t(v);
     }
     else if (arg == "--faults") fault_spec = next();
     else if (arg == "--fault-seed") fault_seed = std::uint64_t(std::strtoull(next(), nullptr, 10));
     else if (arg == "--wait-rebuild") wait_rebuild = true;
     else if (arg == "--rebuild-inflight") {
-      const int v = std::atoi(next());
-      if (v <= 0) {
+      if ((rebuild_inflight = parse_count(next())) == 0) {
         std::fprintf(stderr, "ior_cli: --rebuild-inflight must be positive\n");
         return usage();
       }
-      rebuild_inflight = std::uint32_t(v);
     }
     else if (arg == "--metrics-dump") metrics_path = next();
     else if (arg == "--trace-out") trace_path = next();

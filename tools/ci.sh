@@ -40,8 +40,8 @@
 #                          perf trajectories parse, are non-empty, and that
 #                          background aggregation keeps the overwrite
 #                          endurance read cost flat (<= 1.2x first pass)
-#                          while the agg-off series grows; then full-size
-#                          fig1/fig2 runs whose BENCH rows must match
+#                          while the agg-off series grows; the xfersize smoke
+#                          rows and full-size fig1/fig2 rows must also match
 #                          bench/baselines/ exactly on every column but wall_s
 #   tools/ci.sh analyze    libclang suspension-safety analyzer: rule self-test
 #                          on the seeded fixtures, then the AST scan of every
@@ -278,23 +278,25 @@ if [[ $STAGE == bench-smoke ]]; then
   echo "=== [bench-smoke] run ==="
   (cd build-ci-bench/bench && ./ablation_xfersize --smoke && ./ablation_dtx --smoke &&
    ./ablation_overwrite --smoke)
-  # The paper figures at full size (a few seconds each): the simulation is
-  # deterministic, so every simulated column is gated exactly; wall_s is host
-  # time and is not gated.
-  echo "=== [bench-smoke] fig1/fig2 match bench/baselines ==="
+  # The paper figures at full size (a few seconds each). The simulation is
+  # deterministic, so every simulated column of these runs and of the
+  # xfersize smoke run is gated exactly; wall_s is host time and is not gated.
+  echo "=== [bench-smoke] xfersize smoke + fig1/fig2 match bench/baselines ==="
   (cd build-ci-bench/bench && ./fig1_fileperprocess && ./fig2_sharedfile)
   python3 - <<'EOF'
 import json
-for bench in ("fig1_fileperprocess", "fig2_sharedfile"):
+for bench, baseline in (("ablation_xfersize", "ablation_xfersize_smoke"),
+                        ("fig1_fileperprocess", "fig1_fileperprocess"),
+                        ("fig2_sharedfile", "fig2_sharedfile")):
     got = json.load(open(f"build-ci-bench/bench/BENCH_{bench}.json"))["rows"]
-    want = json.load(open(f"bench/baselines/BENCH_{bench}.json"))["rows"]
+    want = json.load(open(f"bench/baselines/BENCH_{baseline}.json"))["rows"]
     strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_s"} for r in rows]
     assert len(got) == len(want), f"{bench}: {len(got)} rows, baseline has {len(want)}"
     diffs = [(w, g) for w, g in zip(strip(want), strip(got)) if w != g]
     for w, g in diffs:
         print(f"{bench}: baseline {w}\n{bench}: got      {g}")
     assert not diffs, f"{bench}: {len(diffs)} rows differ from bench/baselines"
-    print(f"bench-smoke OK: {bench} matches its baseline ({len(got)} rows)")
+    print(f"bench-smoke OK: {bench} matches {baseline} ({len(got)} rows)")
 EOF
   echo "=== [bench-smoke] JSON validates ==="
   python3 - <<'EOF'
