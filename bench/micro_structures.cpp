@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark): the hot data structures under the
-// stack — B+tree, placement, VOS extent resolution — and the DES kernel.
+// stack — B+tree, placement, VOS extent resolution, IOR's data pattern — and
+// the DES kernel.
 #include <benchmark/benchmark.h>
 
 #include <map>
 
 #include "client/object_class.hpp"
 #include "client/placement.hpp"
+#include "ior/ior.hpp"
 #include "sim/bandwidth.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -106,19 +108,57 @@ void BM_ArrayStoreWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_ArrayStoreWrite);
 
-void BM_ArrayStoreReadResolve(benchmark::State& state) {
+// Two read shapes: 4 KiB windows over 256 random 1 KiB store-mode extents,
+// and the overwrite_prod shape — whole 64 KiB reads of a store-mode extent
+// overwritten 4 times (one segment, 4-version stack).
+void BM_ArrayStoreReadResolve(benchmark::State& state, bool overwritten) {
   vos::ArrayStore a;
   sim::Xoshiro256 rng(4);
-  std::vector<std::byte> data(1024);
-  for (vos::Epoch e = 1; e <= 256; ++e) {
-    a.write(rng.uniform(64 * 1024), 1024, data, e, vos::PayloadMode::store);
+  std::vector<std::byte> out(overwritten ? 64 * 1024 : 4096);
+  if (overwritten) {
+    std::vector<std::byte> data(out.size(), std::byte{0x5A});
+    for (vos::Epoch e = 1; e <= 4; ++e) a.write(0, data.size(), data, e, vos::PayloadMode::store);
+  } else {
+    std::vector<std::byte> data(1024);
+    for (vos::Epoch e = 1; e <= 256; ++e) {
+      a.write(rng.uniform(64 * 1024), 1024, data, e, vos::PayloadMode::store);
+    }
   }
-  std::vector<std::byte> out(4096);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a.read(rng.uniform(60 * 1024), out, 200));
+    const std::uint64_t at = overwritten ? 0 : rng.uniform(60 * 1024);
+    benchmark::DoNotOptimize(a.read(at, out, overwritten ? vos::kEpochMax : 200));
   }
+  state.SetItemsProcessed(std::int64_t(state.iterations()));
+  state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(out.size()));
 }
-BENCHMARK(BM_ArrayStoreReadResolve);
+BENCHMARK_CAPTURE(BM_ArrayStoreReadResolve, random_1k_extents, false);
+BENCHMARK_CAPTURE(BM_ArrayStoreReadResolve, overwrite_64k_4deep, true);
+
+// IOR's data pattern over one 64 KiB transfer buffer (the hard_64k and
+// overwrite_prod transfer size): stamping on write, verifying on read.
+void BM_FillPattern(benchmark::State& state) {
+  std::vector<std::byte> buf(64 * 1024);
+  std::uint64_t off = 0;
+  for (auto _ : state) {
+    ior::fill_pattern(buf, off, 7);
+    benchmark::DoNotOptimize(buf.data());
+    off += buf.size();
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()));
+  state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(buf.size()));
+}
+BENCHMARK(BM_FillPattern);
+
+void BM_CheckPattern(benchmark::State& state) {
+  std::vector<std::byte> buf(64 * 1024);
+  ior::fill_pattern(buf, 0, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ior::check_pattern(buf, 0, 7));
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()));
+  state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(buf.size()));
+}
+BENCHMARK(BM_CheckPattern);
 
 void BM_SchedulerEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -125,7 +125,8 @@ class IorRunner {
 /// Deterministic data pattern IOR stamps into write buffers: 8-byte words
 /// derived from the absolute file offset and a file seed.
 void fill_pattern(std::span<std::byte> buf, std::uint64_t file_offset, std::uint64_t seed);
-/// Returns the number of mismatching bytes.
+/// Returns the size of the mismatching words: 8 per bad whole word, the tail
+/// length for a bad sub-word tail.
 std::uint64_t check_pattern(std::span<const std::byte> buf, std::uint64_t file_offset,
                             std::uint64_t seed);
 

@@ -109,22 +109,24 @@ std::uint64_t VosContainer::array_read_extents(ObjId oid, const Key& akey,
                                                std::span<std::uint64_t> fills,
                                                Epoch epoch) const {
   DAOSIM_REQUIRE(fills.size() == extents.size(), "per-extent fill slots mismatch");
-  if (!payload.empty()) std::fill(payload.begin(), payload.end(), std::byte{0});
   std::uint64_t total = 0;
   const ObjectNode* o = find_obj(oid);
   for (std::size_t i = 0; i < extents.size(); ++i) {
     const ArrayExtent& e = extents[i];
     const AkeyNode* a = o != nullptr ? find_akey_in(*o, e.dkey, akey) : nullptr;
+    std::span<std::byte> out;
+    if (!payload.empty()) {
+      out = payload.subspan(std::size_t(e.payload_off), std::size_t(e.length));
+    }
     std::uint64_t filled = 0;
-    if (a != nullptr && a->has_arr) {
-      if (!payload.empty()) {
-        auto out = payload.subspan(std::size_t(e.payload_off), std::size_t(e.length));
-        filled = a->arr.read(e.offset, out, epoch);
-      } else {
-        // Discard mode: fill state from extent metadata only.
-        const std::uint64_t sz = a->arr.size(epoch);
-        filled = sz > e.offset ? std::min(e.length, sz - e.offset) : 0;
-      }
+    if (a == nullptr || !a->has_arr) {
+      std::fill(out.begin(), out.end(), std::byte{0});  // a missing akey reads as a hole
+    } else if (!payload.empty()) {
+      filled = a->arr.read(e.offset, out, epoch);  // writes every byte of `out`
+    } else {
+      // Discard mode: fill state from extent metadata only.
+      const std::uint64_t sz = a->arr.size(epoch);
+      filled = sz > e.offset ? std::min(e.length, sz - e.offset) : 0;
     }
     fills[i] = filled;
     total += filled;

@@ -64,8 +64,9 @@ class VosContainer {
   void array_write_extents(ObjId oid, const Key& akey, std::span<const ArrayExtent> extents,
                            std::span<const std::byte> payload);
   /// Batched array read: one object-table descent, then per-extent dkey/akey
-  /// probes. Fills `payload` at each extent's payload_off (when non-empty)
-  /// and `fills[i]` with the extent's overlap; returns the total overlap.
+  /// probes. Writes each extent's bytes into `payload` at its payload_off
+  /// (when non-empty; bytes no extent covers are left as they are) and
+  /// `fills[i]` with the extent's overlap; returns the total overlap.
   std::uint64_t array_read_extents(ObjId oid, const Key& akey,
                                    std::span<const ArrayExtent> extents,
                                    std::span<std::byte> payload, std::span<std::uint64_t> fills,

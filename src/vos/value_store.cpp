@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -177,19 +178,29 @@ const ArrayStore::Version* ArrayStore::newest_at(const Segment& s, Epoch epoch) 
 
 std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
                                Epoch epoch) const {
-  std::vector<bool> filled;
-  return read_masked(offset, out, filled, epoch);
+  return resolve(offset, out, nullptr, epoch);
 }
 
 std::uint64_t ArrayStore::read_masked(std::uint64_t offset, std::span<std::byte> out,
                                       std::vector<bool>& filled, Epoch epoch) const {
-  std::fill(out.begin(), out.end(), std::byte{0});
   filled.assign(out.size(), false);
+  return resolve(offset, out, &filled, epoch);
+}
+
+std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::span<std::byte> out,
+                                  std::vector<bool>* filled, Epoch epoch) const {
   if (out.empty()) return 0;
   const Epoch floor = last_full_punch_at(epoch);
   const std::uint64_t end = offset + out.size();
   std::uint64_t probes = 1;  // the ordered-index seek
   std::uint64_t count = 0;
+  // Every byte of `out` below `done` is written. Holes are zeroed lazily, in
+  // one memset per run up to the next visible segment (or the end).
+  std::uint64_t done = offset;
+  auto zero_to = [&](std::uint64_t x) {
+    if (x > done) std::memset(out.data() + (done - offset), 0, std::size_t(x - done));
+    done = x;
+  };
 
   auto it = segs_.upper_bound(offset);
   if (it != segs_.begin()) --it;  // predecessor may extend into the range
@@ -202,13 +213,21 @@ std::uint64_t ArrayStore::read_masked(std::uint64_t offset, std::span<std::byte>
     probes += 1 + std::uint64_t(std::bit_width(s.versions.size()));
     const Version* v = newest_at(s, epoch);
     if (v == nullptr || v->epoch <= floor || v->punch) continue;
-    for (std::uint64_t b = lo; b < hi; ++b) {
-      const std::size_t oi = std::size_t(b - offset);
-      out[oi] = v->data.empty() ? std::byte{0} : v->data[std::size_t(b - start)];
-      filled[oi] = true;
+    if (v->data.empty()) {
+      zero_to(hi);  // a payload-free version reads as zeros but counts as filled
+    } else {
+      zero_to(lo);
+      std::memcpy(out.data() + (lo - offset), v->data.data() + (lo - start),
+                  std::size_t(hi - lo));
+      done = hi;
+    }
+    if (filled != nullptr) {
+      std::fill(filled->begin() + std::ptrdiff_t(lo - offset),
+                filled->begin() + std::ptrdiff_t(hi - offset), true);
     }
     count += hi - lo;
   }
+  zero_to(end);
   if (probes_ != nullptr) *probes_ += probes;
   return count;
 }
@@ -232,7 +251,8 @@ void ArrayStore::mask_newer_than(std::uint64_t offset, Epoch since,
     // The segment's newest version is versions.back(); every version spans
     // the whole segment, so one comparison decides all its bytes.
     if (it->second.versions.back().epoch <= since) continue;
-    for (std::uint64_t b = lo; b < hi; ++b) mask[std::size_t(b - offset)] = true;
+    std::fill(mask.begin() + std::ptrdiff_t(lo - offset),
+              mask.begin() + std::ptrdiff_t(hi - offset), true);
   }
   if (probes_ != nullptr) *probes_ += probes;
 }

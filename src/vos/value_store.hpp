@@ -68,9 +68,9 @@ class ArrayStore {
   /// Punches the whole akey at `epoch`: size drops to zero.
   void punch_all(Epoch epoch);
 
-  /// Reads `out.size()` bytes at `offset` as visible at `epoch`. Holes and
-  /// punched ranges read as zero. Returns the number of bytes that overlap
-  /// written data (the "filled" count).
+  /// Reads `out.size()` bytes at `offset` as visible at `epoch`, writing
+  /// every byte of `out`: holes and punched ranges read as zero. Returns the
+  /// number of bytes that overlap written data (the "filled" count).
   std::uint64_t read(std::uint64_t offset, std::span<std::byte> out, Epoch epoch) const;
 
   /// Like read(), but also reports the per-byte fill state in `mask`
@@ -149,6 +149,12 @@ class ArrayStore {
   static void insert_version(Segment& s, Version v);
   /// Newest version with epoch <= `epoch` (nullptr when none).
   static const Version* newest_at(const Segment& s, Epoch epoch);
+  /// The one visibility resolver behind read() and read_masked(): one memcpy
+  /// per visible payload run, one memset per run of holes, punches,
+  /// payload-free versions or versions under a full punch. Sets the bits of
+  /// filled runs in `filled` (pre-sized to out.size()) when it is non-null.
+  std::uint64_t resolve(std::uint64_t offset, std::span<std::byte> out,
+                        std::vector<bool>* filled, Epoch epoch) const;
   Epoch last_full_punch_at(Epoch epoch) const;
 
   std::map<std::uint64_t, Segment> segs_;  // keyed by segment start offset

@@ -1,7 +1,8 @@
 // Property tests for the evtree ArrayStore against a flat op-list oracle:
 // randomized write / range-punch / full-punch / below-top-commit sequences
 // must read byte-identically (data, fill mask, newer-than mask, size) at
-// every sampled epoch, before and after aggregation points. Also pins the
+// every sampled epoch, before and after aggregation points, through read()
+// and read_masked() over windows that start and end mid-segment. Also pins the
 // equal-epoch arrival-order rule (DTX below-top commits), the exactness of
 // the AggResult accounting, and the probe-counter depth signal the
 // endurance bench watches.
@@ -107,20 +108,51 @@ std::vector<std::byte> payload_of(const Op& o) {
   return d;
 }
 
+// Reads [lo, hi) through both read() and read_masked() into buffers
+// pre-filled with 0xA5, so a hole, range punch or full-punch floor the
+// resolver leaves unwritten shows as a wrong byte. Bytes at or past the
+// oracle's space read as unfilled zeros.
+void check_window(const ArrayStore& a, const std::vector<std::uint8_t>& want_img,
+                  const std::vector<bool>& want_fill, std::uint64_t lo, std::uint64_t hi,
+                  Epoch e, const char* where) {
+  std::uint64_t want_count = 0;
+  for (std::uint64_t b = lo; b < hi && b < want_fill.size(); ++b) want_count += want_fill[b];
+  std::vector<std::byte> plain(hi - lo, std::byte{0xA5});
+  std::vector<std::byte> masked(hi - lo, std::byte{0xA5});
+  std::vector<bool> got_fill(3, true);  // stale contents: read_masked resizes and clears
+  ASSERT_EQ(a.read(lo, plain, e), want_count) << where << " epoch " << e << " [" << lo << ", "
+                                              << hi << ")";
+  ASSERT_EQ(a.read_masked(lo, masked, got_fill, e), want_count)
+      << where << " epoch " << e << " [" << lo << ", " << hi << ")";
+  ASSERT_EQ(got_fill.size(), hi - lo);
+  for (std::uint64_t b = lo; b < hi; ++b) {
+    const bool in = b < want_img.size();
+    const std::uint8_t want = in ? want_img[b] : 0;
+    ASSERT_EQ(std::uint8_t(plain[b - lo]), want) << where << " epoch " << e << " byte " << b;
+    ASSERT_EQ(std::uint8_t(masked[b - lo]), want) << where << " epoch " << e << " byte " << b;
+    ASSERT_EQ(got_fill[b - lo], in && want_fill[b]) << where << " epoch " << e << " fill bit "
+                                                    << b;
+  }
+}
+
+// The whole space, plus windows that start and end mid-segment: inside the
+// last few ops (whose boundaries are segment boundaries), across the middle,
+// and running past the written space.
 void check_view(const ArrayStore& a, const FlatOracle& oracle, Epoch e, const char* where) {
   std::vector<std::uint8_t> want_img;
   std::vector<bool> want_fill;
   oracle.read(e, want_img, want_fill);
-  std::vector<std::byte> out(oracle.space);
-  std::vector<bool> got_fill;
-  const std::uint64_t filled = a.read_masked(0, out, got_fill, e);
-  std::uint64_t want_count = 0;
-  for (std::uint64_t b = 0; b < oracle.space; ++b) {
-    ASSERT_EQ(std::uint8_t(out[b]), want_img[b]) << where << " epoch " << e << " byte " << b;
-    ASSERT_EQ(got_fill[b], want_fill[b]) << where << " epoch " << e << " fill bit " << b;
-    want_count += want_fill[b];
+  const std::uint64_t space = oracle.space;
+  check_window(a, want_img, want_fill, 0, space, e, where);
+  check_window(a, want_img, want_fill, 1, space - 1, e, where);
+  check_window(a, want_img, want_fill, space / 2 - 7, space / 2 + 9, e, where);
+  check_window(a, want_img, want_fill, space - 5, space + 11, e, where);
+  const std::size_t n = oracle.ops.size();
+  for (std::size_t i = n > 4 ? n - 4 : 0; i < n; ++i) {
+    const Op& o = oracle.ops[i];
+    check_window(a, want_img, want_fill, o.off + 1, o.off + o.len + 3, e, where);
+    if (o.len > 2) check_window(a, want_img, want_fill, o.off + 1, o.off + o.len - 1, e, where);
   }
-  ASSERT_EQ(filled, want_count) << where << " epoch " << e;
   ASSERT_EQ(a.size(e), oracle.size(e)) << where << " epoch " << e;
 }
 
@@ -260,13 +292,11 @@ TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
     std::vector<std::uint8_t> img;
     std::vector<bool> want;
     oracle.read(e, img, want);
-    std::vector<std::byte> out(space);
-    std::vector<bool> got;
-    a.read_masked(0, out, got, e);
-    for (std::uint64_t b = 0; b < space; ++b) {
-      ASSERT_EQ(got[b], want[b]) << "epoch " << e << " bit " << b;
-      ASSERT_EQ(out[b], std::byte{0});  // discard mode: zeros, mask only
-    }
+    const std::vector<std::uint8_t> zeros(space, 0);  // discard mode: zeros, mask only
+    check_window(a, zeros, want, 0, space, e, "discard");
+    check_window(a, zeros, want, 3, space - 2, e, "discard");
+    check_window(a, zeros, want, space / 3, space / 3 + 21, e, "discard");
+    check_window(a, zeros, want, space - 9, space + 7, e, "discard");
     ASSERT_EQ(a.size(e), oracle.size(e)) << "epoch " << e;
   }
   const ArrayStore::AggResult r = a.aggregate(top / 2, PayloadMode::discard);

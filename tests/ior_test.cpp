@@ -5,6 +5,10 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "co_assert.hpp"
 #include "ior/ior.hpp"
 
@@ -265,6 +269,45 @@ TEST(Ior, PatternHelpersRoundTrip) {
   EXPECT_EQ(check_pattern(buf, 777, 42), 0u);
   EXPECT_GT(check_pattern(buf, 778, 42), 0u);
   EXPECT_GT(check_pattern(buf, 777, 43), 0u);
+}
+
+// The per-word reference the pattern helpers must match byte for byte: each
+// 8-byte word (the last one cut short) is mix64((file_offset + i) ^ seed).
+std::vector<std::byte> reference_pattern(std::size_t len, std::uint64_t file_offset,
+                                         std::uint64_t seed) {
+  std::vector<std::byte> buf(len);
+  for (std::size_t i = 0; i < len; i += 8) {
+    const std::uint64_t word = client::mix64((file_offset + i) ^ seed);
+    const std::size_t n = std::min<std::size_t>(8, len - i);
+    std::memcpy(buf.data() + i, &word, n);
+  }
+  return buf;
+}
+
+TEST(Ior, PatternMatchesPerWordReference) {
+  for (std::uint64_t off : {0ull, 1ull, 3ull, 7ull, 12ull, 777ull, 4097ull}) {
+    for (std::size_t len = 0; len <= 40; ++len) {
+      const std::vector<std::byte> want = reference_pattern(len, off, 42);
+      std::vector<std::byte> got(len, std::byte{0xA5});
+      fill_pattern(got, off, 42);
+      ASSERT_EQ(got, want) << "offset " << off << " length " << len;
+      ASSERT_EQ(check_pattern(got, off, 42), 0u) << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Ior, CheckPatternCountsWholeWordsAndTail) {
+  std::vector<std::byte> buf(8 * 5 + 3);  // five whole words and a 3-byte tail
+  fill_pattern(buf, 13, 9);
+  buf[8 * 2 + 5] ^= std::byte{0x01};  // one corrupted byte in the third word
+  EXPECT_EQ(check_pattern(buf, 13, 9), 8u);
+  buf[8 * 2 + 0] ^= std::byte{0x80};  // a second bad byte in the same word
+  EXPECT_EQ(check_pattern(buf, 13, 9), 8u);
+  fill_pattern(buf, 13, 9);
+  buf[8 * 5 + 1] ^= std::byte{0x10};  // corrupted tail
+  EXPECT_EQ(check_pattern(buf, 13, 9), 3u);
+  buf[0] ^= std::byte{0x10};  // plus the first whole word
+  EXPECT_EQ(check_pattern(buf, 13, 9), 8u + 3u);
 }
 
 }  // namespace

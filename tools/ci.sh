@@ -41,8 +41,10 @@
 #                          background aggregation keeps the overwrite
 #                          endurance read cost flat (<= 1.2x first pass)
 #                          while the agg-off series grows; the xfersize smoke
-#                          rows and full-size fig1/fig2 rows must also match
-#                          bench/baselines/ exactly on every column but wall_s
+#                          rows and the full-size fig1/fig2/ablation_overwrite
+#                          rows must also match bench/baselines/ exactly on
+#                          every column but wall_s (the overwrite rows' probe
+#                          columns pin VOS read-side probe accounting)
 #   tools/ci.sh analyze    libclang suspension-safety analyzer: rule self-test
 #                          on the seeded fixtures, then the AST scan of every
 #                          src/ TU via compile_commands.json. Standalone runs
@@ -276,18 +278,24 @@ if [[ $STAGE == bench-smoke ]]; then
     --target ablation_xfersize ablation_dtx ablation_overwrite \
     fig1_fileperprocess fig2_sharedfile
   echo "=== [bench-smoke] run ==="
+  # Both ablation_overwrite sizes write BENCH_ablation_overwrite.json: keep the
+  # smoke run's rows apart for the invariant checks below.
   (cd build-ci-bench/bench && ./ablation_xfersize --smoke && ./ablation_dtx --smoke &&
-   ./ablation_overwrite --smoke)
-  # The paper figures at full size (a few seconds each). The simulation is
-  # deterministic, so every simulated column of these runs and of the
-  # xfersize smoke run is gated exactly; wall_s is host time and is not gated.
-  echo "=== [bench-smoke] xfersize smoke + fig1/fig2 match bench/baselines ==="
-  (cd build-ci-bench/bench && ./fig1_fileperprocess && ./fig2_sharedfile)
+   ./ablation_overwrite --smoke &&
+   mv BENCH_ablation_overwrite.json BENCH_ablation_overwrite_smoke.json)
+  # The paper figures and the overwrite endurance sweep at full size (a few
+  # seconds each). The simulation is deterministic, so every simulated column
+  # of these runs and of the xfersize smoke run is gated exactly; wall_s is
+  # host time and is not gated.
+  echo "=== [bench-smoke] xfersize smoke + fig1/fig2/overwrite match bench/baselines ==="
+  (cd build-ci-bench/bench && ./fig1_fileperprocess && ./fig2_sharedfile &&
+   ./ablation_overwrite)
   python3 - <<'EOF'
 import json
 for bench, baseline in (("ablation_xfersize", "ablation_xfersize_smoke"),
                         ("fig1_fileperprocess", "fig1_fileperprocess"),
-                        ("fig2_sharedfile", "fig2_sharedfile")):
+                        ("fig2_sharedfile", "fig2_sharedfile"),
+                        ("ablation_overwrite", "ablation_overwrite")):
     got = json.load(open(f"build-ci-bench/bench/BENCH_{bench}.json"))["rows"]
     want = json.load(open(f"bench/baselines/BENCH_{baseline}.json"))["rows"]
     strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_s"} for r in rows]
@@ -328,7 +336,7 @@ print(f"bench-smoke OK: {len(rows)} DTX rows")
 # x = overwrite pass, read_p99_us = evtree probes per read op (deterministic),
 # events = the pass's total extent-probe delta. The flat-cost acceptance bar:
 # with aggregation on the final pass costs <= 1.2x the first; off, it grows.
-ow = json.load(open("build-ci-bench/bench/BENCH_ablation_overwrite.json"))
+ow = json.load(open("build-ci-bench/bench/BENCH_ablation_overwrite_smoke.json"))
 rows = ow["rows"]
 assert rows, "overwrite trajectory JSON has no rows"
 on = sorted((r for r in rows if r["series"] == "agg_on"), key=lambda r: r["x"])
