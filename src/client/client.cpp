@@ -51,7 +51,7 @@ bool nominal_group_lost(const pool::PoolMap& map, const GroupLayout& nominal, st
 
 DaosClient::DaosClient(net::RpcDomain& domain, net::NodeId node, pool::PoolMap map,
                        std::vector<net::NodeId> svc_replicas, ClientConfig cfg)
-    : ep_(domain, node),
+    : rpc_(domain, node),
       sched_(domain.scheduler()),
       map_(std::move(map)),
       svc_(sched_, std::move(svc_replicas), {kSvcMaxRetries, kSvcRetryDelay},
@@ -66,7 +66,7 @@ DaosClient::DaosClient(net::RpcDomain& domain, net::NodeId node, pool::PoolMap m
   DAOSIM_REQUIRE(cfg_.max_batch_extents >= 1, "max_batch_extents must be >= 1");
   DAOSIM_REQUIRE(cfg_.max_inflight_rpcs >= 1, "max_inflight_rpcs must be >= 1");
   rpc_credits_ = std::make_unique<sim::Semaphore>(sched_, cfg_.max_inflight_rpcs);
-  ep_.set_telemetry(&metrics_);
+  rpc_.set_telemetry(&metrics_);
   retry_attempts_ = &metrics_.find_or_create<telemetry::Counter>("retry/attempts");
   retry_backoff_ns_ = &metrics_.find_or_create<telemetry::Counter>("retry/backoff_ns");
   degraded_reads_ = &metrics_.find_or_create<telemetry::Counter>("degraded/reads");
@@ -89,30 +89,30 @@ DaosClient::DaosClient(net::RpcDomain& domain, net::NodeId node, pool::PoolMap m
 // ---------------------------------------------------------------------------
 // Resilient RPC path
 
-struct DaosClient::PendingCall {
+struct DaosClient::Rpc::PendingCall {
   explicit PendingCall(sim::Scheduler& s) : done(s) {}
   sim::Event done;
   net::Reply reply;
 };
 
-sim::CoTask<void> DaosClient::run_call(net::RpcEndpoint* ep, net::NodeId dst,
-                                       std::uint16_t opcode, net::Body body,
-                                       std::uint64_t wire_bytes, sim::TraceContext ctx,
-                                       std::shared_ptr<PendingCall> st) {
-  st->reply = co_await ep->call(dst, opcode, std::move(body), wire_bytes, ctx);  // daosim-lint: allow(raw-rpc-call): this IS the wrapper; call_with_deadline owns the timeout
+sim::CoTask<void> DaosClient::Rpc::run_call(net::RpcEndpoint* ep, net::NodeId dst,
+                                            std::uint16_t opcode, net::Body body,
+                                            std::uint64_t wire_bytes, sim::TraceContext ctx,
+                                            std::shared_ptr<PendingCall> st) {
+  st->reply = co_await ep->call(dst, opcode, std::move(body), wire_bytes, ctx);
   st->done.set();
 }
 
-sim::CoTask<net::Reply> DaosClient::call_with_deadline(net::NodeId dst, std::uint16_t opcode,
-                                                       net::Body body, std::uint64_t wire_bytes,
-                                                       sim::Time deadline,
-                                                       sim::TraceContext ctx) {
-  auto st = std::make_shared<PendingCall>(sched_);
+sim::CoTask<net::Reply> DaosClient::Rpc::call_with_deadline(
+    net::NodeId dst, std::uint16_t opcode, net::Body body, std::uint64_t wire_bytes,
+    sim::Time deadline, sim::TraceContext ctx) {
+  sim::Scheduler& sched = ep_.domain().scheduler();
+  auto st = std::make_shared<PendingCall>(sched);
   // The attempt runs detached so an expired deadline abandons it without
   // cancelling it: the request already left this node, and the server will
   // still execute it — which is why retried updates must be idempotent.
   sim::CoTask<void> runner = run_call(&ep_, dst, opcode, std::move(body), wire_bytes, ctx, st);
-  sched_.spawn(std::move(runner));
+  sched.spawn(std::move(runner));
   const bool replied = co_await st->done.wait_for(deadline);
   if (!replied) co_return net::Reply{Errno::timed_out, 0, {}};
   co_return std::move(st->reply);
@@ -137,7 +137,7 @@ sim::CoTask<net::Reply> DaosClient::call_retry(net::NodeId dst, std::uint16_t op
     const sim::Time b0 = sched_.now();
     co_await sched_.delay(backoff);
     if (sim::SpanSink* sink = sched_.span_sink()) {
-      sink->span("retry", strfmt("backoff after attempt %d ->%u", attempt, dst), ep_.node(),
+      sink->span("retry", strfmt("backoff after attempt %d ->%u", attempt, dst), endpoint().node(),
                  opcode, b0, sched_.now(), retry_ctx);
     }
   }
@@ -203,7 +203,7 @@ sim::TraceContext DaosClient::sample_op_trace() {
   const std::uint64_t seq = ++trace_op_seq_;
   const std::uint64_t id = sched_.alloc_span_id();
   if (cfg_.trace_sample == 0) return {};
-  const std::uint64_t h = mix64(cfg_.trace_seed ^ (std::uint64_t(ep_.node()) << 32) ^ seq);
+  const std::uint64_t h = mix64(cfg_.trace_seed ^ (std::uint64_t(endpoint().node()) << 32) ^ seq);
   if (h % cfg_.trace_sample != 0) return {};
   return sim::TraceContext::root(id);
 }

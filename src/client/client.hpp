@@ -140,7 +140,7 @@ class DaosClient {
   DaosClient(net::RpcDomain& domain, net::NodeId node, pool::PoolMap map,
              std::vector<net::NodeId> svc_replicas, ClientConfig cfg = {});
 
-  net::RpcEndpoint& endpoint() { return ep_; }
+  const net::RpcEndpoint& endpoint() const { return rpc_.endpoint(); }
   sim::Scheduler& scheduler() { return sched_; }
   const pool::PoolMap& pool_map() const { return map_; }
 
@@ -201,7 +201,7 @@ class DaosClient {
   /// clamp below their oldest prepared transaction).
   sim::CoTask<Result<void>> cont_aggregate(vos::Uuid cont, vos::Epoch upto = vos::kEpochMax);
 
-  // --- resilient RPC (the only sanctioned path to RpcEndpoint::call) ---
+  // --- resilient RPC (the only path to RpcEndpoint::call; see Rpc) ---
 
   /// One RPC attempt racing a reply deadline. On expiry the attempt is
   /// abandoned (the in-flight call still completes against the server — the
@@ -209,7 +209,9 @@ class DaosClient {
   /// `ctx` links the attempt into the caller's trace tree (see call_target).
   sim::CoTask<net::Reply> call_with_deadline(net::NodeId dst, std::uint16_t opcode,
                                              net::Body body, std::uint64_t wire_bytes,
-                                             sim::Time deadline, sim::TraceContext ctx = {});
+                                             sim::Time deadline, sim::TraceContext ctx = {}) {
+    return rpc_.call_with_deadline(dst, opcode, std::move(body), wire_bytes, deadline, ctx);
+  }
 
   /// Bounded retry with deterministic exponential backoff: retries on
   /// timed_out/busy up to the policy's attempt budget, then surfaces the
@@ -251,7 +253,7 @@ class DaosClient {
   /// and group so data loss is never silent.
   void note_data_loss(vos::ObjId oid, std::uint32_t group);
 
-  std::uint64_t rpcs_sent() const { return ep_.calls_made(); }
+  std::uint64_t rpcs_sent() const { return endpoint().calls_made(); }
   std::uint64_t evictions_reported() const { return evictions_; }
   std::uint64_t map_refreshes() const { return map_refreshes_; }
   std::uint64_t map_delta_fetches() const { return map_delta_fetches_; }
@@ -292,11 +294,29 @@ class DaosClient {
   }
 
  private:
-  struct PendingCall;
+  /// This client's endpoint, sealed: call_with_deadline is its only route to
+  /// RpcEndpoint::call, so every client RPC has a reply deadline. An
+  /// enclosing class cannot reach a nested class's private members, so a raw
+  /// `rpc_.ep_.call(...)` anywhere in DaosClient does not compile.
+  class Rpc {
+   public:
+    Rpc(net::RpcDomain& domain, net::NodeId node) : ep_(domain, node) {}
+    const net::RpcEndpoint& endpoint() const { return ep_; }
+    void set_telemetry(telemetry::Registry* reg) { ep_.set_telemetry(reg); }
+    /// See DaosClient::call_with_deadline.
+    sim::CoTask<net::Reply> call_with_deadline(net::NodeId dst, std::uint16_t opcode,
+                                               net::Body body, std::uint64_t wire_bytes,
+                                               sim::Time deadline, sim::TraceContext ctx);
 
-  static sim::CoTask<void> run_call(net::RpcEndpoint* ep, net::NodeId dst, std::uint16_t opcode,
-                                    net::Body body, std::uint64_t wire_bytes,
-                                    sim::TraceContext ctx, std::shared_ptr<PendingCall> st);
+   private:
+    struct PendingCall;
+    static sim::CoTask<void> run_call(net::RpcEndpoint* ep, net::NodeId dst,
+                                      std::uint16_t opcode, net::Body body,
+                                      std::uint64_t wire_bytes, sim::TraceContext ctx,
+                                      std::shared_ptr<PendingCall> st);
+    net::RpcEndpoint ep_;
+  };
+
   sim::CoTask<void> report_engine_failure(net::NodeId engine);
 
   // --- IV map refresh (client/refresh.cpp) ---
@@ -312,7 +332,7 @@ class DaosClient {
   /// entry), then advances map_.version to `latest`.
   void apply_map_deltas(std::uint32_t latest, const std::vector<engine::MapDeltaEntry>& deltas);
 
-  net::RpcEndpoint ep_;
+  Rpc rpc_;
   sim::Scheduler& sched_;
   pool::PoolMap map_;
   pool::SvcClient svc_;

@@ -66,18 +66,19 @@ void TxHandle::array_write(vos::ObjId oid, std::uint64_t chunk_size, std::uint64
     const std::uint64_t chunk_idx = pos / chunk_size;
     const std::uint64_t in_chunk = pos % chunk_size;
     const std::uint64_t len = std::min(chunk_size - in_chunk, end - pos);
-    engine::TxOpDesc op;
-    op.oid = oid;
-    op.dkey = strfmt("%llu", static_cast<unsigned long long>(chunk_idx));
-    op.akey = "0";
-    op.type = engine::RecordType::array;
-    op.offset = in_chunk;
-    op.length = len;
-    op.array_end_hint = end;
+    engine::Payload payload;  // null: metadata-only
     if (!data.empty()) {
       auto sub = data.subspan(std::size_t(pos - offset), std::size_t(len));
-      op.data = std::make_shared<std::vector<std::byte>>(sub.begin(), sub.end());
+      payload = std::make_shared<std::vector<std::byte>>(sub.begin(), sub.end());
     }
+    const engine::TxOpDesc op{.oid = oid,
+                              .dkey = strfmt("%llu", static_cast<unsigned long long>(chunk_idx)),
+                              .akey = "0",
+                              .type = engine::RecordType::array,
+                              .offset = in_chunk,
+                              .length = len,
+                              .array_end_hint = end,
+                              .data = std::move(payload)};
     const std::uint32_t g = array_chunk_group(oid, chunk_idx, layout.groups());
     for (std::uint32_t rep = 0; rep < layout.replicas; ++rep) stage(layout.at(g, rep), op);
     pos += len;
@@ -235,7 +236,7 @@ TxHandle DaosClient::tx_begin(vos::Uuid cont) { return TxHandle(*this, cont, ++t
 
 vos::Epoch DaosClient::tx_alloc_epoch() {
   const vos::Epoch e =
-      std::max(vos::hlc_client(sched_.now(), ep_.node()), tx_last_epoch_ + 1);
+      std::max(vos::hlc_client(sched_.now(), endpoint().node()), tx_last_epoch_ + 1);
   tx_last_epoch_ = e;
   return e;
 }

@@ -28,10 +28,16 @@ class Scheduler;
 /// never 0, so `active()` distinguishes sampled from unsampled work, and a
 /// child of an inactive context stays inactive (sampling decisions propagate
 /// for free). Plain value type: copying or dropping one never schedules.
+/// The fields are readable, but the only way to build an active context is
+/// root() or child(): the triple constructor is private, so a hand-written
+/// `TraceContext{trace, span, parent}` does not compile.
 struct TraceContext {
   std::uint64_t trace_id = 0;   ///< root span id of the whole tree
   std::uint64_t span_id = 0;    ///< this span
   std::uint64_t parent_id = 0;  ///< enclosing span (0 for the root)
+
+  /// The inactive context.
+  TraceContext() = default;
 
   bool active() const { return trace_id != 0; }
   /// Derives the context of a child span with the given freshly-allocated id
@@ -39,10 +45,13 @@ struct TraceContext {
   TraceContext child(std::uint64_t id) const {
     return active() ? TraceContext{trace_id, id, span_id} : TraceContext{};
   }
-  /// Starts a new trace tree rooted at span `id`. The only sanctioned way to
-  /// originate a context (see the orphan-span lint rule): everything below a
-  /// root must derive via child(), so every span id has a reachable parent.
+  /// Starts a new trace tree rooted at span `id`. Everything below a root
+  /// derives via child(), so every span id has a reachable parent.
   static TraceContext root(std::uint64_t id) { return TraceContext{id, id, 0}; }
+
+ private:
+  TraceContext(std::uint64_t trace, std::uint64_t span, std::uint64_t parent)
+      : trace_id(trace), span_id(span), parent_id(parent) {}
 };
 
 /// Passive receiver for structured trace spans (RPCs, media transfers,

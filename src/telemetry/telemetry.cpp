@@ -175,7 +175,7 @@ void Probe::fields(std::vector<Field>& out) const {
 }
 
 Probe& Registry::add_probe(const std::string& path, std::function<std::uint64_t()> fn) {
-  auto [it, inserted] = nodes_.emplace(path, std::make_unique<Probe>(std::move(fn)));
+  auto [it, inserted] = nodes_.emplace(path, std::unique_ptr<Probe>(new Probe(std::move(fn))));
   DAOSIM_REQUIRE(inserted, "telemetry probe %s/%s already exists", root_.c_str(), path.c_str());
   return *static_cast<Probe*>(it->second.get());
 }

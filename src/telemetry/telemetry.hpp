@@ -58,19 +58,19 @@ class Node {
 /// Monotonic event count (d_tm counter).
 class Counter final : public Node {
  public:
-  Counter() : Node(Kind::counter) {}
   void inc(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
   void fields(std::vector<Field>& out) const override;
 
  private:
+  friend class Registry;
+  Counter() : Node(Kind::counter) {}
   std::uint64_t value_ = 0;
 };
 
 /// Instantaneous level with a high-water mark (d_tm gauge).
 class Gauge final : public Node {
  public:
-  Gauge() : Node(Kind::gauge) {}
   void set(std::int64_t v) {
     value_ = v;
     max_ = std::max(max_, v);
@@ -81,6 +81,8 @@ class Gauge final : public Node {
   void fields(std::vector<Field>& out) const override;
 
  private:
+  friend class Registry;
+  Gauge() : Node(Kind::gauge) {}
   std::int64_t value_ = 0;
   std::int64_t max_ = 0;
 };
@@ -89,12 +91,13 @@ class Gauge final : public Node {
 /// gauge); wraps the existing sim::Summary.
 class StatGauge final : public Node {
  public:
-  StatGauge() : Node(Kind::stat_gauge) {}
   void sample(double v) { stats_.add(v); }
   const sim::Summary& stats() const { return stats_; }
   void fields(std::vector<Field>& out) const override;
 
  private:
+  friend class Registry;
+  StatGauge() : Node(Kind::stat_gauge) {}
   sim::Summary stats_;
 };
 
@@ -126,13 +129,14 @@ class DurationHistogram final : public Node {
     double percentile_ns(double p) const;
   };
 
-  DurationHistogram() : Node(Kind::histogram) {}
   void record(sim::Time ns);
   const State& state() const { return s_; }
   State snapshot() const { return s_; }
   void fields(std::vector<Field>& out) const override;
 
  private:
+  friend class Registry;
+  DurationHistogram() : Node(Kind::histogram) {}
   State s_;
 };
 
@@ -141,11 +145,12 @@ class DurationHistogram final : public Node {
 /// without coupling those layers to telemetry.
 class Probe final : public Node {
  public:
-  explicit Probe(std::function<std::uint64_t()> fn) : Node(Kind::probe), fn_(std::move(fn)) {}
   std::uint64_t value() const { return fn_(); }
   void fields(std::vector<Field>& out) const override;
 
  private:
+  friend class Registry;
+  explicit Probe(std::function<std::uint64_t()> fn) : Node(Kind::probe), fn_(std::move(fn)) {}
   std::function<std::uint64_t()> fn_;
 };
 
@@ -160,13 +165,14 @@ class Registry {
 
   const std::string& root() const { return root_; }
 
-  /// Returns the node at `path`, creating it if absent. The only sanctioned
-  /// way to materialize a metric (see the `untracked-metric` lint rule);
-  /// rejects a path already holding a different kind.
+  /// Returns the node at `path`, creating it if absent. The only way to
+  /// materialize a metric: the node constructors are private to Registry, so
+  /// a node outside a tree does not compile. Rejects a path already holding a
+  /// different kind.
   template <typename T>
   T& find_or_create(const std::string& path) {
     auto it = nodes_.find(path);
-    if (it == nodes_.end()) it = nodes_.emplace(path, std::make_unique<T>()).first;
+    if (it == nodes_.end()) it = nodes_.emplace(path, std::unique_ptr<T>(new T())).first;
     T* p = dynamic_cast<T*>(it->second.get());
     DAOSIM_REQUIRE(p != nullptr, "telemetry node %s/%s already exists with kind %s",
                    root_.c_str(), path.c_str(), kind_name(it->second->kind()));

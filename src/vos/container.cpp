@@ -157,7 +157,7 @@ void VosContainer::kv_put(ObjId oid, const Key& dkey, const Key& akey,
   AkeyNode& a = akey_node(oid, dkey, akey);
   DAOSIM_REQUIRE(!a.has_arr, "akey already holds array records");
   a.has_sv = true;
-  a.sv.put(value, epoch, mode_ == PayloadMode::discard ? PayloadMode::store : mode_);
+  a.sv.put(value, epoch);
   logical_bytes_ += value.size();
 }
 
@@ -281,7 +281,7 @@ VosContainer::AggregateResult VosContainer::aggregate(Epoch upto) {
         if (a.has_arr) {
           // The store reports retired extents directly — no before/after
           // extent_count() rescan per record.
-          const ArrayStore::AggResult r = a.arr.aggregate(upto, mode_);
+          const ArrayStore::AggResult r = a.arr.aggregate(upto);
           tree_stats_.extent_merges += r.extents_retired;
           total.extents_retired += r.extents_retired;
           total.bytes_flattened += r.bytes_flattened;

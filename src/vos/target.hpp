@@ -35,7 +35,6 @@ class VosTarget {
   bool destroy_container(Uuid uuid) { return containers_.erase(uuid) > 0; }
 
   std::size_t container_count() const { return containers_.size(); }
-  PayloadMode payload_mode() const { return mode_; }
 
   /// Container UUIDs in sorted order (the rebuild scanner needs a
   /// deterministic walk; the ordered map gives it for free).

@@ -25,10 +25,8 @@ void SingleValueStore::insert_sorted(Version v) {
   }
 }
 
-void SingleValueStore::put(std::span<const std::byte> value, Epoch epoch, PayloadMode mode) {
-  Version v{epoch, false, value.size(), {}};
-  if (mode == PayloadMode::store) v.data.assign(value.begin(), value.end());
-  insert_sorted(std::move(v));
+void SingleValueStore::put(std::span<const std::byte> value, Epoch epoch) {
+  insert_sorted(Version{epoch, false, value.size(), {value.begin(), value.end()}});
 }
 
 void SingleValueStore::punch(Epoch epoch) { insert_sorted(Version{epoch, true, 0, {}}); }
@@ -287,8 +285,7 @@ std::size_t ArrayStore::extent_count() const {
   return n;
 }
 
-ArrayStore::AggResult ArrayStore::aggregate(Epoch upto, PayloadMode mode) {
-  (void)mode;  // payload-ness is carried per version; nothing to decide here
+ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
   AggResult res;
   const Epoch floor = last_full_punch_at(upto);
 

@@ -22,15 +22,16 @@ namespace daosim::vos {
 
 class SingleValueStore {
  public:
-  void put(std::span<const std::byte> value, Epoch epoch, PayloadMode mode);
+  /// Single values are always stored, in either payload mode: they are
+  /// small metadata records (DFS entries, HDF5 headers) the stack reads back.
+  void put(std::span<const std::byte> value, Epoch epoch);
   void punch(Epoch epoch);
 
-  /// Latest value visible at `epoch`; nullptr if none (or punched).
-  /// With PayloadMode::discard, returns an empty-but-present record.
+  /// Latest value visible at `epoch`; `exists` is false if none (or punched).
   struct View {
     bool exists = false;
     std::uint64_t size = 0;
-    std::span<const std::byte> data{};  // empty in discard mode
+    std::span<const std::byte> data{};
   };
   View get(Epoch epoch) const;
 
@@ -100,7 +101,7 @@ class ArrayStore {
   /// of the run), so latest_epoch() never inflates past a real write — the
   /// rebuild-resync and DTX-conflict guards that compare against it stay
   /// exact across aggregation.
-  AggResult aggregate(Epoch upto, PayloadMode mode);
+  AggResult aggregate(Epoch upto);
 
   /// Total version records held (every fragment of every epoch).
   std::size_t extent_count() const;

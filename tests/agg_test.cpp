@@ -241,11 +241,8 @@ TEST(AggFloors, PreparedDtxPinsFloorUntilCommit) {
       entry.id = vos::DtxId{999, seq++};
       entry.epoch = pin;
       entry.leader = 0;
-      vos::DtxOp op;
-      op.oid = vos::ObjId{9999, 1};
-      op.dkey = "pin";
-      op.akey = "a";
-      entry.ops.push_back(op);
+      entry.ops.push_back(
+          vos::DtxOp{.oid = vos::ObjId{9999, 1}, .dkey = "pin", .akey = "a", .data = nullptr});
       ASSERT_EQ(tb.engine(e).vos_target(t).container(kPoolUuid).dtx_prepare(std::move(entry)),
                 Errno::ok);
     }

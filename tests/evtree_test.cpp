@@ -224,7 +224,7 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
       const Epoch upto = agg_floor + (top - agg_floor) / 2;
       if (upto > agg_floor) {
         const std::size_t before = a.extent_count();
-        const ArrayStore::AggResult r = a.aggregate(upto, PayloadMode::store);
+        const ArrayStore::AggResult r = a.aggregate(upto);
         ASSERT_EQ(before - a.extent_count(), r.extents_retired) << "step " << step;
         agg_floor = upto;
         oracle.agg = upto;
@@ -242,7 +242,7 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
   // Final full flatten: one version per segment, stored bytes collapse to
   // exactly the bytes visible at the top epoch, re-aggregation is a no-op.
   const std::size_t before = a.extent_count();
-  const ArrayStore::AggResult r = a.aggregate(top, PayloadMode::store);
+  const ArrayStore::AggResult r = a.aggregate(top);
   oracle.agg = top;
   ASSERT_EQ(before - a.extent_count(), r.extents_retired);
   ASSERT_EQ(a.extent_count(), a.segment_count());
@@ -253,7 +253,7 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
   ASSERT_EQ(a.stored_bytes(), visible);
   check_view(a, oracle, top, "final");
   check_view(a, oracle, kEpochMax, "final");
-  const ArrayStore::AggResult again = a.aggregate(top, PayloadMode::store);
+  const ArrayStore::AggResult again = a.aggregate(top);
   ASSERT_EQ(again.extents_retired, 0u);
   ASSERT_EQ(again.bytes_flattened, 0u);
 }
@@ -299,7 +299,7 @@ TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
     check_window(a, zeros, want, space - 9, space + 7, e, "discard");
     ASSERT_EQ(a.size(e), oracle.size(e)) << "epoch " << e;
   }
-  const ArrayStore::AggResult r = a.aggregate(top / 2, PayloadMode::discard);
+  const ArrayStore::AggResult r = a.aggregate(top / 2);
   oracle.agg = top / 2;
   EXPECT_EQ(r.bytes_flattened, 0u);  // nothing stored, nothing flattened
   EXPECT_EQ(a.stored_bytes(), 0u);
@@ -350,7 +350,7 @@ TEST(EvtreeProbes, AggregationRestoresFlatReadCost) {
   // 1 seek + 1 segment * (1 + ceil-log2 of a 64-deep stack).
   EXPECT_EQ(deep, 1 + 1 + 7u);
 
-  a.aggregate(64, PayloadMode::store);
+  a.aggregate(64);
   EXPECT_EQ(a.extent_count(), 1u);
   probes = 0;
   a.read(0, out, kEpochMax);

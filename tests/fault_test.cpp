@@ -243,7 +243,7 @@ TEST(RpcInflight, CallsBeyondTheCapFailBusy) {
   for (int i = 0; i < 10; ++i) {
     s.spawn([&ep, &busy, &timed_out, ghost]() -> CoTask<void> {
       // Raw endpoint call on purpose: this unit test exercises RpcEndpoint
-      // itself (the raw-rpc-call lint only scopes src/client/).
+      // itself (only DaosClient seals its endpoint behind the retry wrappers).
       const net::Reply r = co_await ep.call(ghost, 0x1, {}, 64);
       if (r.status == Errno::busy) ++busy;
       if (r.status == Errno::timed_out) ++timed_out;
@@ -513,7 +513,7 @@ TEST(PartitionFault, OneWayPartitionSeversOnlyForwardDirection) {
   tb.inject_faults(sched, /*seed=*/5);
   tb.run([&]() -> CoTask<void> {
     // Raw endpoint calls on purpose: this exercises the injector's call hook
-    // directly (the raw-rpc-call lint only scopes src/client/).
+    // directly (only DaosClient seals its endpoint behind the retry wrappers).
     net::Body fwd = net::Body::make(engine::SwimPingReq{});
     const net::Reply r1 = co_await tb.engine(3).endpoint().call(
         tb.engine(0).node(), engine::kOpSwimPing, std::move(fwd), 64);

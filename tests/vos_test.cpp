@@ -28,8 +28,8 @@ constexpr ObjId kOid{1, 100};
 TEST(SingleValue, LatestVisibleAtEpoch) {
   SingleValueStore sv;
   auto v1 = bytes("one"), v2 = bytes("two");
-  sv.put(v1, 10, PayloadMode::store);
-  sv.put(v2, 20, PayloadMode::store);
+  sv.put(v1, 10);
+  sv.put(v2, 20);
   EXPECT_FALSE(sv.get(9).exists);
   EXPECT_EQ(str(sv.get(10).data), "one");
   EXPECT_EQ(str(sv.get(15).data), "one");
@@ -40,7 +40,7 @@ TEST(SingleValue, LatestVisibleAtEpoch) {
 TEST(SingleValue, PunchHidesValue) {
   SingleValueStore sv;
   auto v = bytes("x");
-  sv.put(v, 5, PayloadMode::store);
+  sv.put(v, 5);
   sv.punch(8);
   EXPECT_TRUE(sv.get(7).exists);
   EXPECT_FALSE(sv.get(8).exists);
@@ -50,9 +50,9 @@ TEST(SingleValue, PunchHidesValue) {
 TEST(SingleValue, RewriteAfterPunch) {
   SingleValueStore sv;
   auto v1 = bytes("a"), v2 = bytes("b");
-  sv.put(v1, 1, PayloadMode::store);
+  sv.put(v1, 1);
   sv.punch(2);
-  sv.put(v2, 3, PayloadMode::store);
+  sv.put(v2, 3);
   EXPECT_FALSE(sv.get(2).exists);
   EXPECT_EQ(str(sv.get(3).data), "b");
 }
@@ -61,7 +61,7 @@ TEST(SingleValue, AggregateDropsShadowedVersions) {
   SingleValueStore sv;
   for (Epoch e = 1; e <= 10; ++e) {
     auto v = bytes(strfmt("v%llu", static_cast<unsigned long long>(e)));
-    sv.put(v, e, PayloadMode::store);
+    sv.put(v, e);
   }
   EXPECT_EQ(sv.version_count(), 10u);
   sv.aggregate(7);
@@ -146,7 +146,7 @@ TEST(ArrayStore, AggregateMergesAndPreservesView) {
   a.write(4, 2, d3, 3, PayloadMode::store);
   std::vector<std::byte> before(8);
   a.read(0, before, 3);
-  a.aggregate(3, PayloadMode::store);
+  a.aggregate(3);
   std::vector<std::byte> after(8);
   a.read(0, after, kEpochMax);
   EXPECT_EQ(str(before), str(after));
@@ -160,7 +160,7 @@ TEST(ArrayStore, AggregateKeepsNewerVersions) {
   auto d1 = bytes("1111"), d2 = bytes("22");
   a.write(0, 4, d1, 1, PayloadMode::store);
   a.write(0, 2, d2, 10, PayloadMode::store);
-  a.aggregate(5, PayloadMode::store);
+  a.aggregate(5);
   std::vector<std::byte> out(4);
   a.read(0, out, 5);
   EXPECT_EQ(str(out), "1111");
@@ -382,7 +382,7 @@ TEST_P(ArrayOracleProperty, MatchesByteOracle) {
         ASSERT_EQ(char(out[i]), snap.img[i]) << "epoch " << e << " byte " << i << " pass " << pass;
       }
     }
-    if (pass == 0) a.aggregate(30, PayloadMode::store);
+    if (pass == 0) a.aggregate(30);
   }
 }
 

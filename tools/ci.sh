@@ -2,7 +2,9 @@
 # daosim CI entrypoint: lint pass + a build/test matrix.
 #
 #   tools/ci.sh            run everything (lint, RelWithDebInfo, ASan+UBSan)
-#   tools/ci.sh lint       lint only
+#   tools/ci.sh lint       lint tree scan + rule self-test, plus the
+#                          compile_fail ctests (the invariants the compiler
+#                          owns: a configure, no build)
 #   tools/ci.sh release    RelWithDebInfo build + ctest only
 #   tools/ci.sh asan       ASan+UBSan (+ runtime audits) build + ctest only
 #   tools/ci.sh tsan       TSan build + ctest (optional; sim is single-threaded)
@@ -35,7 +37,8 @@
 #                          with the runtime audits on — the merge passes
 #                          splice version vectors in place and must be
 #                          lifetime- and UB-clean
-#   tools/ci.sh bench-smoke  tiny-scale ablation_xfersize + ablation_dtx +
+#   tools/ci.sh bench-smoke  Release -Werror build (what perfbench measures);
+#                          tiny-scale ablation_xfersize + ablation_dtx +
 #                          ablation_overwrite runs asserting the BENCH_*.json
 #                          perf trajectories parse, are non-empty, and that
 #                          background aggregation keeps the overwrite
@@ -52,7 +55,8 @@
 #                          skips gracefully so bare local hosts stay green.
 #
 # Every configuration runs the full ctest suite, which itself includes the
-# lint tree scan and lint self-test, so `ctest` alone also catches violations.
+# lint tree scan, the lint self-test and the compile_fail tests, so `ctest`
+# alone also catches violations.
 # A per-stage wall-clock summary prints on exit (also after a failure, for the
 # stages that completed).
 set -euo pipefail
@@ -94,6 +98,9 @@ if [[ $STAGE == lint || $STAGE == all ]]; then
   echo "=== [lint] tree scan + rule self-test ==="
   python3 tools/lint/daosim_lint.py --root .
   python3 tools/lint/daosim_lint.py --self-test --root .
+  echo "=== [lint] compile_fail ctests ==="
+  cmake -B build-ci-lint -S .
+  ctest --test-dir build-ci-lint --output-on-failure -j "$JOBS" -L compile_fail
   stage_end
 fi
 
@@ -273,7 +280,7 @@ if [[ $STAGE == bench-smoke ]]; then
   # bench binary, the machine-readable JSON output, and the invariant that
   # batched coalescing never loses to the legacy per-extent path.
   echo "=== [bench-smoke] configure + build ==="
-  cmake -B build-ci-bench -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake -B build-ci-bench -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-ci-bench -j "$JOBS" \
     --target ablation_xfersize ablation_dtx ablation_overwrite \
     fig1_fileperprocess fig2_sharedfile

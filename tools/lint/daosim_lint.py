@@ -24,18 +24,6 @@ coroutine-heavy C++ codebases:
                       expression statement (or discarded via (void)). Errno
                       propagation is the recoverable-error channel; dropping
                       it silently loses failures.
-  raw-rpc-call        `co_await ... call(...)` (RpcEndpoint::call) inside
-                      src/client/. Client code must go through the resilient
-                      wrappers (call_with_deadline / call_retry / call_target)
-                      so every RPC gets a deadline, bounded retries, and the
-                      eviction path; a raw call hangs forever on a dead node.
-  untracked-metric    Direct construction of a telemetry metric node
-                      (telemetry::Counter/Gauge/StatGauge/DurationHistogram/
-                      Probe) by value, new, or make_unique outside
-                      src/telemetry/. A node that does not live in a
-                      telemetry::Registry has no path and never appears in a
-                      dump; obtain nodes via Registry::find_or_create /
-                      add_probe and hold pointers.
   unbatched-extent-rpc A for/while loop in src/client/ that both declares an
                       ObjUpdateReq/ObjFetchReq and calls Body::make in its
                       body: one RPC per extent, bypassing the vectorized
@@ -57,18 +45,14 @@ coroutine-heavy C++ codebases:
                       unresolved handle leaves prepared DTX entries on every
                       touched shard; they pin aggregation until the orphan
                       reaper times them out and aborts them seconds later.
-  orphan-span         A TraceContext brace-literal with members written outside
-                      src/sim/. Hand-rolled {trace, span, parent} triples mint
-                      span ids outside Scheduler::alloc_span_id() and parent
-                      ids nothing emitted, producing orphan spans the analyzer
-                      rejects. TraceContext::root(alloc_span_id()) and
-                      ctx.child(alloc_span_id()) are the only sanctioned
-                      origins; `{}` (the inactive context) stays free.
   unjustified-allow   A daosim-lint or daosim-check suppression marker without
                       a trailing justification, or naming a rule that does not
                       exist. Every allow is a claim that the checker is wrong
                       here; the claim must say why, and it must point at a
                       real rule or it silences nothing.
+
+An invariant a type can express is a compile error instead, pinned by a
+tests/compile_fail/ ctest (docs/correctness.md lists them).
 
 Suppression: append  // daosim-lint: allow(<rule>): <reason>  to the offending
 line, or put  // daosim-lint: allow-file(<rule>): <reason>  anywhere in the
@@ -88,9 +72,8 @@ import re
 import sys
 
 RULES = ("spawn-temporary", "wall-clock", "unordered-iteration", "ignored-result",
-         "raw-rpc-call", "untracked-metric",
          "unbatched-extent-rpc", "direct-map-query", "tx-unresolved",
-         "orphan-span", "unjustified-allow")
+         "unjustified-allow")
 
 # Rules owned by the libclang analyzer (tools/analyze/daosim_check.py). The
 # unjustified-allow rule validates daosim-check markers against this list, and
@@ -103,14 +86,10 @@ CHECK_RULES = ("ref-across-suspend", "ref-capture-spawn", "guard-across-suspend"
 # host time; the simulation itself never may.
 TREE_DIRS = ("src", "tests", "bench", "examples")
 WALL_CLOCK_DIRS = ("src",)
-# raw-rpc-call applies to the client library only: engines, raft, and tests
-# drive endpoints directly by design; client code must use the retry wrappers.
-# unbatched-extent-rpc shares this scope: only the client library owns the
-# extent batcher; servers and tests build per-extent requests legitimately.
-RAW_RPC_DIRS = ("src/client",)
-# untracked-metric applies everywhere except the telemetry library itself,
-# which is the one place sanctioned to materialize nodes.
-UNTRACKED_METRIC_EXCLUDE = ("src/telemetry",)
+# unbatched-extent-rpc and direct-map-query apply to the client library only:
+# it alone owns the extent batcher and the pool-map refresh; servers and tests
+# build per-extent requests and query the pool service legitimately.
+CLIENT_DIRS = ("src/client",)
 
 CPP_EXTS = (".hpp", ".cpp", ".h", ".cc", ".cxx")
 
@@ -478,29 +457,6 @@ def check_ignored_result(path, text, clean, result_fns):
     return out
 
 
-# `co_await <anything but a statement break> call(` — matches RpcEndpoint::call
-# through any receiver chain (ep.call, ep->call, endpoint().call) but not the
-# sanctioned wrappers (call_retry/call_with_deadline/call_target: `call` is
-# not followed by `(` there).
-RAW_RPC_RE = re.compile(r"\bco_await\b[^;]*?\bcall\s*\(")
-
-
-def check_raw_rpc_call(path, text, clean):
-    out = []
-    for m in RAW_RPC_RE.finditer(clean):
-        out.append(
-            Violation(
-                path,
-                line_of(clean, m.start()),
-                "raw-rpc-call",
-                "raw RpcEndpoint::call in client code: no deadline, no retry, "
-                "no eviction reporting; use call_with_deadline/call_retry/"
-                "call_target (DaosClient)",
-            )
-        )
-    return out
-
-
 # A per-extent RPC loop: the loop body both declares an object-I/O request
 # (one extent each) and serializes it with Body::make — N extents become N
 # RPCs, bypassing the client batcher. Loops that only *build* requests (and
@@ -539,40 +495,11 @@ def check_unbatched_extent_rpc(path, text, clean):
     return out
 
 
-METRIC_TYPES = "Counter|Gauge|StatGauge|DurationHistogram|Probe"
-# Value declaration (`telemetry::Counter x`), heap construction (`new
-# telemetry::Counter`), or make_unique — each bypasses the registry. Pointer
-# and reference declarations (`telemetry::Counter*`/`&`) and nested names
-# (`telemetry::DurationHistogram::State`) don't match: the identifier must
-# follow the type name directly.
-UNTRACKED_METRIC_RE = re.compile(
-    rf"\bnew\s+(?:daosim\s*::\s*)?telemetry\s*::\s*(?:{METRIC_TYPES})\b"
-    rf"|make_unique\s*<\s*(?:daosim\s*::\s*)?telemetry\s*::\s*(?:{METRIC_TYPES})\s*>"
-    rf"|\btelemetry\s*::\s*(?:{METRIC_TYPES})\s+[A-Za-z_]"
-)
-
-
-def check_untracked_metric(path, text, clean):
-    out = []
-    for m in UNTRACKED_METRIC_RE.finditer(clean):
-        out.append(
-            Violation(
-                path,
-                line_of(clean, m.start()),
-                "untracked-metric",
-                "telemetry node constructed outside a Registry: it has no path "
-                "and never appears in a metrics dump; use "
-                "Registry::find_or_create<T>(path) / add_probe and hold a pointer",
-            )
-        )
-    return out
-
-
 # The typed MapQuery command, matched in `clean` (comments and strings
 # blanked): the command only exists to be sent to the pool service, so naming
 # it in client code IS issuing the point query. Mentions in comments stay
-# free. Shares the raw-rpc-call scope (src/client/); the refresh module owns
-# the sanctioned fallback.
+# free. Scoped to src/client/; the refresh module owns the sanctioned
+# fallback.
 MAP_QUERY_RE = re.compile(r"\bMapQuery\b")
 MAP_QUERY_EXEMPT_SUFFIX = "client/refresh.cpp"
 
@@ -661,36 +588,6 @@ def check_tx_unresolved(path, text, clean):
     return out
 
 
-# A TraceContext brace-literal with members: `TraceContext{a, b, c}` or a
-# declaration `TraceContext ctx{a, ...}`. Only sim/scheduler.hpp (where
-# root()/child() live) may spell the triple out; everyone else either forwards
-# a context they were handed, derives one with ctx.child(alloc_span_id()), or
-# starts a protocol trace with TraceContext::root(alloc_span_id()). The empty
-# `TraceContext{}` is the inactive context and stays free.
-ORPHAN_SPAN_RE = re.compile(
-    r"(?<!struct )(?<!class )\bTraceContext\s*(?:[A-Za-z_]\w*\s*)?\{\s*[^}\s]")
-ORPHAN_SPAN_EXEMPT_PREFIX = "src/sim/"
-
-
-def check_orphan_span(path, text, clean):
-    if path.replace(os.sep, "/").startswith(ORPHAN_SPAN_EXEMPT_PREFIX):
-        return []
-    out = []
-    for m in ORPHAN_SPAN_RE.finditer(clean):
-        out.append(
-            Violation(
-                path,
-                line_of(clean, m.start()),
-                "orphan-span",
-                "hand-rolled TraceContext literal: span ids minted outside "
-                "Scheduler::alloc_span_id() collide or parent nothing, and the "
-                "trace analyzer rejects the orphan; use "
-                "TraceContext::root(alloc_span_id()) or ctx.child(alloc_span_id())",
-            )
-        )
-    return out
-
-
 # Any suppression marker, from either tool, line- or file-scoped. Group 1 is
 # the tool, group 2 the optional "-file", group 3 the rule list, and the
 # justification (": <reason>") is judged from the text that follows.
@@ -739,8 +636,7 @@ def check_unjustified_allow(path, text, clean):
 # ----------------------------------------------------------- driver ----
 
 
-def lint_file(path, rel, result_fns, wall_clock_scope, raw_rpc_scope=False,
-              untracked_metric_scope=True):
+def lint_file(path, rel, result_fns, wall_clock_scope, client_scope=False):
     try:
         text = open(path, encoding="utf-8", errors="replace").read()
     except OSError as e:
@@ -752,14 +648,10 @@ def lint_file(path, rel, result_fns, wall_clock_scope, raw_rpc_scope=False,
         violations += check_wall_clock(rel, text, clean)
     violations += check_unordered_iteration(rel, text, clean)
     violations += check_ignored_result(rel, text, clean, result_fns)
-    if raw_rpc_scope:
-        violations += check_raw_rpc_call(rel, text, clean)
+    if client_scope:
         violations += check_unbatched_extent_rpc(rel, text, clean)
         violations += check_direct_map_query(rel, text, clean)
     violations += check_tx_unresolved(rel, text, clean)
-    violations += check_orphan_span(rel, text, clean)
-    if untracked_metric_scope:
-        violations += check_untracked_metric(rel, text, clean)
     violations += check_unjustified_allow(rel, text, clean)
 
     # Apply suppressions from the original text (comments live there).
@@ -790,20 +682,18 @@ def iter_tree_files(root):
                 if f.endswith(CPP_EXTS):
                     full = os.path.join(dirpath, f)
                     rel = os.path.relpath(full, root)
-                    posix_rel = rel.replace(os.sep, "/")
-                    rpc = posix_rel.startswith(tuple(d + "/" for d in RAW_RPC_DIRS))
-                    untracked = not posix_rel.startswith(
-                        tuple(d + "/" for d in UNTRACKED_METRIC_EXCLUDE))
-                    yield full, rel, top in WALL_CLOCK_DIRS, rpc, untracked
+                    client = rel.replace(os.sep, "/").startswith(
+                        tuple(d + "/" for d in CLIENT_DIRS))
+                    yield full, rel, top in WALL_CLOCK_DIRS, client
 
 
 def run_tree(root, quiet):
     result_fns = result_returning_functions(root)
     violations = []
     nfiles = 0
-    for full, rel, wall, rpc, untracked in iter_tree_files(root):
+    for full, rel, wall, client in iter_tree_files(root):
         nfiles += 1
-        violations.extend(lint_file(full, rel, result_fns, wall, rpc, untracked))
+        violations.extend(lint_file(full, rel, result_fns, wall, client))
     for v in violations:
         print(v)
     if nfiles == 0:
@@ -854,7 +744,7 @@ def run_self_test(root):
                     covered.add(em.group(1))
             got = {}
             for v in lint_file(full, rel, result_fns, wall_clock_scope=True,
-                               raw_rpc_scope=True):
+                               client_scope=True):
                 got[(v.line, v.rule)] = got.get((v.line, v.rule), 0) + 1
             for key, cnt in expected.items():
                 if got.get(key, 0) < cnt:

@@ -19,6 +19,13 @@ inline void cases() {
   // is present, so only the unknown-name arm fires.)
   helper();  // daosim-lint: allow(no-such-rule): reason text  // EXPECT-LINT: unjustified-allow
 
+  // BAD: rules deleted once the compiler took over their invariant (see
+  // tests/compile_fail/). A stale suppression naming one fails here instead
+  // of lingering.
+  helper();  // daosim-lint: allow(raw-rpc-call): the wrapper itself  // EXPECT-LINT: unjustified-allow
+  helper();  // daosim-lint: allow(untracked-metric): a scratch node  // EXPECT-LINT: unjustified-allow
+  helper();  // daosim-lint: allow(orphan-span): a fixed test triple  // EXPECT-LINT: unjustified-allow
+
   // BAD: empty rule list.
   helper();  // daosim-lint: allow(): forgot the rule  // EXPECT-LINT: unjustified-allow
 
