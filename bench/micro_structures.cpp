@@ -134,6 +134,25 @@ void BM_ArrayStoreReadResolve(benchmark::State& state, bool overwritten) {
 BENCHMARK_CAPTURE(BM_ArrayStoreReadResolve, random_1k_extents, false);
 BENCHMARK_CAPTURE(BM_ArrayStoreReadResolve, overwrite_64k_4deep, true);
 
+// The overwrite_prod VOS shape with aggregation: one pass rewrites a 1 MiB
+// akey in 16 store-mode 64 KiB transfers, splitting the flattened extent, and
+// aggregate() coalesces the pass back into one extent. Items are transfers.
+void BM_ArrayStoreOverwriteAggregate(benchmark::State& state) {
+  constexpr std::uint64_t kXfer = 64 * 1024;
+  vos::ArrayStore a;
+  std::vector<std::byte> data(kXfer, std::byte{0x5A});
+  vos::Epoch e = 0;
+  for (auto _ : state) {
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      a.write(i * kXfer, kXfer, data, ++e, vos::PayloadMode::store);
+    }
+    benchmark::DoNotOptimize(a.aggregate(e));
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) * 16);
+  state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(16 * kXfer));
+}
+BENCHMARK(BM_ArrayStoreOverwriteAggregate);
+
 // IOR's data pattern over one 64 KiB transfer buffer (the hard_64k and
 // overwrite_prod transfer size): stamping on write, verifying on read.
 void BM_FillPattern(benchmark::State& state) {

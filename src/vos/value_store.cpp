@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/audit.hpp"
 #include "common/error.hpp"
 
 namespace daosim::vos {
@@ -76,17 +77,11 @@ void ArrayStore::split_at(std::uint64_t x) {
   const std::uint64_t left_len = x - start;
   Segment right;
   right.length = s.length - left_len;
-  right.versions.reserve(s.versions.size());
-  for (auto& v : s.versions) {
-    Version rv{v.epoch, v.seq, v.punch, {}};
-    if (!v.data.empty()) {
-      rv.data.assign(v.data.begin() + std::ptrdiff_t(left_len), v.data.end());
-      v.data.resize(left_len);
-    }
-    right.versions.push_back(std::move(rv));
-  }
+  right.versions = s.versions;  // the right half slices the same buffers
+  for (auto& v : right.versions) v.off += left_len;
   s.length = left_len;
   segs_.emplace_hint(std::next(it), x, std::move(right));
+  audit_payload();
 }
 
 void ArrayStore::insert_version(Segment& s, Version v) {
@@ -109,19 +104,23 @@ void ArrayStore::apply_range(std::uint64_t offset, std::uint64_t length,
   const std::uint64_t end = offset + length;
   split_at(end);
   const std::uint64_t seq = seq_++;
+  // The written bytes are copied once; every segment the write covers gets a
+  // slice of that one buffer. The segments tile [offset, end) exactly.
+  std::shared_ptr<const Buffer> buf;
+  if (payload) {
+    buf = std::make_shared<Buffer>(data.begin(), data.end());
+    stored_bytes_ += length;
+  }
+  auto version_at = [&](std::uint64_t pos) {
+    return Version{epoch, seq, punch, buf, pos - offset};
+  };
   std::uint64_t pos = offset;
   auto it = segs_.lower_bound(offset);
   while (pos < end) {
     if (it != segs_.end() && it->first == pos) {
       // Existing segment, fully inside [offset, end) after the splits.
       Segment& s = it->second;
-      Version v{epoch, seq, punch, {}};
-      if (payload) {
-        const auto* src = data.data() + (pos - offset);
-        v.data.assign(src, src + s.length);
-        stored_bytes_ += s.length;
-      }
-      insert_version(s, std::move(v));
+      insert_version(s, version_at(pos));
       pos += s.length;
       ++it;
     } else {
@@ -130,18 +129,13 @@ void ArrayStore::apply_range(std::uint64_t offset, std::uint64_t length,
           it == segs_.end() ? end : std::min<std::uint64_t>(end, it->first);
       Segment s;
       s.length = next - pos;
-      Version v{epoch, seq, punch, {}};
-      if (payload) {
-        const auto* src = data.data() + (pos - offset);
-        v.data.assign(src, src + s.length);
-        stored_bytes_ += s.length;
-      }
-      s.versions.push_back(std::move(v));
+      s.versions.push_back(version_at(pos));
       it = std::next(segs_.emplace_hint(it, pos, std::move(s)));
       pos = next;
     }
   }
   if (epoch > max_epoch_) max_epoch_ = epoch;
+  audit_payload();
 }
 
 void ArrayStore::write(std::uint64_t offset, std::uint64_t length,
@@ -211,11 +205,11 @@ std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::span<std::byte> out
     probes += 1 + std::uint64_t(std::bit_width(s.versions.size()));
     const Version* v = newest_at(s, epoch);
     if (v == nullptr || v->epoch <= floor || v->punch) continue;
-    if (v->data.empty()) {
+    if (v->buf == nullptr) {
       zero_to(hi);  // a payload-free version reads as zeros but counts as filled
     } else {
       zero_to(lo);
-      std::memcpy(out.data() + (lo - offset), v->data.data() + (lo - start),
+      std::memcpy(out.data() + (lo - offset), v->bytes() + (lo - start),
                   std::size_t(hi - lo));
       done = hi;
     }
@@ -297,51 +291,64 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
     Segment& s = it->second;
     auto above = std::upper_bound(s.versions.begin(), s.versions.end(), upto,
                                   [](Epoch e, const Version& v) { return e < v.epoch; });
-    const Version* top = nullptr;
+    auto drop_end = above;  // the survivor, if any, is the last version <= upto
     if (above != s.versions.begin()) {
       const auto t = std::prev(above);
-      if (t->epoch > floor && !t->punch) top = &*t;
+      if (t->epoch > floor && !t->punch) drop_end = t;
     }
-    std::vector<Version> kept;
-    kept.reserve(std::size_t(s.versions.end() - above) + (top != nullptr ? 1 : 0));
-    for (auto v = s.versions.begin(); v != above; ++v) {
-      if (&*v == top) {
-        kept.push_back(std::move(*v));
-      } else {
-        ++res.extents_retired;
-        res.bytes_flattened += v->data.size();
-        stored_bytes_ -= v->data.size();
+    for (auto v = s.versions.begin(); v != drop_end; ++v) {
+      ++res.extents_retired;
+      if (v->buf != nullptr) {
+        res.bytes_flattened += s.length;
+        stored_bytes_ -= s.length;
       }
     }
-    for (auto v = above; v != s.versions.end(); ++v) kept.push_back(std::move(*v));
-    s.versions = std::move(kept);
+    s.versions.erase(s.versions.begin(), drop_end);
     it = s.versions.empty() ? segs_.erase(it) : std::next(it);
   }
 
-  // Pass 2 — coalesce adjacent fully-aggregated segments: contiguous,
-  // single-version, epoch <= upto, matching payload-ness. The merged record
-  // takes the max (epoch, seq) of the run — never above a real write, so
+  // Pass 2 — coalesce each maximal run of adjacent fully-aggregated
+  // segments (contiguous, single-version, epoch <= upto, matching
+  // payload-ness) into one record. The merged record takes the max
+  // (epoch, seq) of the run — never above a real write, so
   // latest_epoch()/mask_newer_than() stay exact for everything above `upto`.
-  for (auto it = segs_.begin(); it != segs_.end();) {
-    auto next = std::next(it);
-    if (next == segs_.end()) break;
-    Segment& a = it->second;
-    Segment& b = next->second;
-    if (it->first + a.length == next->first && a.versions.size() == 1 &&
-        b.versions.size() == 1 && a.versions[0].epoch <= upto &&
-        b.versions[0].epoch <= upto && !a.versions[0].punch && !b.versions[0].punch &&
-        a.versions[0].data.empty() == b.versions[0].data.empty()) {
-      Version& va = a.versions[0];
-      Version& vb = b.versions[0];
+  // A run whose slices lie end to end in one buffer merges metadata only;
+  // any other payload run is gathered into one exact-size buffer, one memcpy
+  // per segment. So is a run that is the last holder of a larger buffer, so
+  // a dropped neighbour's bytes are not pinned past aggregation.
+  auto flat = [upto](const Segment& s) {
+    return s.versions.size() == 1 && s.versions[0].epoch <= upto && !s.versions[0].punch;
+  };
+  for (auto it = segs_.begin(); it != segs_.end(); ++it) {
+    if (!flat(it->second)) continue;
+    Version& va = it->second.versions[0];
+    const bool payload = va.buf != nullptr;
+    std::uint64_t len = it->second.length;
+    long members = 1;
+    bool adjacent = true;  // every member slices va.buf, end to end
+    auto last = std::next(it);
+    for (; last != segs_.end() && it->first + len == last->first && flat(last->second) &&
+           (last->second.versions[0].buf != nullptr) == payload;
+         ++last, ++members) {
+      const Version& vb = last->second.versions[0];
       va.epoch = std::max(va.epoch, vb.epoch);
       va.seq = std::max(va.seq, vb.seq);
-      if (!va.data.empty()) va.data.insert(va.data.end(), vb.data.begin(), vb.data.end());
-      a.length += b.length;
+      adjacent = adjacent && vb.buf == va.buf && vb.off == va.off + len;
+      len += last->second.length;
       ++res.extents_retired;
-      segs_.erase(next);
-      continue;  // keep extending the same run
     }
-    it = next;
+    if (payload && (!adjacent || (va.buf.use_count() == members && len < va.buf->size()))) {
+      auto gathered = std::make_shared<Buffer>();
+      gathered->reserve(len);
+      for (auto s = it; s != last; ++s) {
+        const std::byte* src = s->second.versions[0].bytes();
+        gathered->insert(gathered->end(), src, src + s->second.length);
+      }
+      va.buf = std::move(gathered);
+      va.off = 0;
+    }
+    it->second.length = len;
+    segs_.erase(std::next(it), last);
   }
 
   // Full punches <= upto are baked into the surviving records.
@@ -353,7 +360,30 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
   for (const auto& [start, s] : segs_) {
     max_epoch_ = std::max(max_epoch_, s.versions.back().epoch);
   }
+  audit_payload();
   return res;
+}
+
+void ArrayStore::audit_payload() const {
+  if constexpr (kAuditEnabled) {
+    std::uint64_t held = 0;
+    for (const auto& [start, s] : segs_) {
+      for (const Version& v : s.versions) {
+        if (v.buf == nullptr) continue;
+        const std::uint64_t size = v.buf->size();
+        DAOSIM_REQUIRE(v.off <= size && s.length <= size - v.off,
+                       "audit: slice [%llu, +%llu) of segment %llu overruns its %llu-byte buffer",
+                       static_cast<unsigned long long>(v.off),
+                       static_cast<unsigned long long>(s.length),
+                       static_cast<unsigned long long>(start),
+                       static_cast<unsigned long long>(size));
+        held += s.length;
+      }
+    }
+    DAOSIM_REQUIRE(held == stored_bytes_, "audit: stored_bytes %llu != %llu slice bytes held",
+                   static_cast<unsigned long long>(stored_bytes_),
+                   static_cast<unsigned long long>(held));
+  }
 }
 
 }  // namespace daosim::vos

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -124,11 +125,20 @@ class ArrayStore {
   void bind_probe_counter(std::uint64_t* probes) { probes_ = probes; }
 
  private:
+  /// A version's payload is a slice, [off, off + segment length), of an
+  /// immutable byte buffer shared by reference count: a write copies its
+  /// bytes once into a new buffer, a split hands both halves the same buffer,
+  /// and only aggregation's gather allocates again. The buffer carries its
+  /// own size, so a version stays six words: a seventh (a separate size
+  /// field) measurably raised the peak RSS of discard-mode runs.
+  using Buffer = std::vector<std::byte>;
   struct Version {
     Epoch epoch = 0;
     std::uint64_t seq = 0;  // arrival order among equal epochs (per store)
     bool punch = false;     // range punch: reads as hole above older data
-    std::vector<std::byte> data;  // empty, or exactly segment-length bytes
+    std::shared_ptr<const Buffer> buf;  // null: no payload
+    std::uint64_t off = 0;              // slice start within *buf (unused if null)
+    const std::byte* bytes() const { return buf->data() + off; }
   };
   /// One byte range [start, start+length) with its epoch-sorted version
   /// stack. Every version spans the whole segment: writes split segments at
@@ -140,7 +150,8 @@ class ArrayStore {
   };
 
   /// Splits the segment containing offset `x` (if any) so `x` becomes a
-  /// segment boundary; version payloads are sliced, conserving byte totals.
+  /// segment boundary; both halves slice the same payload buffers, so no
+  /// byte moves and byte totals are conserved.
   void split_at(std::uint64_t x);
   /// Common write/punch path: stacks one version over [offset, offset+length).
   void apply_range(std::uint64_t offset, std::uint64_t length,
@@ -157,6 +168,9 @@ class ArrayStore {
   std::uint64_t resolve(std::uint64_t offset, std::span<std::byte> out,
                         std::vector<bool>* filled, Epoch epoch) const;
   Epoch last_full_punch_at(Epoch epoch) const;
+  /// Audit (DAOSIM_AUDIT): every payload slice lies inside its buffer and
+  /// stored_bytes_ is the sum of the payload-holding slice lengths.
+  void audit_payload() const;
 
   std::map<std::uint64_t, Segment> segs_;  // keyed by segment start offset
   std::vector<Epoch> full_punches_;        // ascending

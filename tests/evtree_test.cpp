@@ -4,11 +4,13 @@
 // every sampled epoch, before and after aggregation points, through read()
 // and read_masked() over windows that start and end mid-segment. Also pins the
 // equal-epoch arrival-order rule (DTX below-top commits), the exactness of
-// the AggResult accounting, and the probe-counter depth signal the
-// endurance bench watches.
+// the AggResult accounting, the probe-counter depth signal the endurance
+// bench watches, and reads across the splits and coalesces of shared payload
+// slices (the overwrite_prod shape among them).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -357,6 +359,163 @@ TEST(EvtreeProbes, AggregationRestoresFlatReadCost) {
   EXPECT_EQ(probes, 1 + 1 + 1u);  // flat floor: depth-1 stack
   EXPECT_LT(probes, deep);
   EXPECT_EQ(out[0], std::byte{0xAB});
+}
+
+// Byte b of pass p in the slice tests: differs from every other pass at
+// every byte, and varies within a 64 KiB transfer.
+std::byte pass_byte(std::uint64_t b, int p) {
+  return std::byte(std::uint8_t((b >> 3) ^ (b * 7) ^ std::uint64_t(p * 0x5B)));
+}
+
+std::vector<std::byte> pass_bytes(std::uint64_t off, std::uint64_t len, int p) {
+  std::vector<std::byte> d(len);
+  for (std::uint64_t i = 0; i < len; ++i) d[i] = pass_byte(off + i, p);
+  return d;
+}
+
+// Reads [lo, hi) at `e` and expects every byte to be written, byte b equal to
+// pass_byte(b, pass_at(b)).
+template <class PassAt>
+void expect_pass_bytes(const ArrayStore& a, std::uint64_t lo, std::uint64_t hi, Epoch e,
+                       PassAt pass_at) {
+  std::vector<std::byte> out(hi - lo, std::byte{0xA5});
+  ASSERT_EQ(a.read(lo, out, e), hi - lo) << "[" << lo << ", " << hi << ") epoch " << e;
+  for (std::uint64_t b = lo; b < hi; ++b) {
+    ASSERT_EQ(out[b - lo], pass_byte(b, pass_at(b))) << "byte " << b << " epoch " << e;
+  }
+}
+
+// The overwrite_prod VOS shape: one 1 MiB akey rewritten pass after pass in
+// 64 KiB store-mode transfers, aggregated after each pass. Every pass splits
+// the flattened extent 16 times and coalesces 16 fresh transfers back into
+// one extent; reads and stored bytes must come out exact, and so must the
+// AggResult accounting: 15 merges on the first pass, then 16 shadowed
+// versions dropped plus 15 merges on every later one.
+TEST(EvtreeSlices, OverwriteProdShapeFlattensEachPass) {
+  constexpr std::uint64_t kXfer = 64 * 1024;
+  constexpr std::uint64_t kAkey = 16 * kXfer;
+  ArrayStore a;
+  Epoch e = 0;
+  for (int p = 0; p < 4; ++p) {
+    const Epoch prev_top = e;
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      const std::uint64_t off = (i * std::uint64_t(2 * p + 1)) % 16 * kXfer;  // per-pass order
+      a.write(off, kXfer, pass_bytes(off, kXfer, p), ++e, PayloadMode::store);
+    }
+    EXPECT_EQ(a.stored_bytes(), kAkey * (p == 0 ? 1 : 2)) << "pass " << p;
+    EXPECT_EQ(a.segment_count(), 16u) << "pass " << p;
+    // Before aggregation the previous pass is still readable under this one.
+    if (p > 0) expect_pass_bytes(a, 0, kAkey, prev_top, [&](std::uint64_t) { return p - 1; });
+    expect_pass_bytes(a, 0, kAkey, e, [&](std::uint64_t) { return p; });
+
+    const ArrayStore::AggResult r = a.aggregate(e);
+    EXPECT_EQ(r.extents_retired, p == 0 ? 15u : 31u) << "pass " << p;
+    EXPECT_EQ(r.bytes_flattened, p == 0 ? 0u : kAkey) << "pass " << p;
+    EXPECT_EQ(a.stored_bytes(), kAkey) << "pass " << p;
+    EXPECT_EQ(a.segment_count(), 1u) << "pass " << p;
+    EXPECT_EQ(a.extent_count(), 1u) << "pass " << p;
+    EXPECT_EQ(a.latest_epoch(), e) << "pass " << p;
+    expect_pass_bytes(a, 0, kAkey, kEpochMax, [&](std::uint64_t) { return p; });
+    expect_pass_bytes(a, kXfer - 5, 3 * kXfer + 9, e, [&](std::uint64_t) { return p; });
+  }
+}
+
+// Overwriting the middle of a coalesced extent cuts it in three; windows
+// across either cut read the old bytes at the old epoch and the new bytes at
+// the new one, before and after the cut-up extent is aggregated again.
+TEST(EvtreeSlices, MidOverwriteOfCoalescedExtentReadsAcrossCuts) {
+  constexpr std::uint64_t kLen = 12 * 1024;
+  constexpr std::uint64_t kCutLo = 5000;
+  constexpr std::uint64_t kCutHi = 7000;
+  ArrayStore a;
+  for (Epoch e = 1; e <= 3; ++e) {
+    const std::uint64_t off = (e - 1) * 4096;
+    a.write(off, 4096, pass_bytes(off, 4096, 0), e, PayloadMode::store);
+  }
+  ASSERT_EQ(a.aggregate(3).extents_retired, 2u);
+  ASSERT_EQ(a.segment_count(), 1u);
+
+  a.write(kCutLo, kCutHi - kCutLo, pass_bytes(kCutLo, kCutHi - kCutLo, 1), 4,
+          PayloadMode::store);
+  EXPECT_EQ(a.segment_count(), 3u);
+  EXPECT_EQ(a.stored_bytes(), kLen + (kCutHi - kCutLo));
+  auto new_in_cut = [&](std::uint64_t b) { return b >= kCutLo && b < kCutHi ? 1 : 0; };
+  auto windows = [&](const char* where) {
+    SCOPED_TRACE(where);
+    for (auto [lo, hi] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+             {kCutLo - 9, kCutLo + 11}, {kCutHi - 13, kCutHi + 7}, {kCutLo - 1, kCutHi + 1},
+             {kCutLo + 1, kCutHi - 1}, {0, kLen}}) {
+      expect_pass_bytes(a, lo, hi, 4, new_in_cut);
+      expect_pass_bytes(a, lo, hi, kEpochMax, new_in_cut);
+    }
+  };
+  for (auto [lo, hi] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {kCutLo - 9, kCutLo + 11}, {kCutHi - 13, kCutHi + 7}, {0, kLen}}) {
+    expect_pass_bytes(a, lo, hi, 3, [](std::uint64_t) { return 0; });
+  }
+  windows("before re-aggregation");
+
+  // Three single-version segments: two slices of the coalesced buffer around
+  // a fresh one. They gather back into one extent.
+  const ArrayStore::AggResult r = a.aggregate(4);
+  EXPECT_EQ(r.extents_retired, 3u);
+  EXPECT_EQ(r.bytes_flattened, kCutHi - kCutLo);
+  EXPECT_EQ(a.segment_count(), 1u);
+  EXPECT_EQ(a.stored_bytes(), kLen);
+  windows("after re-aggregation");
+}
+
+// Coalesce runs that mix slices lying end to end in one buffer with fresh
+// buffers, and a run made only of end-to-end slices of one buffer (a
+// below-top commit that aggregation drops again).
+TEST(EvtreeSlices, CoalesceMixesSharedAndFreshBuffers) {
+  ArrayStore a;
+  // [0, 8K) at epoch 1, then [4K, 16K) at epoch 2 and [16K, 20K) at epoch 3:
+  // after aggregation [4K, 8K) and [8K, 16K) slice the epoch-2 buffer end to
+  // end, between a slice of the epoch-1 buffer and a fresh one.
+  a.write(0, 8192, pass_bytes(0, 8192, 0), 1, PayloadMode::store);
+  a.write(4096, 12288, pass_bytes(4096, 12288, 1), 2, PayloadMode::store);
+  a.write(16384, 4096, pass_bytes(16384, 4096, 2), 3, PayloadMode::store);
+  auto pass_of = [](std::uint64_t b) { return b < 4096 ? 0 : b < 16384 ? 1 : 2; };
+  EXPECT_EQ(a.segment_count(), 4u);
+  ArrayStore::AggResult r = a.aggregate(3);
+  EXPECT_EQ(r.extents_retired, 4u);  // the shadowed epoch-1 slice + 3 merges
+  EXPECT_EQ(r.bytes_flattened, 4096u);
+  EXPECT_EQ(a.segment_count(), 1u);
+  EXPECT_EQ(a.stored_bytes(), 20480u);
+  expect_pass_bytes(a, 0, 20480, kEpochMax, pass_of);
+  expect_pass_bytes(a, 4090, 16390, 3, pass_of);
+
+  // Past a hole, a below-top commit at epoch 4 under a write at epoch 5:
+  // the epoch-5 buffer is split around it and, once aggregation drops the
+  // epoch-4 version, its three slices lie end to end and merge without a
+  // gather.
+  a.write(24576, 8192, pass_bytes(24576, 8192, 3), 5, PayloadMode::store);
+  a.write(26000, 1000, pass_bytes(26000, 1000, 0), 4, PayloadMode::store);
+  EXPECT_EQ(a.segment_count(), 4u);
+  r = a.aggregate(5);
+  EXPECT_EQ(r.extents_retired, 3u);  // the epoch-4 version + 2 merges
+  EXPECT_EQ(r.bytes_flattened, 1000u);
+  EXPECT_EQ(a.segment_count(), 2u);
+  EXPECT_EQ(a.stored_bytes(), 28672u);
+  auto pass_of2 = [&](std::uint64_t b) { return b < 20480 ? pass_of(b) : 3; };
+  expect_pass_bytes(a, 0, 20480, kEpochMax, pass_of2);
+  expect_pass_bytes(a, 24576, 32768, kEpochMax, pass_of2);
+  expect_pass_bytes(a, 25990, 27010, 5, pass_of2);
+
+  // A range punch leaves one slice of a larger buffer as its last holder;
+  // aggregation keeps its bytes and its stored-byte count exact.
+  a.punch_range(0, 12000, 6);
+  r = a.aggregate(6);
+  EXPECT_EQ(r.extents_retired, 2u);  // the punched epoch-3 slice and the punch
+  EXPECT_EQ(r.bytes_flattened, 12000u);
+  EXPECT_EQ(a.stored_bytes(), 28672u - 12000u);
+  EXPECT_EQ(a.segment_count(), 2u);
+  expect_pass_bytes(a, 12000, 20480, kEpochMax, pass_of2);
+  expect_pass_bytes(a, 24576, 32768, kEpochMax, pass_of2);
+  std::vector<std::byte> hole(64, std::byte{0xA5});
+  EXPECT_EQ(a.read(11950, hole, kEpochMax), 14u);
+  EXPECT_EQ(hole[0], std::byte{0});
 }
 
 }  // namespace

@@ -35,8 +35,8 @@
 #                          service's floor/determinism/crash battery, and the
 #                          DTX/snapshot aggregation pins) under ASan+UBSan
 #                          with the runtime audits on — the merge passes
-#                          splice version vectors in place and must be
-#                          lifetime- and UB-clean
+#                          share, slice and regather payload buffers and
+#                          must be lifetime- and UB-clean
 #   tools/ci.sh bench-smoke  Release -Werror build (what perfbench measures);
 #                          tiny-scale ablation_xfersize + ablation_dtx +
 #                          ablation_overwrite runs asserting the BENCH_*.json
@@ -260,8 +260,9 @@ fi
 
 if [[ $STAGE == agg ]]; then
   stage_begin agg
-  # Focused evtree/aggregation run, always sanitized: the aggregation passes
-  # erase and splice version vectors while read paths hold spans into them,
+  # Focused evtree/aggregation run, always sanitized: splits and the
+  # aggregation passes share, slice and regather reference-counted payload
+  # buffers and erase version records while read paths hold spans into them,
   # and the service interleaves with DTX commits, snapshots, rebuild floors,
   # and engine crashes — exactly where a dangling span or UB would hide.
   echo "=== [agg] configure + build ==="
