@@ -28,12 +28,10 @@ constexpr sim::Time kSvcRetryDelay = 20 * sim::kMs;
 constexpr int kMaxPlaceRounds = 3;
 
 // Trace-digest tags for recovery actions (arbitrary distinct constants,
-// xor-combined with the affected engine/version).
-constexpr std::uint64_t kTraceEvictReport = 0xFA17E001'0000'0000ULL;
-// 0xFA17E002 (map refresh) and 0xFA17E014/15 (staleness/delta apply) live in
-// client/refresh.cpp.
-constexpr std::uint64_t kTraceRefreshFail = 0xFA17E003'0000'0000ULL;
+// xor-combined with the affected engine/version). 0xFA17E015 (delta apply)
+// lives in client/refresh.cpp.
 constexpr std::uint64_t kTraceDataLoss = 0xFA17E004'0000'0000ULL;
+constexpr std::uint64_t kTraceStaleness = 0xFA17E014'0000'0000ULL;
 
 std::uint64_t key_hash(const vos::Key& k) {
   return std::hash<std::string>{}(k);
@@ -46,6 +44,29 @@ bool nominal_group_lost(const pool::PoolMap& map, const GroupLayout& nominal, st
     if (map.targets[nominal.at(g, r)].health != pool::TargetHealth::excluded) return false;
   }
   return true;
+}
+
+/// True when this client suspects `map_target`'s engine (marked DOWN after a
+/// call to it burned its retry budget, no eviction seen yet).
+bool suspected(const pool::PoolMap& map, std::uint32_t map_target) {
+  return map.targets[map_target].health == pool::TargetHealth::down;
+}
+
+/// The replica of group `g` a degraded read asks next: the first one from
+/// `r0` (rotating) that is not in `tried` and not suspected, else the first
+/// one not in `tried`, so a suspected engine is asked only when no other
+/// replica is left. `layout.replicas` once every replica is in `tried`.
+std::uint32_t next_read_replica(const pool::PoolMap& map, const GroupLayout& layout,
+                                std::uint32_t g, std::uint32_t r0, std::uint64_t tried) {
+  DAOSIM_REQUIRE(layout.replicas <= 64, "replica set wider than the tried mask");
+  std::uint32_t fallback = layout.replicas;
+  for (std::uint32_t k = 0; k < layout.replicas; ++k) {
+    const std::uint32_t rep = (r0 + k) % layout.replicas;
+    if ((tried >> rep) & 1U) continue;
+    if (!suspected(map, layout.at(g, rep))) return rep;
+    if (fallback == layout.replicas) fallback = rep;
+  }
+  return fallback;
 }
 }  // namespace
 
@@ -77,13 +98,15 @@ DaosClient::DaosClient(net::RpcDomain& domain, net::NodeId node, pool::PoolMap m
   tx_aborts_ = &metrics_.find_or_create<telemetry::Counter>("tx/aborts");
   tx_restarts_ = &metrics_.find_or_create<telemetry::Counter>("tx/restarts");
   tx_commit_time_ = &metrics_.find_or_create<telemetry::DurationHistogram>("tx/commit_time_ns");
-  metrics_.add_probe("evictions_reported", [this] { return evictions_; });
   metrics_.add_probe("degraded/data_loss", [this] { return data_loss_; });
-  metrics_.add_probe("map_refreshes", [this] { return map_refreshes_; });
   metrics_.add_probe("map/delta_fetches", [this] { return map_delta_fetches_; });
-  metrics_.add_probe("map/full_fetches", [this] { return map_full_fetches_; });
   metrics_.add_probe("map/piggyback_staleness_detected",
                      [this] { return map_staleness_detected_; });
+  for (std::uint32_t t = 0; t < map_.target_count(); ++t) {
+    if (t == 0 || map_.targets[t].engine != map_.targets[t - 1].engine) {
+      engine_targets_.push_back(t);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -154,46 +177,38 @@ sim::CoTask<net::Reply> DaosClient::call_target(std::uint32_t map_target, std::u
   net::Reply r = co_await call_retry(ref.engine, opcode, std::move(body), wire_bytes, ctx);
   if (r.map_version > map_.version) {
     // IV piggyback: the reply is stamped with a newer pool-map version than
-    // ours. Pull the missing deltas (single-flight, from the very engine that
-    // revealed the staleness) before returning, so the caller re-places
-    // against a current map without anyone polling the leader. Timed-out
-    // replies carry map_version 0 and never trigger this.
+    // ours. Pull the missing deltas (single-flight, first from the very
+    // engine that revealed the staleness) before returning, so the caller
+    // re-places against a current map. Timed-out replies carry map_version 0
+    // and never trigger this.
     ++map_staleness_detected_;
-    co_await refresh_to_version(r.map_version, ref.engine);
+    sched_.trace_note(kTraceStaleness ^ r.map_version);
+    const std::uint32_t version = r.map_version;
+    co_await pull_map([this, version] { return map_.version >= version; }, ref.engine);
   }
-  if (r.status != Errno::timed_out) co_return r;
-  // The whole attempt budget burned: suspect the engine (DOWN), report it for
-  // eviction, and hand Errno::stale to the caller so it re-places against the
-  // refreshed map.
-  for (auto& t : map_.targets) {
-    if (t.engine == ref.engine && t.health == pool::TargetHealth::up) {
-      t.health = pool::TargetHealth::down;
+  const net::NodeId engine = ref.engine;
+  if (r.status != Errno::timed_out) {
+    // An answer clears a DOWN suspicion that was never confirmed (all of an
+    // engine's targets share its health, so one target tells).
+    if (map_.targets[map_target].health == pool::TargetHealth::down) {
+      mark_engine(engine, pool::TargetHealth::down, pool::TargetHealth::up);
     }
+    co_return r;
   }
-  co_await report_engine_failure(ref.engine);
+  // The whole attempt budget burned: suspect the engine (DOWN) and wait for
+  // the engines' SWIM detector to evict it. Either way Errno::stale sends
+  // the caller to re-place, against the moved map if the eviction landed.
+  mark_engine(engine, pool::TargetHealth::up, pool::TargetHealth::down);
+  co_await pull_map(
+      [this, engine] { return engine_health(engine) == pool::TargetHealth::excluded; },
+      std::nullopt);
   co_return net::Reply{Errno::stale, 0, {}};
 }
 
-sim::CoTask<void> DaosClient::report_engine_failure(net::NodeId engine) {
-  if (auto it = evict_gates_.find(engine); it != evict_gates_.end()) {
-    auto gate = it->second;  // keep the Event alive across the wait
-    co_await gate->wait();
-    co_return;
+void DaosClient::mark_engine(net::NodeId engine, pool::TargetHealth from, pool::TargetHealth to) {
+  for (auto& t : map_.targets) {
+    if (t.engine == engine && t.health == from) t.health = to;
   }
-  auto gate = std::make_shared<sim::Event>(sched_);
-  evict_gates_.emplace(engine, gate);
-  ++evictions_;
-  sched_.trace_note(kTraceEvictReport ^ engine);
-  auto evicted = co_await svc_.run(pool::PoolEvict{engine});
-  if (evicted.ok()) {
-    Result<void> refreshed = co_await refresh_pool_map();
-    if (!refreshed.ok()) {
-      // Targets stay marked DOWN; the next failing call retries the refresh.
-      sched_.trace_note(kTraceRefreshFail ^ engine);
-    }
-  }
-  evict_gates_.erase(engine);
-  gate->set();
 }
 
 sim::TraceContext DaosClient::sample_op_trace() {
@@ -216,14 +231,16 @@ void DaosClient::note_data_loss(vos::ObjId oid, std::uint32_t group) {
   sched_.trace_note(kTraceDataLoss ^ oid.lo ^ group);
 }
 
-// DaosClient::refresh_pool_map / refresh_to_version / apply_map_deltas live
-// in client/refresh.cpp — the only client module allowed to issue the raw
-// leader map query (direct-map-query lint rule).
+// DaosClient::pull_map and the delta application it drives live in
+// client/refresh.cpp.
 
 sim::CoTask<Result<void>> DaosClient::pool_reint(net::NodeId engine) {
   auto res = co_await svc_.run(pool::PoolReint{engine});
   if (!res.ok()) co_return res.error();
-  co_return co_await refresh_pool_map();
+  const std::uint32_t version = *res;
+  co_await pull_map([this, version] { return map_.version >= version; }, std::nullopt);
+  if (map_.version < version) co_return Errno::timed_out;
+  co_return Result<void>{};
 }
 
 // ---------------------------------------------------------------------------
@@ -324,13 +341,17 @@ sim::CoTask<Result<std::vector<std::byte>>> KvObject::get(const vos::Key& dkey,
   const std::uint32_t g = group_of(dkey);
   const std::uint32_t nreps = layout_.replicas;
   // Degraded read: try replicas in order from a per-key starting point
-  // (spreads load); first one holding the record wins.
+  // (spreads load), suspected ones last; first one holding the record wins.
   const std::uint32_t r0 =
       nreps == 1 ? 0 : std::uint32_t(mix64(key_hash(dkey) ^ oid_.lo) % nreps);
   bool all_answered = true;
   Errno last = Errno::io;
-  for (std::uint32_t i = 0; i < nreps; ++i) {
-    const std::uint32_t rep = (r0 + i) % nreps;
+  std::uint64_t tried = 0;
+  for (;;) {
+    refresh_layout();
+    const std::uint32_t rep = next_read_replica(client_.pool_map(), layout_, g, r0, tried);
+    if (rep == nreps) break;
+    tried |= std::uint64_t{1} << rep;
     Reply r{};
     for (int round = 0;; ++round) {
       refresh_layout();
@@ -339,7 +360,12 @@ sim::CoTask<Result<std::vector<std::byte>>> KvObject::get(const vos::Key& dkey,
       Body body = Body::make(req);
       r = co_await client_.call_target(map_target, engine::kOpObjFetch, std::move(body),
                                        engine::kObjRpcHeader, tr.ctx());
-      if (r.status != Errno::stale || round >= kMaxPlaceRounds) break;
+      // Stale with the target still suspected: the wait for its eviction
+      // expired, so the next replica is asked rather than this one again.
+      if (r.status != Errno::stale || round >= kMaxPlaceRounds ||
+          suspected(client_.pool_map(), map_target)) {
+        break;
+      }
     }
     if (r.status != Errno::ok) {
       last = r.status;
@@ -370,7 +396,12 @@ sim::CoTask<Result<std::vector<vos::Key>>> KvObject::list_dkeys() {
   for (std::uint32_t g = 0; g < layout_.groups(); ++g) {
     bool got = false;
     Errno last = Errno::io;
-    for (std::uint32_t rep = 0; rep < layout_.replicas && !got; ++rep) {
+    std::uint64_t tried = 0;
+    while (!got) {
+      refresh_layout();
+      const std::uint32_t rep = next_read_replica(client_.pool_map(), layout_, g, 0, tried);
+      if (rep == layout_.replicas) break;
+      tried |= std::uint64_t{1} << rep;
       ObjEnumReq req;
       req.cont = cont_;
       req.oid = oid_;
@@ -382,7 +413,10 @@ sim::CoTask<Result<std::vector<vos::Key>>> KvObject::list_dkeys() {
         Body body = Body::make(req);
         r = co_await client_.call_target(map_target, engine::kOpObjEnumDkeys, std::move(body),
                                          engine::kObjRpcHeader, tr.ctx());
-        if (r.status != Errno::stale || round >= kMaxPlaceRounds) break;
+        if (r.status != Errno::stale || round >= kMaxPlaceRounds ||
+            suspected(client_.pool_map(), map_target)) {
+          break;  // see KvObject::get
+        }
       }
       if (r.status != Errno::ok) {
         last = r.status;
@@ -601,14 +635,19 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
 
   // Degraded read, batched: each round every unfinished piece probes one
   // (target, replica) — pieces sharing a target ride one RPC. Replies that
-  // are stale re-place (bounded) on the same replica; failures fall back to
-  // the next replica from the piece's hashed starting point; the best
-  // (most-filled) answer wins, exactly as the old per-piece loop did.
+  // are stale re-place (bounded) on the same replica unless the target is
+  // still suspected (its eviction wait expired); failures fall back to the
+  // next replica from the piece's hashed starting point, suspected ones
+  // last (next_read_replica); the best (most-filled) answer wins.
   std::vector<ReadProgress> prog(pieces.size());
-  auto rep_of = [&](std::uint32_t i) {
-    const std::uint32_t r0 =
-        nreps == 1 ? 0 : std::uint32_t(mix64(pieces[i].chunk_idx ^ mix64(oid_.lo)) % nreps);
-    return (r0 + prog[i].attempt) % nreps;
+  auto r0_of = [&](std::uint32_t i) {
+    return nreps == 1 ? 0
+                      : std::uint32_t(mix64(pieces[i].chunk_idx ^ mix64(oid_.lo)) % nreps);
+  };
+  auto consume = [&](ReadProgress& st) {
+    st.tried |= std::uint64_t{1} << st.rep;
+    ++st.attempt;
+    st.stale_rounds = 0;
   };
 
   for (int round = 0;; ++round) {
@@ -623,10 +662,20 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
     refresh_layout();
     std::map<std::uint32_t, std::vector<std::uint32_t>> by_target;
     for (const std::uint32_t i : active) {
-      by_target[layout_.at(group_of_chunk(pieces[i].chunk_idx), rep_of(i))].push_back(i);
+      ReadProgress& st = prog[i];
+      const std::uint32_t g = group_of_chunk(pieces[i].chunk_idx);
+      if (st.stale_rounds == 0) {
+        st.rep = next_read_replica(client_.pool_map(), layout_, g, r0_of(i), st.tried);
+      }
+      by_target[layout_.at(g, st.rep)].push_back(i);
     }
     EventQueue eq(client_.scheduler(), client_.config().max_inflight_rpcs);
-    std::vector<std::pair<std::vector<std::uint32_t>, std::shared_ptr<Reply>>> batches;
+    struct Batch {
+      std::uint32_t target;
+      std::vector<std::uint32_t> members;
+      std::shared_ptr<Reply> reply;
+    };
+    std::vector<Batch> batches;
     for (auto& [tgt, list] : by_target) {
       for (std::size_t b = 0; b < list.size(); b += max_batch) {
         const std::size_t n = std::min(max_batch, list.size() - b);
@@ -650,7 +699,7 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
                                            list.begin() + std::ptrdiff_t(b + n));
         sim::CoTask<void> task = fetch_batch(tgt, std::move(req), round_ctx, reply);
         co_await eq.launch(std::move(task));
-        batches.emplace_back(std::move(members), std::move(reply));
+        batches.push_back(Batch{tgt, std::move(members), std::move(reply)});
       }
     }
     co_await eq.wait_all();
@@ -658,8 +707,8 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
       sink->span("batch", strfmt("read round %d: %zu batches", round, batches.size()),
                  client_.endpoint().node(), 0, round_t0, client_.scheduler().now(), round_ctx);
     }
-    for (auto& [members, reply] : batches) {
-      if (reply->status == Errno::stale) {
+    for (auto& [tgt, members, reply] : batches) {
+      if (reply->status == Errno::stale && !suspected(client_.pool_map(), tgt)) {
         for (const std::uint32_t i : members) {
           ReadProgress& st = prog[i];
           if (st.stale_rounds < kMaxPlaceRounds) {
@@ -668,8 +717,7 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
             st.last = Errno::stale;
             st.all_answered = false;
             client_.note_degraded_read();
-            ++st.attempt;
-            st.stale_rounds = 0;
+            consume(st);
           }
         }
       } else if (reply->status != Errno::ok) {
@@ -678,8 +726,7 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
           st.last = reply->status;
           st.all_answered = false;
           client_.note_degraded_read();
-          ++st.attempt;
-          st.stale_rounds = 0;
+          consume(st);
         }
       } else {
         auto& resp = reply->body.get<ObjFetchResp>();
@@ -703,8 +750,7 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
           if (st.best_filled >= pc.length) {
             st.done = true;
           } else {
-            ++st.attempt;
-            st.stale_rounds = 0;
+            consume(st);
           }
         }
       }

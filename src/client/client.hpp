@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -113,7 +112,8 @@ struct ClientConfig {
 /// single-shard (S1) object at 256 ranks funnels every transfer through one
 /// target, where the tail request waits >1s of virtual time. Unreachable
 /// engines don't need the deadline at all: each attempt fails after
-/// net::kRpcTimeout, so eviction latency is governed by that, not by this.
+/// net::kRpcTimeout, so the time to give up on one is governed by that, not
+/// by this.
 /// Tests that want aggressive duplicate-apply behaviour shrink the deadline
 /// via set_retry_policy.
 struct RetryPolicy {
@@ -221,9 +221,11 @@ class DaosClient {
                                      std::uint64_t wire_bytes, sim::TraceContext ctx = {});
 
   /// Object RPC to a pool-map target. Targets this client already knows are
-  /// EXCLUDED fail fast with Errno::stale; a target that exhausts its retry
-  /// budget is reported to the pool service for eviction, the local map is
-  /// refreshed, and Errno::stale tells the caller to re-place.
+  /// EXCLUDED fail fast with Errno::stale. A target that exhausts its retry
+  /// budget gets its engine marked DOWN locally; the call then waits for the
+  /// engines' failure detector (SWIM) to evict it, pulling map deltas until
+  /// the engine shows EXCLUDED or kMapWait expires, and returns Errno::stale
+  /// so the caller re-places. Clients never evict anyone themselves.
   sim::CoTask<net::Reply> call_target(std::uint32_t map_target, std::uint16_t opcode,
                                       net::Body body, std::uint64_t wire_bytes,
                                       sim::TraceContext ctx = {});
@@ -234,18 +236,11 @@ class DaosClient {
   /// inactive one otherwise. Object handles use this via OpTrace.
   sim::TraceContext sample_op_trace();
 
-  /// Re-fetches pool-map health state from the pool service with a point
-  /// query and applies it to the local map if the version advanced. The slow
-  /// path: the IV piggyback (call_target noticing a newer version stamped on
-  /// a reply) fetches version deltas from an engine instead, and only falls
-  /// back here when no engine can serve them. Defined in client/refresh.cpp —
-  /// the only module allowed to issue the raw leader query (enforced by the
-  /// direct-map-query lint rule).
-  sim::CoTask<Result<void>> refresh_pool_map();
-
   /// Admin reintegration (the `dmg pool reintegrate` equivalent): clears the
-  /// engine's EXCLUDED state through the pool service and refreshes the local
-  /// map. Restarting an engine does NOT reintegrate it — this call does.
+  /// engine's EXCLUDED state through the pool service, then pulls map deltas
+  /// from the engines until the local map reaches the committed version
+  /// (Errno::timed_out if it does not within kMapWait). Restarting an engine
+  /// does NOT reintegrate it — this call does.
   sim::CoTask<Result<void>> pool_reint(net::NodeId engine);
 
   /// Records a whole-redundancy-group loss surfaced by a degraded read: every
@@ -254,17 +249,14 @@ class DaosClient {
   void note_data_loss(vos::ObjId oid, std::uint32_t group);
 
   std::uint64_t rpcs_sent() const { return endpoint().calls_made(); }
-  std::uint64_t evictions_reported() const { return evictions_; }
-  std::uint64_t map_refreshes() const { return map_refreshes_; }
   std::uint64_t map_delta_fetches() const { return map_delta_fetches_; }
-  std::uint64_t map_full_fetches() const { return map_full_fetches_; }
   std::uint64_t map_staleness_detected() const { return map_staleness_detected_; }
   std::uint64_t data_loss_events() const { return data_loss_; }
   const std::string& last_data_loss() const { return last_data_loss_; }
 
   /// This client's metric tree ("client/<node>"): per-opcode RPC metrics from
-  /// the endpoint plus retry/backoff, eviction, map-refresh, degraded-read
-  /// and data-loss counters.
+  /// the endpoint plus retry/backoff, map-delta, degraded-read and data-loss
+  /// counters.
   telemetry::Registry& telemetry() { return metrics_; }
   const telemetry::Registry& telemetry() const { return metrics_; }
 
@@ -317,17 +309,24 @@ class DaosClient {
     net::RpcEndpoint ep_;
   };
 
-  sim::CoTask<void> report_engine_failure(net::NodeId engine);
+  // --- IV map pull (client/refresh.cpp) ---
 
-  // --- IV map refresh (client/refresh.cpp) ---
-
-  /// Piggyback staleness reaction: pulls the pool map forward to at least
-  /// `version` by fetching version deltas (kOpMapFetch) from `source` — the
-  /// engine whose reply revealed the staleness — falling back to the full
-  /// point query when the engine can't serve deltas. Single-flight: while one
-  /// refresh is in flight, concurrent triggers wait on its gate instead of
-  /// issuing their own fetch.
-  sim::CoTask<void> refresh_to_version(std::uint32_t version, net::NodeId source);
+  /// Pulls version deltas (kOpMapFetch) from the engines until `done()`
+  /// holds or kMapWait expires. The first round asks `first` (the engine
+  /// whose reply revealed the staleness) when this client does not see it
+  /// DOWN; later rounds walk the other engines round-robin. Single-flight:
+  /// while one round is in flight, concurrent waiters share it instead of
+  /// issuing their own fetch, and rounds that move nothing are paced
+  /// client-wide. Never touches the pool service.
+  sim::CoTask<void> pull_map(std::function<bool()> done, std::optional<net::NodeId> first);
+  /// One kOpMapFetch to `source`; true when it moved the local map.
+  sim::CoTask<bool> pull_round(net::NodeId source);
+  /// The next engine, round-robin in pool-map order, that this client sees UP.
+  std::optional<net::NodeId> next_pull_source();
+  /// `engine`'s health in this client's map (all its targets share it).
+  pool::TargetHealth engine_health(net::NodeId engine) const;
+  /// Moves every target of `engine` in health `from` to `to` (local view).
+  void mark_engine(net::NodeId engine, pool::TargetHealth from, pool::TargetHealth to);
   /// Applies a fetched delta suffix to the local map (health flips per
   /// entry), then advances map_.version to `latest`.
   void apply_map_deltas(std::uint32_t latest, const std::vector<engine::MapDeltaEntry>& deltas);
@@ -352,21 +351,19 @@ class DaosClient {
   std::uint64_t tx_seq_ = 0;         // per-client transaction sequence
   vos::Epoch tx_last_epoch_ = 0;     // last HLC epoch handed out
   std::uint64_t trace_op_seq_ = 0;   // client-level op counter for trace sampling
-  /// Coalesces concurrent failure reports per engine: the first caller runs
-  /// the eviction, later callers wait on its gate. std::map: iteration order
-  /// must never depend on addresses (determinism).
-  std::map<net::NodeId, std::shared_ptr<sim::Event>> evict_gates_;
-  /// Single-flight gate for refresh_to_version (same idiom as evict_gates_,
-  /// but one gate: the map is client-global, so any in-flight refresh serves
-  /// every concurrent staleness trigger).
-  std::shared_ptr<sim::Event> refresh_gate_;
-  std::uint64_t evictions_ = 0;
+  /// Single-flight gate of the pull_map round in flight: the map is
+  /// client-global, so one round serves every concurrent waiter.
+  std::shared_ptr<sim::Event> pull_gate_;
+  /// Earliest time the next pull round may start after one that moved
+  /// nothing (pull rounds are paced client-wide, not per waiter).
+  sim::Time next_pull_ = 0;
+  /// First map target of each engine, in pool-map order (pull sources).
+  std::vector<std::uint32_t> engine_targets_;
+  std::size_t pull_cursor_ = 0;  // next engine_targets_ slot to pull from
   std::uint64_t data_loss_ = 0;
-  std::uint64_t map_refreshes_ = 0;
-  /// IV accounting (exported as map/delta_fetches, map/full_fetches,
+  /// IV accounting (exported as map/delta_fetches and
   /// map/piggyback_staleness_detected — see docs/membership.md).
   std::uint64_t map_delta_fetches_ = 0;
-  std::uint64_t map_full_fetches_ = 0;
   std::uint64_t map_staleness_detected_ = 0;
   std::string last_data_loss_;
 };
@@ -479,6 +476,8 @@ class ArrayObject {
   /// Per-piece degraded-read bookkeeping (see ArrayObject::read).
   struct ReadProgress {
     std::uint32_t attempt = 0;  // replica attempts consumed (0..nreps)
+    std::uint64_t tried = 0;    // bit r: replica r consumed
+    std::uint32_t rep = 0;      // replica being probed
     int stale_rounds = 0;       // re-placement rounds burned on the current replica
     bool done = false;          // best answer covers the piece
     bool have_best = false;

@@ -5,6 +5,10 @@ namespace daosim::cluster {
 Testbed::Testbed(ClusterConfig cfg) : cfg_(cfg), fabric_(sched_, cfg.fabric) {
   DAOSIM_REQUIRE(cfg_.server_nodes > 0 && cfg_.engines_per_server > 0, "bad cluster config");
   DAOSIM_REQUIRE(cfg_.client_nodes > 0, "need at least one client node");
+  // SWIM is the only failure detector and map-refresh path; no code path
+  // runs without it. SwimConfig::enabled survives only for source
+  // compatibility with configurations that set it to true.
+  DAOSIM_REQUIRE(cfg_.swim.enabled, "swim.enabled=false is not supported");
   fabric_.set_telemetry(&fabric_metrics_);
   domain_ = std::make_unique<net::RpcDomain>(fabric_);
 
@@ -68,7 +72,7 @@ Testbed::Testbed(ClusterConfig cfg) : cfg_(cfg), fabric_(sched_, cfg.fabric) {
 
   // One DTX service per engine: 2PC shard handlers plus the orphan reaper.
   for (auto& eng : engines_) {
-    dtxs_.push_back(std::make_unique<dtx::DtxService>(*eng, map_, svc_nodes_, cfg_.dtx));
+    dtxs_.push_back(std::make_unique<dtx::DtxService>(*eng, map_, cfg_.dtx));
   }
 
   // One aggregation service per engine, constrained by the co-indexed
@@ -78,8 +82,8 @@ Testbed::Testbed(ClusterConfig cfg) : cfg_(cfg), fabric_(sched_, cfg.fabric) {
                                                               svc_nodes_, cfg_.agg));
   }
 
-  // One SWIM service per engine: failure-detector probes (only when enabled)
-  // plus the always-on kOpMapFetch handler of the IV dissemination tree.
+  // One SWIM service per engine: failure-detector probes plus the
+  // kOpMapFetch handler of the IV dissemination tree.
   // Engines co-located with a pool-service replica are tree roots: they read
   // the Raft-committed map state directly instead of fetching over RPC.
   std::vector<net::NodeId> engine_nodes;
@@ -116,9 +120,7 @@ void Testbed::start() {
   DAOSIM_REQUIRE(!started_, "testbed already started");
   for (auto& s : svc_) s->start();
   for (auto& d : dtxs_) d->start();
-  if (cfg_.swim.enabled) {
-    for (auto& w : swims_) w->start();
-  }
+  for (auto& w : swims_) w->start();
   if (cfg_.agg.enabled) {
     for (auto& a : aggs_) a->start();
   }

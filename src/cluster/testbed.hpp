@@ -39,7 +39,7 @@ struct ClusterConfig {
   vos::PayloadMode payload = vos::PayloadMode::store;
   rebuild::RebuildConfig rebuild{};  // per-engine rebuild throttle
   dtx::DtxConfig dtx{};              // per-engine DTX reaper/resync knobs
-  swim::SwimConfig swim{};           // failure detector + IV relay; off by default
+  swim::SwimConfig swim{};           // failure detector + IV relay; always on
   agg::AggConfig agg{};              // background epoch aggregation; off by default
   std::uint64_t seed = 42;
 };
@@ -110,8 +110,7 @@ class Testbed {
   rebuild::RebuildService& rebuild_service(std::uint32_t i) { return *rebuilds_[i]; }
   /// Engine `i`'s DTX service (2PC handlers, orphan reaper, resync).
   dtx::DtxService& dtx_service(std::uint32_t i) { return *dtxs_[i]; }
-  /// Engine `i`'s SWIM failure detector / IV map relay (probing only when
-  /// ClusterConfig::swim.enabled; the kOpMapFetch handler always serves).
+  /// Engine `i`'s SWIM failure detector / IV map relay.
   swim::SwimService& swim_service(std::uint32_t i) { return *swims_[i]; }
   /// Engine `i`'s background aggregation service (flattening only when
   /// ClusterConfig::agg.enabled).

@@ -19,24 +19,12 @@ constexpr std::uint64_t kTraceTxReap = 0xFA17E00D'0000'0000ULL;
 constexpr std::uint64_t tx_tag(std::uint64_t client, std::uint64_t seq) {
   return (client << 32) ^ seq;
 }
-
-// Pool-service map_query (engine_excluded): bounded attempts per sweep; a
-// failed query is simply not authoritative and the next sweep asks again.
-constexpr int kMapQueryAttempts = 3;
-constexpr sim::Time kMapQueryRetryDelay = 50 * sim::kMs;
-constexpr std::uint64_t kMapQueryWireBytes = 128;
 }  // namespace
 
-DtxService::DtxService(engine::Engine& eng, pool::PoolMap base_map,
-                       std::vector<net::NodeId> svc_nodes, DtxConfig cfg)
+DtxService::DtxService(engine::Engine& eng, pool::PoolMap base_map, DtxConfig cfg)
     : eng_(eng),
       sched_(eng.endpoint().domain().scheduler()),
       base_map_(std::move(base_map)),
-      svc_(sched_, std::move(svc_nodes), {kMapQueryAttempts, kMapQueryRetryDelay},
-           [this](net::NodeId dst, net::Body body, std::uint64_t) {
-             return eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body),
-                                         kMapQueryWireBytes);
-           }),
       cfg_(cfg) {
   eng_.endpoint().register_handler(
       engine::kOpTxPrepare, [this](net::Request req) { return on_prepare(std::move(req)); });
@@ -241,17 +229,13 @@ sim::CoTask<void> DtxService::settle(SweepItem item) {
       // leader engine that is gone for good would leave this entry prepared
       // forever, pinning dtx_min_prepared_epoch and the aggregation floor.
       // Commit requires the leader's durable decision record, which nobody
-      // else can reach either, so once the pool map shows the engine
-      // EXCLUDED — or resolves have kept failing well past the orphan
-      // window (the backstop for maps that never converge) — an abort is
-      // authoritative.
+      // else can reach either, so once this engine's pool map shows the
+      // leader's engine EXCLUDED — or resolves have kept failing well past
+      // the orphan window (the backstop for maps that never converge) — an
+      // abort is authoritative.
       if (item.age < cfg_.orphan_timeout) co_return;
       const std::uint32_t failures = ++resolve_failures_[fkey];
-      bool abandoned = failures >= cfg_.abandon_resolve_failures;
-      if (!abandoned && !svc_.replicas().empty() && failures % 4 == 0) {
-        abandoned = co_await engine_excluded(lt.engine);
-      }
-      if (!abandoned) co_return;
+      if (failures < cfg_.abandon_resolve_failures && !eng_.map_excludes(lt.engine)) co_return;
       resolve_failures_.erase(fkey);
       verdict = vos::DtxState::aborted;
       orphans_aborted_->inc();
@@ -303,13 +287,6 @@ sim::CoTask<void> DtxService::settle(SweepItem item) {
   }
   resyncs_resolved_->inc();
   sched_.trace_note(kTraceTxResolve ^ tx_tag(item.id.client, item.id.seq));
-}
-
-sim::CoTask<bool> DtxService::engine_excluded(net::NodeId engine) {
-  // The same map_query the clients use. An unreachable pool service is not
-  // authoritative: keep waiting.
-  auto map = co_await svc_.run(pool::MapQuery{});
-  co_return map.ok() && map->excluded.contains(engine);
 }
 
 }  // namespace daosim::dtx

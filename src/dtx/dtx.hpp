@@ -14,7 +14,6 @@
 
 #include "engine/engine.hpp"
 #include "pool/pool_map.hpp"
-#include "pool/svc_client.hpp"
 
 namespace daosim::dtx {
 
@@ -31,10 +30,10 @@ struct DtxConfig {
   /// never commit (commit requires the leader's durable decision record,
   /// which nobody else can reach either), so it must not stay prepared
   /// forever pinning dtx_min_prepared_epoch and the aggregation floor.
-  /// Past orphan_timeout the reaper consults the pool service's exclusion
-  /// list (map_query) and aborts once the leader's engine is EXCLUDED; as a
-  /// backstop for maps that never converge, this many consecutive failed
-  /// resolves force the same authoritative abort.
+  /// Past orphan_timeout the reaper aborts once its own engine's pool map
+  /// (Engine::map_excludes, kept by SWIM/IV) shows the leader's engine
+  /// EXCLUDED; as a backstop for maps that never converge, this many
+  /// consecutive failed resolves force the same authoritative abort.
   std::uint32_t abandon_resolve_failures = 16;
 };
 
@@ -42,11 +41,7 @@ class DtxService {
  public:
   /// @param base_map   the pool map at assembly time (membership only; maps
   ///                   the leader shard's map-target index to its engine)
-  /// @param svc_nodes  pool-service replica nodes (for map_query when a
-  ///                   leader shard stays unreachable; empty disables the
-  ///                   exclusion check, leaving only the failure backstop)
-  DtxService(engine::Engine& eng, pool::PoolMap base_map, std::vector<net::NodeId> svc_nodes,
-             DtxConfig cfg = {});
+  DtxService(engine::Engine& eng, pool::PoolMap base_map, DtxConfig cfg = {});
   DtxService(const DtxService&) = delete;
   DtxService& operator=(const DtxService&) = delete;
 
@@ -89,10 +84,6 @@ class DtxService {
   sim::CoTask<void> sweep(bool force);
   std::vector<SweepItem> collect_prepared() const;
   sim::CoTask<void> settle(SweepItem item);
-  /// Asks the pool service (map_query, with the usual leader-hint redirect)
-  /// whether `engine` is in the Raft-committed exclusion list. False when
-  /// the service is unreachable — absence of evidence is not authoritative.
-  sim::CoTask<bool> engine_excluded(net::NodeId engine);
 
   /// Identifies one local prepared entry across sweeps (for the
   /// consecutive-resolve-failure backstop).
@@ -101,7 +92,6 @@ class DtxService {
   engine::Engine& eng_;
   sim::Scheduler& sched_;
   pool::PoolMap base_map_;
-  pool::SvcClient svc_;
   /// Consecutive failed leader resolves per prepared entry; reset on any
   /// successful resolve and pruned when the entry settles by other means.
   std::map<EntryKey, std::uint32_t> resolve_failures_;

@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "engine/proto.hpp"
@@ -86,13 +87,21 @@ class Engine {
   std::uint64_t fetches_served() const { return fetches_; }
   std::uint64_t shard_cache_misses() const { return cache_misses_; }  // stream-context misses
 
-  /// The engine's cached pool-map version, stamped on every reply this
-  /// endpoint serves (the IV piggyback — see docs/membership.md). Starts at
-  /// 1, the version of the map handed out at connect; the SwimService
-  /// advances it as deltas disseminate. With SWIM off it never moves, so
-  /// clients see no staleness signal and legacy behavior is unchanged.
+  /// The engine's cached pool map: its version, stamped on every reply this
+  /// endpoint serves (the IV piggyback — see docs/membership.md), and the
+  /// engines it shows EXCLUDED. The version starts at 1, the map handed out
+  /// at connect; the SwimService is the only writer of both, applying each
+  /// delta as it disseminates.
   std::uint32_t cached_map_version() const { return cached_map_version_; }
   void set_cached_map_version(std::uint32_t v) { cached_map_version_ = v; }
+  bool map_excludes(net::NodeId engine) const { return excluded_engines_.contains(engine); }
+  void apply_map_delta(const MapDeltaEntry& d) {
+    if (d.excluded) {
+      excluded_engines_.insert(d.engine);
+    } else {
+      excluded_engines_.erase(d.engine);
+    }
+  }
 
   /// This engine's metric tree ("engine/<node>"): per-opcode service-time
   /// histograms, per-target queue-depth stat gauges, VOS index probes, plus
@@ -153,6 +162,7 @@ class Engine {
   std::uint64_t fetches_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint32_t cached_map_version_ = 1;
+  std::set<net::NodeId> excluded_engines_;
 };
 
 }  // namespace daosim::engine

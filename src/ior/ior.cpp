@@ -71,6 +71,9 @@ struct IorRunner::JobState {
   std::uint64_t oid_base = 0;  // daos_array backend
   /// Snapshot epoch the read phase is pinned to (read_at_snapshot); 0 = none.
   vos::Epoch snapshot_epoch = 0;
+  /// Discard mode: the one read sink all reads share; nothing writes or reads
+  /// it (docs/io_path.md §6).
+  std::unique_ptr<std::byte[]> discard_sink;
 };
 
 IorRunner::IorRunner(cluster::Testbed& tb, std::uint32_t ppn, std::uint64_t chunk_size,
@@ -112,6 +115,9 @@ IorResult IorRunner::run(const IorConfig& cfg) {
 sim::CoTask<void> IorRunner::job_main(const IorConfig* cfg, IorResult* result) {
   if (!setup_done_) co_await setup();
   auto st = std::make_shared<JobState>();
+  if (cfg->do_read && tb_.config().payload != vos::PayloadMode::store) {
+    st->discard_sink = std::make_unique_for_overwrite<std::byte[]>(cfg->transfer_size);
+  }
   st->file_seed = mix64(0xF17E5EED ^ (job_seq_ + 1));
   st->dir = strfmt("%s/job%llu", cfg->test_dir.c_str(), static_cast<unsigned long long>(job_seq_));
   {
@@ -455,13 +461,11 @@ sim::CoTask<void> IorRunner::rank_body(mpi::Comm comm, const IorConfig* cfg,
       for (std::uint32_t t = 0; t < transfers; ++t) {
         const std::uint64_t off = file_offset(target, seg, t);
         auto op = [&, off]() -> sim::CoTask<void> {
-          // Per-op sink (bounded by eq_depth). Store mode zeroes it for
-          // check_pattern; in discard mode no read layer writes it
-          // (docs/io_path.md), so its pages are never touched.
+          // Store mode: a zeroed per-op sink (bounded by eq_depth) for
+          // check_pattern. Discard mode: the job's shared, untouched sink.
           const std::size_t rlen = std::size_t(cfg->transfer_size);
-          const auto rbuf = store ? std::make_unique<std::byte[]>(rlen)
-                                  : std::make_unique_for_overwrite<std::byte[]>(rlen);
-          const std::span<std::byte> sink(rbuf.get(), rlen);
+          const auto rbuf = store ? std::make_unique<std::byte[]>(rlen) : nullptr;
+          const std::span<std::byte> sink(store ? rbuf.get() : st->discard_sink.get(), rlen);
           std::uint64_t filled = cfg->transfer_size;
           auto n = co_await rf->read(off, sink);
           if (!n.ok() && n.error() == Errno::data_loss) {

@@ -56,7 +56,7 @@ void Fabric::bind_node_counters(NodeId n) {
 }
 
 sim::CoTask<void> Fabric::transfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                                   sim::TraceContext ctx) {
+                                   sim::TraceContext ctx, Lane lane) {
   DAOSIM_REQUIRE(src < nodes_.size() && dst < nodes_.size(), "unknown fabric node");
   ++messages_;
   const std::uint64_t wire = bytes + cfg_.message_header_bytes;
@@ -80,24 +80,26 @@ sim::CoTask<void> Fabric::transfer(NodeId src, NodeId dst, std::uint64_t bytes,
   const sim::TraceContext xfer_ctx = ctx.child(sched_.alloc_span_id());
   const sim::Time t0 = sched_.now();
   co_await sched_.delay(latency);
-  // Cut-through: the transfer completes when the last byte has cleared the
-  // slowest of the three shared stages; we serve them concurrently.
-  const sim::Time stages_begin = sched_.now();
-  std::vector<sim::CoTask<void>> stages;
-  stages.reserve(3);
-  stages.push_back(stage(*nodes_[src].egress, wire));
-  stages.push_back(stage(*switch_, wire));
-  stages.push_back(stage(*nodes_[dst].ingress, wire));
-  co_await sim::when_all(sched_, std::move(stages));
-  if (queue_delay_) {
-    // Queueing delay: measured stage time beyond the contention-free
-    // serialization time through the slowest of the three pipes.
-    const double min_rate =
-        std::min({nodes_[src].egress->rate_bytes_per_sec(), switch_->rate_bytes_per_sec(),
-                  nodes_[dst].ingress->rate_bytes_per_sec()});
-    const auto ideal = sim::Time(double(wire) / min_rate * 1e9);
-    const sim::Time elapsed = sched_.now() - stages_begin;
-    queue_delay_->record(elapsed > ideal ? elapsed - ideal : 0);
+  if (lane == Lane::bulk) {
+    // Cut-through: the transfer completes when the last byte has cleared the
+    // slowest of the three shared stages; we serve them concurrently.
+    const sim::Time stages_begin = sched_.now();
+    std::vector<sim::CoTask<void>> stages;
+    stages.reserve(3);
+    stages.push_back(stage(*nodes_[src].egress, wire));
+    stages.push_back(stage(*switch_, wire));
+    stages.push_back(stage(*nodes_[dst].ingress, wire));
+    co_await sim::when_all(sched_, std::move(stages));
+    if (queue_delay_) {
+      // Queueing delay: measured stage time beyond the contention-free
+      // serialization time through the slowest of the three pipes.
+      const double min_rate =
+          std::min({nodes_[src].egress->rate_bytes_per_sec(), switch_->rate_bytes_per_sec(),
+                    nodes_[dst].ingress->rate_bytes_per_sec()});
+      const auto ideal = sim::Time(double(wire) / min_rate * 1e9);
+      const sim::Time elapsed = sched_.now() - stages_begin;
+      queue_delay_->record(elapsed > ideal ? elapsed - ideal : 0);
+    }
   }
   if (sim::SpanSink* sink = sched_.span_sink()) {
     sink->span("xfer", strfmt("%u->%u %" PRIu64 "B", src, dst, wire), src, dst, t0,

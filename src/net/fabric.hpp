@@ -23,6 +23,11 @@ namespace daosim::net {
 
 using NodeId = std::uint32_t;
 
+/// `bulk` messages take a fair share of the sender NIC, core switch and
+/// receiver NIC; `control` messages (SWIM probes) pay latency only, so
+/// background probing cannot shift data-path timing (docs/membership.md §1).
+enum class Lane : std::uint8_t { bulk, control };
+
 struct FabricConfig {
   double rail_bytes_per_sec = 12.5e9;  // one 100 Gb/s rail
   std::uint32_t rails_per_node = 2;    // NEXTGenIO: dual-rail Omni-Path
@@ -48,11 +53,12 @@ class Fabric {
   sim::Scheduler& scheduler() { return sched_; }
 
   /// Moves `bytes` (plus the message header) from `src` to `dst`, completing
-  /// when the last byte lands. Loopback messages pay latency only. `ctx` is
-  /// the caller's trace context; the transfer's "xfer" span is emitted as its
+  /// when the last byte lands. Loopback and `Lane::control` messages pay
+  /// latency only; both still count as sent messages and bytes. `ctx` is the
+  /// caller's trace context; the transfer's "xfer" span is emitted as its
   /// child (inactive context = unlinked span, exactly as before).
   sim::CoTask<void> transfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                             sim::TraceContext ctx = {});
+                             sim::TraceContext ctx = {}, Lane lane = Lane::bulk);
 
   std::uint64_t bytes_sent(NodeId n) const;
   std::uint64_t messages_sent() const { return messages_; }

@@ -34,7 +34,8 @@ RpcEndpoint::OpMetrics& RpcEndpoint::op_metrics(std::uint16_t opcode) {
 }
 
 sim::CoTask<Reply> RpcEndpoint::call(NodeId dst, std::uint16_t opcode, Body body,
-                                     std::uint64_t request_bytes, sim::TraceContext ctx) {
+                                     std::uint64_t request_bytes, sim::TraceContext ctx,
+                                     Lane lane) {
   OpMetrics* m = telemetry_ != nullptr ? &op_metrics(opcode) : nullptr;
   if (inflight_ >= max_inflight_) {
     ++busy_rejections_;
@@ -73,7 +74,7 @@ sim::CoTask<Reply> RpcEndpoint::call(NodeId dst, std::uint16_t opcode, Body body
     if (fault.extra_delay > 0) co_await fabric.scheduler().delay(fault.extra_delay);
   }
 
-  co_await fabric.transfer(node_, dst, request_bytes, rpc_ctx);
+  co_await fabric.transfer(node_, dst, request_bytes, rpc_ctx, lane);
 
   // The awaits between this lookup and its uses sit on co_return paths, and
   // endpoints_ nodes are erased only in ~RpcEndpoint (a crash flips down_,
@@ -123,7 +124,7 @@ sim::CoTask<Reply> RpcEndpoint::call(NodeId dst, std::uint16_t opcode, Body body
   // so callers can link what served them without every handler cooperating.
   reply.ctx = svc_ctx;
 
-  co_await fabric.transfer(dst, node_, reply.wire_bytes, rpc_ctx);
+  co_await fabric.transfer(dst, node_, reply.wire_bytes, rpc_ctx, lane);
   if (m) {
     m->completed->inc();
     m->latency->record(fabric.scheduler().now() - t0);

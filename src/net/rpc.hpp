@@ -133,8 +133,10 @@ class RpcEndpoint {
   /// `ctx` is the caller's trace context: the RPC's client-side span becomes
   /// its child and the server-side handler span a grandchild; both request
   /// and reply are stamped centrally here (see Request::ctx / Reply::ctx).
+  /// Request and reply both travel on `lane`.
   sim::CoTask<Reply> call(NodeId dst, std::uint16_t opcode, Body body,
-                          std::uint64_t request_bytes, sim::TraceContext ctx = {});
+                          std::uint64_t request_bytes, sim::TraceContext ctx = {},
+                          Lane lane = Lane::bulk);
 
   /// Marks this endpoint unreachable (for failure injection); calls to it
   /// time out with Errno::timed_out after `timeout`.

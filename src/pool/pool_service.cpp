@@ -15,11 +15,6 @@ namespace {
 /// incomplete rebuild tasks. Re-driving is idempotent — scans are read-only
 /// and rebuild_done is duplicate-guarded — so a lost RPC just costs a tick.
 constexpr sim::Time kCoordTick = 50 * sim::kMs;
-/// Consecutive failed scan/assign RPCs before the coordinator evicts the
-/// unresponsive participant (models SWIM-style failure detection; without it
-/// a participant that crashes mid-rebuild wedges the task forever).
-constexpr int kScanFailEvict = 3;
-
 // Trace-digest tags for rebuild coordination milestones.
 constexpr std::uint64_t kTraceRebuildDrive = 0xFA17E005'0000'0000ULL;
 constexpr std::uint64_t kTraceRebuildAssign = 0xFA17E006'0000'0000ULL;
@@ -85,8 +80,6 @@ Result<std::uint32_t> PoolMetaSm::execute(const PoolReint& c) {
   }
   return map_version_;
 }
-
-Result<MapState> PoolMetaSm::execute(const MapQuery&) { return MapState{map_version_, excluded_}; }
 
 Result<RebuildAck> PoolMetaSm::execute(const RebuildDone& c) {
   const auto it = rebuilds_.find(c.version);
@@ -405,13 +398,9 @@ sim::CoTask<void> PoolServiceReplica::drive_task(std::uint32_t version) {
     engine::RebuildScanReq req = base;
     Body body = Body::make(std::move(req));
     Reply r = co_await ep_.call(node, engine::kOpRebuildScan, std::move(body), 512);
-    if (r.status != Errno::ok) {
-      if (++scan_fail_[{version, node}] >= kScanFailEvict) {
-        co_await raft_->submit(encode(PoolEvict{node}));
-      }
-      co_return;  // superseded or retried next tick
-    }
-    scan_fail_.erase({version, node});
+    // A participant that stays unreachable is SWIM's to evict; its eviction
+    // supersedes this task. Until then the next tick retries.
+    if (r.status != Errno::ok) co_return;
     auto& resp = r.body.get<engine::RebuildScanResp>();
     entries.insert(entries.end(), resp.entries.begin(), resp.entries.end());
   }
@@ -429,13 +418,7 @@ sim::CoTask<void> PoolServiceReplica::drive_task(std::uint32_t version) {
     const std::uint64_t wire = 512 + 64 * req.entries.size();
     Body body = Body::make(std::move(req));
     Reply r = co_await ep_.call(node, engine::kOpRebuildScan, std::move(body), wire);
-    if (r.status != Errno::ok) {
-      if (++scan_fail_[{version, node}] >= kScanFailEvict) {
-        co_await raft_->submit(encode(PoolEvict{node}));
-      }
-      co_return;
-    }
-    scan_fail_.erase({version, node});
+    if (r.status != Errno::ok) co_return;
   }
   ep_.domain().scheduler().trace_note(kTraceRebuildAssign ^ version);
 }

@@ -46,7 +46,6 @@ class PoolMetaSm final : public raft::StateMachine {
   Result<std::vector<vos::Uuid>> execute(const ListConts& c);
   Result<std::uint32_t> execute(const PoolEvict& c);
   Result<std::uint32_t> execute(const PoolReint& c);
-  Result<MapState> execute(const MapQuery& c);
   Result<RebuildAck> execute(const RebuildDone& c);
   Result<Ack> execute(const SnapCreate& c);
   Result<Ack> execute(const SnapDestroy& c);
@@ -173,9 +172,6 @@ class PoolServiceReplica {
   std::unique_ptr<raft::RaftNode> raft_;
   bool coord_running_ = false;
   bool driving_ = false;
-  /// Consecutive scan/assign RPC failures per (task, engine): an engine that
-  /// keeps failing mid-rebuild is itself evicted so the task converges.
-  std::map<std::pair<std::uint32_t, net::NodeId>, int> scan_fail_;
 };
 
 }  // namespace daosim::pool

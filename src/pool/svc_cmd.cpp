@@ -18,7 +18,6 @@ auto fields(AllocOids& c) { return std::tie(c.cont, c.count); }
 auto fields(ListConts&) { return std::tie(); }
 auto fields(PoolEvict& c) { return std::tie(c.engine); }
 auto fields(PoolReint& c) { return std::tie(c.engine); }
-auto fields(MapQuery&) { return std::tie(); }
 auto fields(RebuildDone& c) { return std::tie(c.engine, c.version); }
 auto fields(SnapCreate& c) { return std::tie(c.cont, c.epoch); }
 auto fields(SnapDestroy& c) { return std::tie(c.cont, c.epoch); }
@@ -48,10 +47,6 @@ void put(std::ostream&, const Ack&) {}
 void put(std::ostream& os, RebuildAck a) {
   if (a == RebuildAck::dup) os << " dup";
   if (a == RebuildAck::stale) os << " stale";
-}
-void put(std::ostream& os, const MapState& m) {
-  put(os, m.version);
-  put(os, m.excluded);
 }
 template <Collection C>
 void put(std::ostream& os, const C& c) {
@@ -89,7 +84,6 @@ bool get(std::istream& is, RebuildAck& a) {
   else return false;
   return true;
 }
-bool get(std::istream& is, MapState& m) { return get(is, m.version) && get(is, m.excluded); }
 template <Collection C>
 bool get(std::istream& is, C& c) {
   std::size_t n = 0;
@@ -177,7 +171,6 @@ DAOSIM_REPLY_CODEC(std::uint64_t)
 DAOSIM_REPLY_CODEC(std::uint32_t)
 DAOSIM_REPLY_CODEC(std::vector<vos::Uuid>)
 DAOSIM_REPLY_CODEC(std::vector<vos::Epoch>)
-DAOSIM_REPLY_CODEC(MapState)
 DAOSIM_REPLY_CODEC(RebuildAck)
 #undef DAOSIM_REPLY_CODEC
 

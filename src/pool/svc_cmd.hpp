@@ -14,7 +14,6 @@
 //   list_conts                                 "ok <n> <hi> <lo> ..."
 //   pool_evict <engine>                        "ok <map_version>"   (idempotent)
 //   pool_reint <engine>                        "ok <map_version>"   (idempotent)
-//   map_query                                  "ok <map_version> <k> <engine> ..."
 //   rebuild_done <engine> <version>            "ok" | "ok dup" | "ok stale"
 //   snap_create <hi> <lo> <epoch>              "ok" | "ENOENT"
 //   snap_destroy <hi> <lo> <epoch>             "ok" | "ENOENT"
@@ -23,7 +22,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -44,13 +42,6 @@ struct Ack {
 /// rebuild_done outcome: counted, a duplicate report, or a report for a
 /// task that no longer exists. All three are successes for the reporter.
 enum class RebuildAck { done, dup, stale };
-
-/// map_query reply: the committed pool-map version and exclusion set.
-struct MapState {
-  std::uint32_t version = 0;
-  std::set<net::NodeId> excluded;
-  bool operator==(const MapState&) const = default;
-};
 
 // --- Commands ---
 
@@ -104,12 +95,6 @@ struct PoolReint {
   bool operator==(const PoolReint&) const = default;
 };
 
-struct MapQuery {
-  static constexpr std::string_view kOp = "map_query";
-  using Reply = MapState;
-  bool operator==(const MapQuery&) const = default;
-};
-
 struct RebuildDone {
   static constexpr std::string_view kOp = "rebuild_done";
   using Reply = RebuildAck;
@@ -142,7 +127,7 @@ struct SnapList {
 };
 
 using SvcCmd = std::variant<ContCreate, ContOpen, ContDestroy, AllocOids, ListConts, PoolEvict,
-                            PoolReint, MapQuery, RebuildDone, SnapCreate, SnapDestroy, SnapList>;
+                            PoolReint, RebuildDone, SnapCreate, SnapDestroy, SnapList>;
 
 // --- Codec ---
 

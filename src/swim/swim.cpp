@@ -15,13 +15,16 @@ constexpr std::uint64_t kTraceSwimRefute = 0xFA17E011'0000'0000ULL;
 constexpr std::uint64_t kTraceSwimDead = 0xFA17E012'0000'0000ULL;
 constexpr std::uint64_t kTraceIvFetch = 0xFA17E013'0000'0000ULL;
 
-/// Wire size of a SWIM probe / ack / delta fetch (small control messages).
+/// Wire size of a SWIM probe / ack / delta fetch; probes use net::Lane::control.
 constexpr std::uint64_t kSwimMsgBytes = 128;
 
-// pool_evict submission budget for pool::SvcClient; a failed campaign is NOT
-// retried (see submit_evict).
+// pool_evict submission budget for pool::SvcClient, per round. A campaign
+// runs up to kEvictRounds rounds, but starts another only while a quorum
+// may still answer (see submit_evict): 4 rounds of 4 x 50 ms pauses outlast
+// a Raft election (election_timeout_max 300 ms plus a vote round).
 constexpr int kEvictAttempts = 4;
 constexpr sim::Time kEvictRetryDelay = 50 * sim::kMs;
+constexpr int kEvictRounds = 4;
 
 // Delta fetch: bounded rounds per trigger; the probe loop re-triggers while
 // the engine remains behind, so giving up costs one probe period.
@@ -38,7 +41,7 @@ SwimService::SwimService(engine::Engine& eng, std::uint32_t index,
       members_(std::move(members)),
       svc_(sched_, std::move(svc_nodes), {kEvictAttempts, kEvictRetryDelay},
            [this](net::NodeId dst, Body body, std::uint64_t) {
-             return eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body), kSwimMsgBytes);
+             return send_svc(dst, std::move(body));
            }),
       cfg_(cfg),
       rng_(seed),
@@ -90,7 +93,7 @@ std::optional<std::uint32_t> SwimService::member_index(net::NodeId node) const {
 }
 
 bool SwimService::probeable(std::uint32_t m) const {
-  return m != index_ && !state_[m].dead && !state_[m].excluded;
+  return m != index_ && !state_[m].dead && !map_excluded(m);
 }
 
 std::uint32_t SwimService::next_member() {
@@ -130,7 +133,7 @@ std::vector<engine::SwimMemberUpdate> SwimService::gossip() const {
     // Suspicions ride every message; a local death verdict that the map has
     // not confirmed keeps riding too, so a wrong verdict (partitioned
     // observer) keeps being challenged until the victim refutes it.
-    if (mi.excluded) continue;
+    if (map_excluded(m)) continue;
     if (mi.suspect || mi.dead) {
       out.push_back(engine::SwimMemberUpdate{members_[m], mi.incarnation, true});
     }
@@ -153,7 +156,7 @@ void SwimService::process_updates(const std::vector<engine::SwimMemberUpdate>& u
     const std::optional<std::uint32_t> idx = member_index(u.member);
     if (!idx) continue;
     Member& mi = state_[*idx];
-    if (mi.excluded) continue;  // map-confirmed state is authoritative
+    if (map_excluded(*idx)) continue;  // map-confirmed state is authoritative
     if (u.suspect) {
       // Suspicion wins ties (SWIM: suspect(i) overrides alive(i)).
       if (u.incarnation >= mi.incarnation && !mi.suspect && !mi.dead) {
@@ -202,7 +205,7 @@ sim::CoTask<net::Reply> SwimService::on_ping_req(net::Request req) {
   // req.ctx threads the prober's trace through the relay: probe -> ping-req
   // -> relayed ping shows up as one chain across three nodes.
   Reply sub = co_await eng_.endpoint().call(subject, engine::kOpSwimPing, std::move(body),
-                                            kSwimMsgBytes, req.ctx);
+                                            kSwimMsgBytes, req.ctx, net::Lane::control);
   engine::SwimPingResp resp;
   resp.subject_acked = sub.status == Errno::ok;
   if (sub.status == Errno::ok) {
@@ -258,18 +261,17 @@ void SwimService::apply_map_fetch(const engine::MapFetchResp& resp) {
   for (const engine::MapDeltaEntry& d : resp.deltas) {
     if (d.version <= before) continue;  // already have it
     deltas_.push_back(d);
+    eng_.apply_map_delta(d);
     const std::optional<std::uint32_t> idx = member_index(d.engine);
     if (!idx || *idx == index_) continue;
     Member& mi = state_[*idx];
     if (d.excluded) {
       // Eviction committed: the verdict is final, stop probing the member.
-      mi.excluded = true;
       mi.dead = true;
       mi.suspect = false;
       mi.evict_tried = true;
     } else {
       // Reintegration: the member is back; start from a clean slate.
-      mi.excluded = false;
       mi.dead = false;
       mi.suspect = false;
       mi.evict_tried = false;
@@ -360,7 +362,7 @@ sim::CoTask<void> SwimService::probe_once() {
   ping.updates = gossip();
   Body body = Body::make(std::move(ping));
   Reply r = co_await eng_.endpoint().call(subject, engine::kOpSwimPing, std::move(body),
-                                          kSwimMsgBytes, ctx);
+                                          kSwimMsgBytes, ctx, net::Lane::control);
   if (r.status == Errno::ok) {
     const auto& ack = r.body.get<engine::SwimPingResp>();
     process_updates(ack.updates);
@@ -380,7 +382,8 @@ sim::CoTask<void> SwimService::probe_once() {
     rr.updates = gossip();
     Body rbody = Body::make(std::move(rr));
     Reply wr = co_await eng_.endpoint().call(members_[w], engine::kOpSwimPingReq,
-                                             std::move(rbody), kSwimMsgBytes, ctx);
+                                             std::move(rbody), kSwimMsgBytes, ctx,
+                                             net::Lane::control);
     if (wr.status != Errno::ok) continue;
     const auto& ack = wr.body.get<engine::SwimPingResp>();
     process_updates(ack.updates);
@@ -388,7 +391,7 @@ sim::CoTask<void> SwimService::probe_once() {
     if (ack.subject_acked) co_return;  // reachable through the witness: alive
   }
   Member& mi = state_[m];
-  if (!mi.suspect && !mi.dead && !mi.excluded) {
+  if (!mi.suspect && !mi.dead && !map_excluded(m)) {
     mi.suspect = true;
     mi.suspect_since = sched_.now();
     suspects_->inc();
@@ -408,11 +411,26 @@ sim::CoTask<void> SwimService::sweep_suspects() {
       deaths_declared_->inc();
       sched_.trace_note(kTraceSwimDead ^ (std::uint64_t(index_) << 32) ^ m);
     }
-    if (state_[m].dead && !state_[m].excluded && !state_[m].evict_tried) {
+    if (state_[m].dead && !map_excluded(m) && !state_[m].evict_tried) {
       co_await submit_evict(m);  // state_ re-indexed after the suspension
     }
   }
   sweeping_ = false;
+}
+
+sim::CoTask<net::Reply> SwimService::send_svc(net::NodeId dst, net::Body body) {
+  Reply r = co_await eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body), kSwimMsgBytes);
+  if (r.status != Errno::timed_out) {
+    svc_answered_.insert(dst);
+    svc_silent_.erase(dst);
+  } else if (!svc_answered_.contains(dst)) {
+    svc_silent_.insert(dst);
+  }
+  co_return r;
+}
+
+bool SwimService::svc_quorum_may_answer() const {
+  return !svc_answered_.empty() && 2 * svc_silent_.size() < svc_.replicas().size();
 }
 
 sim::CoTask<void> SwimService::submit_evict(std::uint32_t m) {
@@ -421,12 +439,26 @@ sim::CoTask<void> SwimService::submit_evict(std::uint32_t m) {
   // verdict replayed after the partition heals would evict a healthy
   // engine. If the member is truly dead, a detector that CAN reach the
   // service evicts it; if we were wrong, refutation revives the member.
+  // A round that failed while replicas answered and no majority of them
+  // stayed silent met an election, not a partition (a quorum may still be
+  // reachable but has no leader yet), so the campaign rides it out with
+  // further rounds. A minority hears a majority of the replicas stay silent
+  // in its first round, even with a replica on its side of the cut: that
+  // replica is a candidate, names no leader, and the round walks them all.
   state_[m].evict_tried = true;
   const net::NodeId member = members_[m];
-  auto version = co_await svc_.run(pool::PoolEvict{member});
-  // The committed eviction comes back as a delta; apply_map_fetch marks the
-  // member excluded when it arrives.
-  if (version.ok()) note_remote_map_version(*version);
+  svc_answered_.clear();
+  svc_silent_.clear();
+  for (int round = 0; round < kEvictRounds; ++round) {
+    auto version = co_await svc_.run(pool::PoolEvict{member});
+    // The committed eviction comes back as a delta; apply_map_fetch marks
+    // the member excluded when it arrives.
+    if (version.ok()) {
+      note_remote_map_version(*version);
+      co_return;
+    }
+    if (!svc_quorum_may_answer()) co_return;
+  }
 }
 
 }  // namespace daosim::swim

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -27,9 +28,10 @@
 namespace daosim::swim {
 
 struct SwimConfig {
-  /// Off by default: with SWIM off no probe traffic exists, engine cached
-  /// map versions never move, and every pre-SWIM trace is bit-identical.
-  bool enabled = false;
+  /// Must stay true: SWIM is the only way an engine leaves the pool map, and
+  /// cluster::Testbed rejects false. The field remains so that existing
+  /// configurations that set it to true keep compiling.
+  bool enabled = true;
   /// One direct probe (of the next rotation member) per period.
   sim::Time probe_period = 500 * sim::kMs;
   /// Suspect -> dead. Must comfortably exceed one full probe round plus the
@@ -88,8 +90,7 @@ class SwimService {
     std::uint64_t incarnation = 0;
     bool suspect = false;
     sim::Time suspect_since = 0;
-    bool dead = false;      // local verdict (stops probing; gossiped as suspicion)
-    bool excluded = false;  // map-confirmed (authoritative; delta log said so)
+    bool dead = false;  // local verdict (stops probing; gossiped as suspicion)
     bool evict_tried = false;
   };
 
@@ -103,8 +104,16 @@ class SwimService {
   /// Submits `pool_evict` for member `m` with bounded attempts; marks
   /// evict_tried so one death declaration yields at most one submission
   /// campaign (a partitioned minority must not replay stale verdicts after
-  /// the partition heals — refutation revives the member instead).
+  /// the partition heals — refutation revives the member instead). The
+  /// campaign outlasts a pool-service election: it keeps going while
+  /// svc_quorum_may_answer().
   sim::CoTask<void> submit_evict(std::uint32_t m);
+  /// svc_'s transport: one kOpPoolSvc call; notes whether the replica
+  /// answered or stayed silent.
+  sim::CoTask<net::Reply> send_svc(net::NodeId dst, net::Body body);
+  /// True while the running campaign heard some replica answer and no
+  /// majority of the replicas stay silent (never answered, timed out).
+  bool svc_quorum_may_answer() const;
 
   /// Next rotation member to probe (skips self, dead, excluded); reshuffles
   /// the permutation when exhausted. kNone when nobody is probeable.
@@ -112,6 +121,9 @@ class SwimService {
   std::vector<std::uint32_t> pick_witnesses(std::uint32_t subject) const;
   std::optional<std::uint32_t> member_index(net::NodeId node) const;
   bool probeable(std::uint32_t m) const;
+  /// Map-confirmed exclusion (authoritative): the engine's cached pool map,
+  /// which apply_map_fetch keeps current, shows member `m` EXCLUDED.
+  bool map_excluded(std::uint32_t m) const { return eng_.map_excludes(members_[m]); }
 
   /// The piggyback: our own alive entry plus every live suspicion (including
   /// locally-dead-but-unconfirmed members, so a wrong verdict keeps being
@@ -146,6 +158,10 @@ class SwimService {
   LocalMapSource local_map_source_;
   bool running_ = false;
   bool sweeping_ = false;
+  /// Replicas that answered / only ever timed out in the running evict
+  /// campaign (one campaign at a time: sweep_suspects is single-flight).
+  std::set<net::NodeId> svc_answered_;
+  std::set<net::NodeId> svc_silent_;
   telemetry::Counter* probes_ = nullptr;
   telemetry::Counter* ping_reqs_ = nullptr;
   telemetry::Counter* suspects_ = nullptr;

@@ -8,6 +8,7 @@
 
 #include "cluster/testbed.hpp"
 #include "discard_stack.hpp"
+#include "eviction_check.hpp"
 
 namespace daosim::client {
 namespace {
@@ -568,32 +569,73 @@ TEST(Batch, DegradedTargetMidBatchFallsBackPerExtent) {
     for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i % 199);
     EXPECT_EQ(co_await arr.write(0, data.size(), data), Errno::ok);
 
-    // Silence one of the two replica engines for fetches only: pieces hashed
-    // to it fail inside their batch and must individually fall back to the
-    // surviving replica, while their batch-mates succeed untouched.
-    net::NodeId dead{};
-    for (std::uint32_t e = 0; e < tb.engine_count(); ++e) {
-      if (tb.engine(e).updates_served() > 0) {
-        dead = tb.engine(e).node();
-        break;
-      }
-    }
-    tb.domain().set_fault_hook([dead](net::NodeId, net::NodeId dst, std::uint16_t op) {
-      net::CallFault f;
-      f.drop = op == engine::kOpObjFetch && dst == dead;
-      return f;
-    });
+    // Crash one of the two replica engines: pieces hashed to it fail inside
+    // their batch and must individually fall back to the surviving replica,
+    // while their batch-mates succeed untouched.
+    std::uint32_t dead = 0;
+    while (tb.engine(dead).updates_served() == 0) ++dead;
+    const net::NodeId dead_node = tb.engine(dead).node();
+    tb.crash_engine(dead);
 
     std::vector<std::byte> out(data.size());
     auto filled = co_await arr.read(0, out);
-    tb.domain().set_fault_hook({});
     CO_ASSERT_TRUE(filled.ok());
     EXPECT_EQ(*filled, data.size());
     EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
-    // The pieces aimed at the silenced replica burned their retry budget,
-    // reported the engine, and were individually re-driven — their
-    // batch-mates on the healthy replica never re-sent.
-    EXPECT_GE(cl.evictions_reported(), 1u);
+    // The pieces aimed at the crashed replica burned their retry budget and
+    // waited out SWIM's eviction of the engine before being re-driven.
+    EXPECT_EQ(cl.pool_map().version, 2u);
+    EXPECT_TRUE(testkit::client_sees_excluded(cl, dead_node));
+    EXPECT_GE(testkit::swim_deaths(tb), 1u);
+  });
+  tb.stop();
+}
+
+TEST(Batch, FetchSilencedReplicaFallsBackAfterOneWait) {
+  // The replica engine is alive to SWIM (only the client's fetches to it are
+  // lost), so nobody evicts it: the first read waits out one eviction wait
+  // and moves to the other replica; later reads skip the suspected replica.
+  Testbed tb(small_cluster());
+  tb.start();
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_TRUE((co_await cl.cont_create(kPoolUuid, {})).ok());
+    ArrayObject arr(cl, kPoolUuid, make_oid(46, ObjClass::RP_2G1), 4096);
+    std::vector<std::byte> data(8 * 4096);
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i % 197);
+    EXPECT_EQ(co_await arr.write(0, data.size(), data), Errno::ok);
+
+    std::uint32_t silenced = 0;
+    while (tb.engine(silenced).updates_served() == 0) ++silenced;
+    const net::NodeId silenced_node = tb.engine(silenced).node();
+    const std::uint64_t svc_before = testkit::svc_rpcs_sent(cl);
+    tb.domain().set_fault_hook([silenced_node](net::NodeId, net::NodeId dst, std::uint16_t op) {
+      net::CallFault f;
+      f.drop = op == engine::kOpObjFetch && dst == silenced_node;
+      return f;
+    });
+
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<std::byte> out(data.size());
+      const sim::Time t0 = tb.sched().now();
+      auto filled = co_await arr.read(0, out);
+      const sim::Time took = tb.sched().now() - t0;
+      CO_ASSERT_TRUE(filled.ok());
+      EXPECT_EQ(*filled, data.size());
+      EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
+      if (pass == 0) {
+        // One retry budget (~0.5 s) plus one expired eviction wait (11 s),
+        // not one per re-placement round on the same replica.
+        EXPECT_LT(took, 12 * sim::kSec);
+      } else {
+        EXPECT_LT(took, 10 * sim::kMs) << "the suspected replica was asked again";
+      }
+    }
+    tb.domain().set_fault_hook({});
+    // Nobody evicted the silenced engine: it answers SWIM's probes.
+    EXPECT_EQ(cl.pool_map().version, 1u);
+    EXPECT_EQ(testkit::swim_deaths(tb), 0u);
+    EXPECT_EQ(testkit::svc_rpcs_sent(cl), svc_before);
   });
   tb.stop();
 }

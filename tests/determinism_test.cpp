@@ -165,12 +165,29 @@ INSTANTIATE_TEST_SUITE_P(
 // rebuild_done all run through the scheduler, so a seeded crash + rebuild +
 // readback scenario must fold into a bit-identical digest on replay.
 
-std::uint64_t run_rebuild_scenario(const std::string& faults, bool readback) {
+/// Crashes whichever engine leads the pool service the moment a rebuild task
+/// is in flight (replica index == engine index). Gives up after `timeout`,
+/// so a run that never rebuilds cannot keep the scheduler busy forever.
+CoTask<void> crash_leader_mid_rebuild(Testbed* tb, sim::Time timeout) {
+  const sim::Time deadline = tb->sched().now() + timeout;
+  while (tb->sched().now() < deadline) {
+    co_await tb->sched().delay(1 * sim::kMs);
+    const auto l = tb->svc_leader();
+    if (l && tb->svc_replica(*l).meta().rebuilds_incomplete() > 0) {
+      tb->crash_engine(*l);
+      co_return;
+    }
+  }
+}
+
+std::uint64_t run_rebuild_scenario(const std::string& faults, bool readback,
+                                   bool crash_leader = false) {
   Testbed tb(small_cluster());
   tb.start();
   auto schedule = fault::Schedule::parse(faults);
   EXPECT_TRUE(schedule.ok());
   tb.inject_faults(*schedule, /*seed=*/7);
+  if (crash_leader) tb.sched().spawn(crash_leader_mid_rebuild(&tb, 30 * sim::kSec));
 
   IorRunner runner(tb, /*ppn=*/4);
   IorConfig job = small_job(Api::daos_array, /*fpp=*/false);
@@ -180,6 +197,11 @@ std::uint64_t run_rebuild_scenario(const std::string& faults, bool readback) {
   const IorResult res = runner.run(job);
   EXPECT_EQ(res.verify_errors, 0u);
   EXPECT_TRUE(tb.wait_rebuild());
+  if (crash_leader) {
+    // Both the crashed engine and the crashed leader's engine left the map.
+    const auto l = tb.svc_leader();
+    EXPECT_TRUE(l && tb.svc_replica(*l).meta().excluded_engines().size() == 2u);
+  }
 
   if (readback) {
     // Post-heal readback folds degraded-read placement and the rebuilt
@@ -215,22 +237,14 @@ TEST(RebuildDeterminism, CrashRebuildReadbackReplaysBitIdentically) {
 }
 
 TEST(RebuildDeterminism, LeaderCrashMidRebuildResumesBitIdentically) {
-  // Which replica won the first election is itself deterministic: probe it
-  // once, then crash exactly that engine while the rebuild for engine 3 is
-  // still in flight. The new leader must resume the task from the
-  // Raft-committed done-set, and both runs must replay identically.
-  std::uint32_t leader = 0;
-  {
-    Testbed probe(small_cluster());
-    probe.start();
-    const auto l = probe.svc_leader();
-    ASSERT_TRUE(l.has_value());
-    leader = *l;
-    probe.stop();
-  }
-  const std::string faults = strfmt("crash@5ms:e3,crash@700ms:e%u", leader);
-  const std::uint64_t first = run_rebuild_scenario(faults, /*readback=*/false);
-  const std::uint64_t second = run_rebuild_scenario(faults, /*readback=*/false);
+  // SWIM evicts engine 3 a few seconds after its crash; the moment the
+  // resulting rebuild task is in flight, the pool-service leader crashes too.
+  // The new leader must resume the task from the Raft-committed done-set,
+  // SWIM must then evict the old leader's engine through the new leader, and
+  // both runs must replay identically.
+  const std::string faults = "crash@5ms:e3";
+  const std::uint64_t first = run_rebuild_scenario(faults, /*readback=*/false, true);
+  const std::uint64_t second = run_rebuild_scenario(faults, /*readback=*/false, true);
   EXPECT_EQ(first, second)
       << "leader failover mid-rebuild diverged — resume path is nondeterministic";
 }

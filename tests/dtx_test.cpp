@@ -18,6 +18,7 @@
 #include "cluster/testbed.hpp"
 #include "co_assert.hpp"
 #include "engine/proto.hpp"
+#include "eviction_check.hpp"
 #include "fault/fault.hpp"
 #include "vos/container.hpp"
 #include "vos/dtx.hpp"
@@ -979,8 +980,8 @@ TEST(DtxFault, CrashedParticipantEvictsAndTxRestages) {
     CO_ASSERT_TRUE(found);
 
     // The participant is down before the transaction starts: the prepare
-    // exhausts its retry budget, the engine is evicted, commit() reports
-    // Errno::stale and run_tx restages against the refreshed map.
+    // exhausts its retry budget, SWIM evicts the engine, commit() reports
+    // Errno::stale and run_tx restages against the moved map.
     tb.crash_engine(3);
     CO_ASSERT_ERRNO(co_await cl.run_tx(kPoolUuid,
                                        [&](client::TxHandle& tx) -> CoTask<Errno> {
@@ -988,7 +989,9 @@ TEST(DtxFault, CrashedParticipantEvictsAndTxRestages) {
                                          co_return Errno::ok;
                                        }),
                     Errno::ok);
-    CO_ASSERT_TRUE(cl.evictions_reported() >= 1);
+    CO_ASSERT_EQ(cl.pool_map().version, 2u);
+    CO_ASSERT_TRUE(testkit::client_sees_excluded(cl, tb.engine(3).node()));
+    CO_ASSERT_TRUE(testkit::swim_deaths(tb) >= 1);
 
     client::KvObject kv(cl, kPoolUuid, oid);
     auto r = co_await kv.get("d", "a");
@@ -1101,9 +1104,9 @@ TEST(DtxFault, ExcludedLeaderEngineAbandonsPreparedEntry) {
                          "stuck", &rc);
     CO_ASSERT_ERRNO(rc, Errno::ok);
 
-    // The leader engine dies for good and is evicted through the usual
-    // client path: a transaction against its key exhausts retries, reports
-    // the eviction, and restages against the refreshed map.
+    // The leader engine dies for good and SWIM evicts it: a transaction
+    // against its key exhausts retries, waits out the eviction, and restages
+    // against the moved map.
     tb.crash_engine(3);
     CO_ASSERT_ERRNO(co_await cl.run_tx(kPoolUuid,
                                        [&](client::TxHandle& tx) -> CoTask<Errno> {
@@ -1111,7 +1114,9 @@ TEST(DtxFault, ExcludedLeaderEngineAbandonsPreparedEntry) {
                                          co_return Errno::ok;
                                        }),
                     Errno::ok);
-    CO_ASSERT_TRUE(cl.evictions_reported() >= 1);
+    CO_ASSERT_EQ(cl.pool_map().version, 2u);
+    CO_ASSERT_TRUE(testkit::client_sees_excluded(cl, doomed));
+    CO_ASSERT_TRUE(testkit::swim_deaths(tb) >= 1);
 
     // With the leader engine EXCLUDED in the pool map, the participant's
     // reaper abandons the entry instead of resolving against it forever —
@@ -1163,10 +1168,14 @@ TEST(DtxFault, UnreachableLeaderBackstopAbandonsPreparedEntry) {
                          "limbo", &rc);
     CO_ASSERT_ERRNO(rc, Errno::ok);
 
-    // The leader engine crashes but is NEVER evicted: no client traffic
-    // touches it, so the pool map keeps reporting it healthy and the
-    // exclusion check keeps answering no.
-    tb.crash_engine(3);
+    // The participant loses its path to the leader engine, which is NEVER
+    // evicted: a one-way partition cuts participant -> leader only, so SWIM's
+    // witnesses (and every other engine) still reach the leader, the pool
+    // map keeps reporting it healthy and the exclusion check keeps answering
+    // no.
+    fault::Schedule cut;
+    cut.partition(0, 30 * sim::kSec, {fei}, {3}, /*oneway=*/true);
+    tb.inject_faults(cut, /*seed=*/1);
 
     // Well past the orphan timeout the entry is still prepared — a merely
     // unreachable leader is not authoritative evidence by itself.
@@ -1182,6 +1191,10 @@ TEST(DtxFault, UnreachableLeaderBackstopAbandonsPreparedEntry) {
     CO_ASSERT_TRUE(tb.dtx_service(fei).orphans_aborted() >= 1);
     CO_ASSERT_EQ(shard_of(tb, ft).dtx_prepared_count(), 0u);
     CO_ASSERT_EQ(shard_of(tb, ft).dtx_min_prepared_epoch(), vos::kEpochMax);
+    const auto leader = tb.svc_leader();
+    CO_ASSERT_TRUE(leader.has_value());
+    CO_ASSERT_EQ(tb.svc_replica(*leader).meta().map_version(), 1u);
+    CO_ASSERT_EQ(testkit::swim_deaths(tb), 0u);
   });
   tb.stop();
 }

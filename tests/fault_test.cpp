@@ -1,8 +1,8 @@
 // Fault-injection suite: deterministic fault schedules (crash / restart /
 // drop / delay / stall), the client's deadline+retry+backoff machinery, the
-// pool-service eviction path (pool-map version bumps, EXCLUDED targets,
-// refresh-on-stale re-placement), and the bit-reproducibility of whole IOR
-// runs under seeded fault schedules.
+// eviction path as clients see it (SWIM evicts, pool-map version bumps,
+// EXCLUDED targets, stale re-placement), and the bit-reproducibility of
+// whole IOR runs under seeded fault schedules.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "co_assert.hpp"
+#include "eviction_check.hpp"
 #include "fault/fault.hpp"
 #include "ior/ior.hpp"
 
@@ -296,14 +297,14 @@ TEST(RetryPath, CallTargetEvictsRefreshesAndFailsFastAfterwards) {
     const std::uint32_t mt = first_target_of_engine(tb.config(), victim);
     tb.crash_engine(victim);
 
+    // The retry budget burns, the client marks the engine DOWN and waits for
+    // SWIM to evict it.
     net::Body body = net::Body::make(engine::ObjFetchReq{});
     const net::Reply r = co_await cl.call_target(mt, engine::kOpObjFetch, std::move(body), 64);
     EXPECT_EQ(r.status, Errno::stale);
-    EXPECT_EQ(cl.evictions_reported(), 1u);
     EXPECT_EQ(cl.pool_map().version, 2u);
-    for (std::uint32_t t = mt; t < mt + tb.config().targets_per_engine; ++t) {
-      EXPECT_EQ(cl.pool_map().targets[t].health, pool::TargetHealth::excluded) << t;
-    }
+    EXPECT_TRUE(testkit::client_sees_excluded(cl, tb.engine(victim).node()));
+    EXPECT_GE(testkit::swim_deaths(tb), 1u);
 
     // A second call to the excluded target fails fast: zero RPCs issued.
     const std::uint64_t calls_before = cl.rpcs_sent();
@@ -311,7 +312,7 @@ TEST(RetryPath, CallTargetEvictsRefreshesAndFailsFastAfterwards) {
     const net::Reply r2 = co_await cl.call_target(mt, engine::kOpObjFetch, std::move(body2), 64);
     EXPECT_EQ(r2.status, Errno::stale);
     EXPECT_EQ(cl.rpcs_sent(), calls_before);
-    EXPECT_EQ(cl.evictions_reported(), 1u);
+    EXPECT_EQ(cl.pool_map().version, 2u);
   });
   tb.stop();
 }
@@ -389,7 +390,8 @@ TEST(Idempotency, RetriedUpdateAppliesTwiceWithoutHarm) {
     CO_ASSERT_OK(got);
     CO_ASSERT_EQ(got->size(), 16u);
     EXPECT_EQ((*got)[0], std::byte{0x77});
-    EXPECT_EQ(cl.evictions_reported(), 0u) << "a stall must not escalate to eviction";
+    EXPECT_EQ(cl.pool_map().version, 1u) << "a stall must not escalate to eviction";
+    EXPECT_EQ(testkit::swim_deaths(tb), 0u);
   });
   tb.stop();
 }
@@ -407,14 +409,15 @@ TEST(RaftFailover, LeaderCrashStillCommitsEvictionExactlyOnce) {
     const std::uint32_t mt = first_target_of_engine(tb.config(), victim);
     tb.crash_engine(victim);
 
-    // Client 0 trips over the dead engine: the retry budget burns, the
-    // eviction must be committed by a NEW leader elected mid-report.
+    // Client 0 trips over the dead engine: the retry budget burns, and
+    // SWIM's eviction must be committed by a NEW leader elected meanwhile.
     auto& c0 = tb.client(0);
     net::Body b0 = net::Body::make(engine::ObjFetchReq{});
     const net::Reply r0 = co_await c0.call_target(mt, engine::kOpObjFetch, std::move(b0), 64);
     EXPECT_EQ(r0.status, Errno::stale);
     EXPECT_EQ(c0.pool_map().version, 2u);
-    EXPECT_EQ(c0.evictions_reported(), 1u);
+    EXPECT_TRUE(testkit::client_sees_excluded(c0, tb.engine(victim).node()));
+    EXPECT_GE(testkit::swim_deaths(tb), 1u);
 
     const auto new_leader = tb.svc_leader();
     CO_ASSERT_TRUE(new_leader.has_value());
@@ -423,8 +426,9 @@ TEST(RaftFailover, LeaderCrashStillCommitsEvictionExactlyOnce) {
     EXPECT_EQ(meta.map_version(), 2u);
     EXPECT_EQ(meta.excluded_engines().count(tb.engine(victim).node()), 1u);
 
-    // Client 1 reports the same engine: the state machine must treat the
-    // duplicate eviction as a no-op — the version bumps exactly once.
+    // Client 1 trips over the same engine: every SWIM verdict on it (one per
+    // declaring engine) must land as one eviction — the version bumps
+    // exactly once.
     auto& c1 = tb.client(1);
     net::Body b1 = net::Body::make(engine::ObjFetchReq{});
     const net::Reply r1 = co_await c1.call_target(mt, engine::kOpObjFetch, std::move(b1), 64);
@@ -500,7 +504,9 @@ TEST(PartitionFault, IsolatedLeaderLosesLeadershipAndClusterHeals) {
     // service keeps working — no engine was evicted by the partition itself.
     co_await tb.sched().delay(2500 * sim::kMs);
     CO_ASSERT_OK(co_await tb.client(0).cont_create(kPoolUuid, {}));
-    EXPECT_EQ(tb.client(0).evictions_reported(), 0u);
+    const auto leader = tb.svc_leader();
+    CO_ASSERT_TRUE(leader.has_value());
+    EXPECT_EQ(tb.svc_replica(*leader).meta().map_version(), 1u);
   });
   tb.stop();
 }
@@ -554,14 +560,24 @@ FaultDigest run_fault_scenario(bool fpp, std::uint64_t fault_seed) {
   Testbed tb(small_cluster());
   tb.start();
   // Crash lands 5ms in (mid-write: the whole healthy write phase is ~11ms of
-  // virtual time); the stuck writers then burn their 540ms retry budget, so
-  // the run is guaranteed alive for the 500ms restart and the drop window.
+  // virtual time); the stuck writers then burn their 540ms retry budget and
+  // wait for SWIM to evict e3 (~2.7s: a suspicion plus the 2s
+  // suspect_timeout), so the run is alive for the drop window. The restart
+  // comes after the eviction, which it therefore cannot refute.
+  const sim::Time t0 = tb.sched().now();
   auto sched = fault::Schedule::parse(
-      "crash@5ms:e3,restart@500ms:e3,drop@50ms-250ms:e1:0.5,delay@0s-400ms:*:50us");
+      "crash@5ms:e3,restart@4s:e3,drop@50ms-250ms:e1:0.5,delay@0s-400ms:*:50us");
   EXPECT_TRUE(sched.ok());
   fault::Injector& inj = tb.inject_faults(*sched, fault_seed);
   ior::IorRunner runner(tb, /*ppn=*/4);
   const ior::IorResult res = runner.run(fault_job(fpp));
+  // Keep the clock running until the whole schedule has fired, then let the
+  // eviction's rebuild settle.
+  tb.run([&]() -> CoTask<void> {
+    const sim::Time end = t0 + 5 * sim::kSec;
+    if (tb.sched().now() < end) co_await tb.sched().delay(end - tb.sched().now());
+  });
+  EXPECT_TRUE(tb.wait_rebuild());
 
   FaultDigest d;
   d.write_bytes = res.write.bytes;
@@ -693,9 +709,7 @@ TEST(FaultDelayOnly, DfsRunCompletesWithoutEviction) {
   ASSERT_TRUE(leader.has_value());
   EXPECT_EQ(tb.svc_replica(*leader).meta().map_version(), 1u)
       << "pure delays must never escalate to eviction";
-  for (std::uint32_t c = 0; c < tb.client_node_count(); ++c) {
-    EXPECT_EQ(tb.client(c).evictions_reported(), 0u);
-  }
+  EXPECT_EQ(testkit::swim_deaths(tb), 0u);
   tb.stop();
 }
 

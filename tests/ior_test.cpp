@@ -164,6 +164,30 @@ TEST(Ior, ObjectClassChangesPlacementSpread) {
   EXPECT_EQ(sx_engines, 4u);  // SX spreads over every engine
 }
 
+TEST(Ior, SwimProbesLeaveJobFiguresUntouched) {
+  // SWIM probes every engine many times during the job, on the fabric's
+  // control lane; a job that no probe overlaps must see the same timings.
+  auto job = [](sim::Time probe_period) {
+    ClusterConfig ccfg = small_cluster();
+    ccfg.payload = vos::PayloadMode::discard;
+    ccfg.swim.probe_period = probe_period;
+    Testbed tb(ccfg);
+    tb.start();
+    IorRunner runner(tb, 4);
+    IorConfig cfg = small_job(Api::hdf5, /*fpp=*/false);
+    cfg.transfer_size = 64 * kKiB;
+    cfg.verify = false;
+    const IorResult res = runner.run(cfg);
+    tb.stop();
+    return res;
+  };
+  const IorResult probed = job(1 * sim::kMs);
+  const IorResult quiet = job(3600 * sim::kSec);
+  EXPECT_GT(probed.write.seconds + probed.read.seconds, 0.005);  // >= 5 probe periods
+  EXPECT_EQ(probed.write.seconds, quiet.write.seconds);
+  EXPECT_EQ(probed.read.seconds, quiet.read.seconds);
+}
+
 /// Peak resident set size of this process so far, in bytes.
 std::uint64_t peak_rss_bytes() {
   rusage ru{};
@@ -185,11 +209,11 @@ TEST(Ior, MetadataOnlyModeRunsLargeJob) {
   [[maybe_unused]] const std::uint64_t rss_before = peak_rss_bytes();
   const IorResult res = runner.run(cfg);
 #ifndef __SANITIZE_ADDRESS__
-  // Every rank holds one transfer-sized read sink across its fetch; zeroing
-  // them would make 8 x 8 MiB resident at once. In discard mode no layer
-  // writes the sink, so its pages must never be touched. Not checked under
-  // ASan: its quarantine keeps freed sinks and writes their shadow memory,
-  // which alone grows RSS by about 46 MiB here.
+  // Every read of the job lands in one shared transfer-sized sink; zeroing
+  // a sink per read would make 8 x 8 MiB resident at once. In discard mode
+  // no layer writes the sink, so its pages must never be touched. Not
+  // checked under ASan: its quarantine keeps freed blocks and writes their
+  // shadow memory, which alone grows RSS by tens of MiB here.
   EXPECT_LT(peak_rss_bytes() - rss_before, runner.ranks() * cfg.transfer_size / 2);
 #endif
   EXPECT_EQ(res.read_fill_errors, 0u);

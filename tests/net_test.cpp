@@ -48,6 +48,29 @@ TEST(Fabric, LoopbackPaysOnlyLatency) {
   EXPECT_EQ(done, 500u);  // half the fabric latency
 }
 
+TEST(Fabric, ControlLanePaysLatencyOnlyAndTakesNoBandwidth) {
+  sim::Scheduler s;
+  Fabric f(s, test_config());
+  auto a = f.add_node();
+  auto b = f.add_node();
+  Time bulk_done = 0, control_done = 0;
+  s.spawn([&]() -> CoTask<void> {
+    co_await f.transfer(a, b, 1'000'000);
+    bulk_done = s.now();
+  });
+  s.spawn([&]() -> CoTask<void> {
+    co_await f.transfer(a, b, 1'000'000, {}, Lane::control);
+    control_done = s.now();
+  });
+  s.run();
+  EXPECT_EQ(control_done, 1000u);
+  // The bulk transfer keeps the whole link, exactly as if it were alone.
+  EXPECT_NEAR(double(bulk_done), 1000.0 + 1'000'000.0, 5.0);
+  // Both still count as traffic.
+  EXPECT_EQ(f.messages_sent(), 2u);
+  EXPECT_EQ(f.bytes_sent(a), 2'000'000u);
+}
+
 TEST(Fabric, EgressContentionHalvesThroughput) {
   sim::Scheduler s;
   Fabric f(s, test_config());

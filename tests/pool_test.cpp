@@ -32,7 +32,6 @@ TEST(SvcCodec, EveryCommandEncodesToItsPinnedText) {
       {ListConts{}, "list_conts"},
       {PoolEvict{11}, "pool_evict 11"},
       {PoolReint{3}, "pool_reint 3"},
-      {MapQuery{}, "map_query"},
       {RebuildDone{10, 2}, "rebuild_done 10 2"},
       {SnapCreate{{1, 2}, 99}, "snap_create 1 2 99"},
       {SnapDestroy{{1, 2}, 99}, "snap_destroy 1 2 99"},
@@ -52,7 +51,7 @@ TEST(SvcCodec, EveryCommandEncodesToItsPinnedText) {
 TEST(SvcCodec, UnknownOrTruncatedCommandIsInvalid) {
   for (const char* bad : {"", "bogus", "cont_create 7 8 1048576", "cont_open 7", "snap_list 1",
                           "rebuild_done 10", "pool_evict", "pool_evict x", "cont_open 7 8 9",
-                          "map_query 1"}) {
+                          "list_conts 1"}) {
     EXPECT_EQ(decode(bad).error(), Errno::invalid) << '"' << bad << '"';
   }
   PoolMetaSm sm;
@@ -69,14 +68,14 @@ TEST(SvcCodec, RepliesEncodeToTheirPinnedText) {
   EXPECT_EQ(encode_reply(Result<std::vector<vos::Epoch>>(std::vector<vos::Epoch>{5, 9})),
             "ok 2 5 9");
   EXPECT_EQ(encode_reply(Result<std::vector<vos::Epoch>>(Errno::no_entry)), "ENOENT");
-  EXPECT_EQ(encode_reply(Result<MapState>(MapState{3, {4, 7}})), "ok 3 2 4 7");
   EXPECT_EQ(encode_reply(Result<RebuildAck>(RebuildAck::done)), "ok");
   EXPECT_EQ(encode_reply(Result<RebuildAck>(RebuildAck::dup)), "ok dup");
   EXPECT_EQ(encode_reply(Result<RebuildAck>(RebuildAck::stale)), "ok stale");
 
   EXPECT_EQ(decode_reply<RebuildAck>("ok").value(), RebuildAck::done);
   EXPECT_EQ(decode_reply<RebuildAck>("ok stale").value(), RebuildAck::stale);
-  EXPECT_EQ(decode_reply<MapState>("ok 3 2 4 7").value(), (MapState{3, {4, 7}}));
+  EXPECT_EQ(decode_reply<std::vector<vos::Epoch>>("ok 2 5 9").value(),
+            (std::vector<vos::Epoch>{5, 9}));
   EXPECT_EQ(decode_reply<ContProps>("ENOENT").error(), Errno::no_entry);
   EXPECT_EQ(decode_reply<Ack>("EEXIST").error(), Errno::exists);
   EXPECT_EQ(decode_reply<std::uint64_t>("ok").error(), Errno::io);  // truncated
@@ -221,8 +220,8 @@ TEST(SvcClient, FollowsHintToNewLeaderThenTimesOutWhenAllReplicasDown) {
   log.clear();
   SvcClient doomed = logging_client(tb, svc, 5, &log);
   tb.run([&]() -> CoTask<void> {
-    auto map = co_await doomed.run(MapQuery{});
-    CO_ASSERT_EQ(map.error(), Errno::timed_out);
+    auto conts = co_await doomed.run(ListConts{});
+    CO_ASSERT_EQ(conts.error(), Errno::timed_out);
   });
   EXPECT_EQ(log.size(), 5u);
   for (const Sent& s : log) EXPECT_EQ(s.status, Errno::timed_out);

@@ -27,9 +27,12 @@
 #                          behaviour in the conflict paths must fail loudly
 #   tools/ci.sh swim       membership suite (SWIM failure detection,
 #                          refutation, partition heal, IV dissemination,
-#                          client staleness piggyback) under ASan+UBSan with
-#                          the runtime audits on — the detector's coroutines
-#                          and gossip buffers must be lifetime-clean
+#                          client staleness piggyback) plus every suite SWIM
+#                          drives (retry path, Raft failover, fault and
+#                          rebuild determinism, DTX faults) under ASan+UBSan
+#                          with the runtime audits on — the detector's
+#                          coroutines and gossip buffers must be
+#                          lifetime-clean
 #   tools/ci.sh agg        evtree + background-aggregation suite (the extent
 #                          index property tests against the flat oracle, the
 #                          service's floor/determinism/crash battery, and the
@@ -247,14 +250,16 @@ if [[ $STAGE == swim ]]; then
   # IV path resumes parked waiters off a shared single-flight gate — the
   # classic places for a lifetime bug to hide. Covers detection, refutation,
   # partition heal (plus the partition fault grammar/behavior suite), the
-  # client staleness piggyback, and seeded-trace determinism.
+  # client staleness piggyback, and seeded-trace determinism. SWIM is the
+  # only eviction path, so the suites whose engines die run here too.
   echo "=== [swim] configure + build ==="
   cmake -B build-ci-swim -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDAOSIM_SANITIZE="address;undefined" -DDAOSIM_AUDIT=ON
-  cmake --build build-ci-swim -j "$JOBS" --target swim_test fault_test
+  cmake --build build-ci-swim -j "$JOBS" \
+    --target swim_test fault_test dtx_test determinism_test
   echo "=== [swim] ctest ==="
   ctest --test-dir build-ci-swim --output-on-failure -j "$JOBS" \
-    -R 'SwimDetect|SwimRefute|SwimPartition|IvPiggyback|SwimDeterminism|PartitionFault|FaultSchedule'
+    -R 'SwimDetect|SwimRefute|SwimPartition|IvPiggyback|SwimDeterminism|PartitionFault|FaultSchedule|RetryPath|RaftFailover|FaultDeterminism|DtxFault|RebuildDeterminism'
   stage_end
 fi
 

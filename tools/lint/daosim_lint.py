@@ -31,14 +31,6 @@ coroutine-heavy C++ codebases:
                       ArrayObject's update_batch/fetch_batch coalesce pieces
                       per (target, replica), bounded by
                       ClientConfig::max_batch_extents.
-
-  direct-map-query    The typed pool-service MapQuery command named in a
-                      src/client/ file other than client/refresh.cpp. The
-                      point query hits the pool-service leader — O(clients)
-                      leader load per membership change. Clients learn map
-                      versions passively from stamped replies and pull deltas
-                      from engines (docs/membership.md); only the refresh
-                      module's sanctioned fallback may query the leader.
   tx-unresolved       A TxHandle obtained from tx_begin() that reaches the end
                       of its scope without a co_await'ed .commit() or .abort()
                       (and without escaping via return/std::move). An
@@ -72,8 +64,7 @@ import re
 import sys
 
 RULES = ("spawn-temporary", "wall-clock", "unordered-iteration", "ignored-result",
-         "unbatched-extent-rpc", "direct-map-query", "tx-unresolved",
-         "unjustified-allow")
+         "unbatched-extent-rpc", "tx-unresolved", "unjustified-allow")
 
 # Rules owned by the libclang analyzer (tools/analyze/daosim_check.py). The
 # unjustified-allow rule validates daosim-check markers against this list, and
@@ -86,9 +77,8 @@ CHECK_RULES = ("ref-across-suspend", "ref-capture-spawn", "guard-across-suspend"
 # host time; the simulation itself never may.
 TREE_DIRS = ("src", "tests", "bench", "examples")
 WALL_CLOCK_DIRS = ("src",)
-# unbatched-extent-rpc and direct-map-query apply to the client library only:
-# it alone owns the extent batcher and the pool-map refresh; servers and tests
-# build per-extent requests and query the pool service legitimately.
+# unbatched-extent-rpc applies to the client library only: it alone owns the
+# extent batcher; servers and tests build per-extent requests legitimately.
 CLIENT_DIRS = ("src/client",)
 
 CPP_EXTS = (".hpp", ".cpp", ".h", ".cc", ".cxx")
@@ -495,34 +485,6 @@ def check_unbatched_extent_rpc(path, text, clean):
     return out
 
 
-# The typed MapQuery command, matched in `clean` (comments and strings
-# blanked): the command only exists to be sent to the pool service, so naming
-# it in client code IS issuing the point query. Mentions in comments stay
-# free. Scoped to src/client/; the refresh module owns the sanctioned
-# fallback.
-MAP_QUERY_RE = re.compile(r"\bMapQuery\b")
-MAP_QUERY_EXEMPT_SUFFIX = "client/refresh.cpp"
-
-
-def check_direct_map_query(path, text, clean):
-    if path.replace(os.sep, "/").endswith(MAP_QUERY_EXEMPT_SUFFIX):
-        return []
-    out = []
-    for m in MAP_QUERY_RE.finditer(clean):
-        out.append(
-            Violation(
-                path,
-                line_of(clean, m.start()),
-                "direct-map-query",
-                "pool-map point query outside client/refresh.cpp: MapQuery "
-                "hits the pool-service leader (O(clients) load per membership "
-                "change); rely on the IV piggyback + delta fetch, or call "
-                "refresh_pool_map() if the authoritative fallback is required",
-            )
-        )
-    return out
-
-
 # A handle bound from tx_begin(): `auto tx = cl.tx_begin(...)` or
 # `TxHandle tx = tx_begin(...)`. The receiver chain mirrors RECEIVER_RE so
 # `tb.client(0).tx_begin(...)` matches too. The *definition* of tx_begin
@@ -650,7 +612,6 @@ def lint_file(path, rel, result_fns, wall_clock_scope, client_scope=False):
     violations += check_ignored_result(rel, text, clean, result_fns)
     if client_scope:
         violations += check_unbatched_extent_rpc(rel, text, clean)
-        violations += check_direct_map_query(rel, text, clean)
     violations += check_tx_unresolved(rel, text, clean)
     violations += check_unjustified_allow(rel, text, clean)
 
