@@ -37,15 +37,6 @@ std::uint64_t key_hash(const vos::Key& k) {
   return std::hash<std::string>{}(k);
 }
 
-/// True when every nominal replica of the group sits on an EXCLUDED target:
-/// the group's pre-eviction data has no surviving copy.
-bool nominal_group_lost(const pool::PoolMap& map, const GroupLayout& nominal, std::uint32_t g) {
-  for (std::uint32_t r = 0; r < nominal.replicas; ++r) {
-    if (map.targets[nominal.at(g, r)].health != pool::TargetHealth::excluded) return false;
-  }
-  return true;
-}
-
 /// True when this client suspects `map_target`'s engine (marked DOWN after a
 /// call to it burned its retry budget, no eviction seen yet).
 bool suspected(const pool::PoolMap& map, std::uint32_t map_target) {
@@ -269,30 +260,101 @@ sim::CoTask<Result<std::uint64_t>> DaosClient::alloc_oids(vos::Uuid cont, std::u
 }
 
 // ---------------------------------------------------------------------------
-// KvObject
+// ObjectHandle
 
-KvObject::KvObject(DaosClient& client, vos::Uuid cont, vos::ObjId oid)
-    : client_(client), cont_(cont), oid_(oid) {
-  const auto cls = class_of(oid);
-  const std::uint32_t n = client.pool_map().target_count();
-  map_version_ = client.pool_map().version;
-  nominal_ = compute_nominal_layout(oid, client::group_count(cls, n),
-                                    client::replica_count(cls), client.pool_map());
-  layout_ = compute_group_layout(oid, nominal_.groups(), nominal_.replicas, client.pool_map());
+ObjectHandle::ObjectHandle(DaosClient& client, vos::Uuid cont, vos::ObjId oid)
+    : client_(client),
+      cont_(cont),
+      oid_(oid),
+      layout_(object_layout(oid, client.pool_map())),
+      nominal_(compute_nominal_layout(oid, layout_.groups(), layout_.replicas, client.pool_map())),
+      map_version_(client.pool_map().version) {}
+
+void ObjectHandle::refresh_layout() {
+  if (map_version_ == client_.pool_map().version) return;
+  map_version_ = client_.pool_map().version;
+  layout_ = object_layout(oid_, client_.pool_map());
 }
+
+bool ObjectHandle::group_lost(std::uint32_t group) const {
+  for (std::uint32_t r = 0; r < nominal_.replicas; ++r) {
+    const std::uint32_t t = nominal_.at(group, r);
+    if (client_.pool_map().targets[t].health != pool::TargetHealth::excluded) return false;
+  }
+  return true;
+}
+
+template <typename Req>
+sim::CoTask<net::Reply> ObjectHandle::send_placed(std::uint32_t slot, std::uint16_t opcode,
+                                                  Req req, std::uint64_t wire_bytes,
+                                                  sim::TraceContext ctx, bool read) {
+  Reply r{};
+  for (int round = 0;; ++round) {
+    refresh_layout();
+    const std::uint32_t map_target = layout_.targets[slot];
+    req.target = client_.pool_map().targets[map_target].target;
+    Body body = Body::make(req);
+    r = co_await client_.call_target(map_target, opcode, std::move(body), wire_bytes, ctx);
+    if (r.status != Errno::stale || round >= kMaxPlaceRounds) break;
+    if (read && suspected(client_.pool_map(), map_target)) break;
+  }
+  co_return r;
+}
+
+sim::CoTask<Errno> ObjectHandle::punch_object(const char* op) {
+  OpTrace tr(client_, op);
+  refresh_layout();
+  ObjPunchReq req;
+  req.cont = cont_;
+  req.oid = oid_;
+  req.scope = PunchScope::object;
+  Errno status = Errno::ok;
+  for (std::uint32_t s = 0; s < layout_.size(); ++s) {
+    Reply r = co_await send_placed(s, engine::kOpObjPunch, req, engine::kObjRpcHeader, tr.ctx());
+    if (r.status != Errno::ok) status = r.status;
+  }
+  co_return status;
+}
+
+// ---------------------------------------------------------------------------
+// KvObject
 
 std::uint32_t KvObject::group_of(const vos::Key& dkey) const {
   return kv_dkey_group(dkey, layout_.groups());
 }
 
-bool KvObject::group_lost(std::uint32_t group) const {
-  return nominal_group_lost(client_.pool_map(), nominal_, group);
-}
-
-void KvObject::refresh_layout() {
-  if (map_version_ == client_.pool_map().version) return;
-  map_version_ = client_.pool_map().version;
-  layout_ = compute_group_layout(oid_, nominal_.groups(), nominal_.replicas, client_.pool_map());
+template <typename Req>
+sim::CoTask<Result<net::Reply>> KvObject::read_group(std::uint32_t g, std::uint32_t r0,
+                                                     std::uint16_t opcode, Req req,
+                                                     sim::TraceContext ctx,
+                                                     bool (*accept)(const net::Reply&)) {
+  const std::uint32_t nreps = layout_.replicas;
+  bool all_answered = true;
+  Errno last = Errno::io;
+  std::uint64_t tried = 0;
+  for (;;) {
+    refresh_layout();
+    const std::uint32_t rep = next_read_replica(client_.pool_map(), layout_, g, r0, tried);
+    if (rep == nreps) break;
+    tried |= std::uint64_t{1} << rep;
+    Reply r = co_await send_placed(g * nreps + rep, opcode, req, engine::kObjRpcHeader, ctx,
+                                   /*read=*/true);
+    if (r.status != Errno::ok) {
+      last = r.status;
+      all_answered = false;
+      client_.note_degraded_read();
+      continue;
+    }
+    if (accept(r)) co_return r;
+  }
+  if (group_lost(g)) {
+    client_.note_data_loss(oid_, g);
+    co_return Errno::data_loss;
+  }
+  // "Not found" is only definitive when every replica answered: an
+  // ok-but-missing reply from a not-yet-rebuilt substitute must not mask a
+  // failed replica that may actually hold the record.
+  co_return all_answered ? Errno::no_entry : last;
 }
 
 sim::CoTask<Errno> KvObject::put(const vos::Key& dkey, const vos::Key& akey,
@@ -312,17 +374,9 @@ sim::CoTask<Errno> KvObject::put(const vos::Key& dkey, const vos::Key& akey,
   // first failure aborts the fan and surfaces to the caller (replica 0 is
   // always first, so conditional-insert races resolve consistently there).
   for (std::uint32_t rep = 0; rep < layout_.replicas; ++rep) {
-    for (int round = 0;; ++round) {
-      refresh_layout();
-      const std::uint32_t map_target = layout_.at(g, rep);
-      req.target = client_.pool_map().targets[map_target].target;
-      Body body = Body::make(req);
-      Reply r = co_await client_.call_target(map_target, engine::kOpObjUpdate, std::move(body),
-                                             engine::kObjRpcHeader + value.size(), tr.ctx());
-      if (r.status == Errno::stale && round < kMaxPlaceRounds) continue;
-      if (r.status != Errno::ok) co_return r.status;
-      break;
-    }
+    Reply r = co_await send_placed(g * layout_.replicas + rep, engine::kOpObjUpdate, req,
+                                   engine::kObjRpcHeader + value.size(), tr.ctx());
+    if (r.status != Errno::ok) co_return r.status;
   }
   co_return Errno::ok;
 }
@@ -338,129 +392,34 @@ sim::CoTask<Result<std::vector<std::byte>>> KvObject::get(const vos::Key& dkey,
   req.akey = akey;
   req.type = RecordType::single_value;
   req.epoch = epoch;
-  const std::uint32_t g = group_of(dkey);
+  // Replicas are asked from a per-key starting point (spreads load); the
+  // first one holding the record wins.
   const std::uint32_t nreps = layout_.replicas;
-  // Degraded read: try replicas in order from a per-key starting point
-  // (spreads load), suspected ones last; first one holding the record wins.
   const std::uint32_t r0 =
       nreps == 1 ? 0 : std::uint32_t(mix64(key_hash(dkey) ^ oid_.lo) % nreps);
-  bool all_answered = true;
-  Errno last = Errno::io;
-  std::uint64_t tried = 0;
-  for (;;) {
-    refresh_layout();
-    const std::uint32_t rep = next_read_replica(client_.pool_map(), layout_, g, r0, tried);
-    if (rep == nreps) break;
-    tried |= std::uint64_t{1} << rep;
-    Reply r{};
-    for (int round = 0;; ++round) {
-      refresh_layout();
-      const std::uint32_t map_target = layout_.at(g, rep);
-      req.target = client_.pool_map().targets[map_target].target;
-      Body body = Body::make(req);
-      r = co_await client_.call_target(map_target, engine::kOpObjFetch, std::move(body),
-                                       engine::kObjRpcHeader, tr.ctx());
-      // Stale with the target still suspected: the wait for its eviction
-      // expired, so the next replica is asked rather than this one again.
-      if (r.status != Errno::stale || round >= kMaxPlaceRounds ||
-          suspected(client_.pool_map(), map_target)) {
-        break;
-      }
-    }
-    if (r.status != Errno::ok) {
-      last = r.status;
-      all_answered = false;
-      client_.note_degraded_read();
-      continue;
-    }
-    auto& resp = r.body.get<ObjFetchResp>();
-    if (resp.exists) {
-      if (resp.data == nullptr) co_return std::vector<std::byte>{};
-      co_return std::move(*resp.data);
-    }
-  }
-  if (group_lost(g)) {
-    client_.note_data_loss(oid_, g);
-    co_return Errno::data_loss;
-  }
-  // "Key does not exist" is only definitive when every replica answered: an
-  // ok-but-missing reply from a not-yet-rebuilt substitute must not mask a
-  // failed replica that may actually hold the record.
-  co_return all_answered ? Errno::no_entry : last;
+  auto r = co_await read_group(group_of(dkey), r0, engine::kOpObjFetch, std::move(req),
+                               tr.ctx(), [](const Reply& reply) {
+                                 return reply.body.get<ObjFetchResp>().exists;
+                               });
+  if (!r.ok()) co_return r.error();
+  auto& resp = r->body.get<ObjFetchResp>();
+  if (resp.data == nullptr) co_return std::vector<std::byte>{};
+  co_return std::move(*resp.data);
 }
 
 sim::CoTask<Result<std::vector<vos::Key>>> KvObject::list_dkeys() {
   OpTrace tr(client_, "kv_list_dkeys");
+  ObjEnumReq req;
+  req.cont = cont_;
+  req.oid = oid_;
   std::set<vos::Key> merged;
-  refresh_layout();
   for (std::uint32_t g = 0; g < layout_.groups(); ++g) {
-    bool got = false;
-    Errno last = Errno::io;
-    std::uint64_t tried = 0;
-    while (!got) {
-      refresh_layout();
-      const std::uint32_t rep = next_read_replica(client_.pool_map(), layout_, g, 0, tried);
-      if (rep == layout_.replicas) break;
-      tried |= std::uint64_t{1} << rep;
-      ObjEnumReq req;
-      req.cont = cont_;
-      req.oid = oid_;
-      Reply r{};
-      for (int round = 0;; ++round) {
-        refresh_layout();
-        const std::uint32_t map_target = layout_.at(g, rep);
-        req.target = client_.pool_map().targets[map_target].target;
-        Body body = Body::make(req);
-        r = co_await client_.call_target(map_target, engine::kOpObjEnumDkeys, std::move(body),
-                                         engine::kObjRpcHeader, tr.ctx());
-        if (r.status != Errno::stale || round >= kMaxPlaceRounds ||
-            suspected(client_.pool_map(), map_target)) {
-          break;  // see KvObject::get
-        }
-      }
-      if (r.status != Errno::ok) {
-        last = r.status;
-        continue;
-      }
-      got = true;
-      for (auto& k : r.body.get<ObjEnumResp>().keys) merged.insert(std::move(k));
-    }
-    if (!got) {
-      if (group_lost(g)) {
-        client_.note_data_loss(oid_, g);
-        co_return Errno::data_loss;
-      }
-      co_return last;
-    }
+    auto r = co_await read_group(g, 0, engine::kOpObjEnumDkeys, req, tr.ctx(),
+                                 [](const Reply&) { return true; });
+    if (!r.ok()) co_return r.error();
+    for (auto& k : r->body.get<ObjEnumResp>().keys) merged.insert(std::move(k));
   }
   co_return std::vector<vos::Key>(merged.begin(), merged.end());
-}
-
-sim::CoTask<Errno> KvObject::punch() {
-  OpTrace tr(client_, "kv_punch");
-  refresh_layout();
-  Errno status = Errno::ok;
-  // The layout is a permutation on a healthy map, so per-shard iteration hits
-  // each target once; degraded layouts may punch a substitute twice, which is
-  // harmless (punch is idempotent).
-  for (std::uint32_t s = 0; s < layout_.size(); ++s) {
-    ObjPunchReq req;
-    req.cont = cont_;
-    req.oid = oid_;
-    req.scope = PunchScope::object;
-    Reply r{};
-    for (int round = 0;; ++round) {
-      refresh_layout();
-      const std::uint32_t map_target = layout_.targets[s];
-      req.target = client_.pool_map().targets[map_target].target;
-      Body body = Body::make(req);
-      r = co_await client_.call_target(map_target, engine::kOpObjPunch, std::move(body),
-                                       engine::kObjRpcHeader, tr.ctx());
-      if (r.status != Errno::stale || round >= kMaxPlaceRounds) break;
-    }
-    if (r.status != Errno::ok) status = r.status;
-  }
-  co_return status;
 }
 
 sim::CoTask<Errno> KvObject::punch_dkey(const vos::Key& dkey) {
@@ -472,17 +431,9 @@ sim::CoTask<Errno> KvObject::punch_dkey(const vos::Key& dkey) {
   req.dkey = dkey;
   const std::uint32_t g = group_of(dkey);
   for (std::uint32_t rep = 0; rep < layout_.replicas; ++rep) {
-    for (int round = 0;; ++round) {
-      refresh_layout();
-      const std::uint32_t map_target = layout_.at(g, rep);
-      req.target = client_.pool_map().targets[map_target].target;
-      Body body = Body::make(req);
-      Reply r = co_await client_.call_target(map_target, engine::kOpObjPunch, std::move(body),
-                                             engine::kObjRpcHeader, tr.ctx());
-      if (r.status == Errno::stale && round < kMaxPlaceRounds) continue;
-      if (r.status != Errno::ok) co_return r.status;
-      break;
-    }
+    Reply r = co_await send_placed(g * layout_.replicas + rep, engine::kOpObjPunch, req,
+                                   engine::kObjRpcHeader, tr.ctx());
+    if (r.status != Errno::ok) co_return r.status;
   }
   co_return Errno::ok;
 }
@@ -492,39 +443,8 @@ sim::CoTask<Errno> KvObject::punch_dkey(const vos::Key& dkey) {
 
 ArrayObject::ArrayObject(DaosClient& client, vos::Uuid cont, vos::ObjId oid,
                          std::uint64_t chunk_size)
-    : client_(client), cont_(cont), oid_(oid), chunk_(chunk_size) {
+    : ObjectHandle(client, cont, oid), chunk_(chunk_size) {
   DAOSIM_REQUIRE(chunk_ > 0, "chunk size must be positive");
-  const auto cls = class_of(oid);
-  const std::uint32_t n = client.pool_map().target_count();
-  map_version_ = client.pool_map().version;
-  nominal_ = compute_nominal_layout(oid, client::group_count(cls, n),
-                                    client::replica_count(cls), client.pool_map());
-  layout_ = compute_group_layout(oid, nominal_.groups(), nominal_.replicas, client.pool_map());
-}
-
-bool ArrayObject::group_lost(std::uint32_t group) const {
-  return nominal_group_lost(client_.pool_map(), nominal_, group);
-}
-
-void ArrayObject::refresh_layout() {
-  if (map_version_ == client_.pool_map().version) return;
-  map_version_ = client_.pool_map().version;
-  layout_ = compute_group_layout(oid_, nominal_.groups(), nominal_.replicas, client_.pool_map());
-}
-
-std::vector<ArrayObject::Piece> ArrayObject::split_pieces(std::uint64_t offset,
-                                                          std::uint64_t length) const {
-  std::vector<Piece> pieces;
-  const std::uint64_t end = offset + length;
-  std::uint64_t pos = offset;
-  while (pos < end) {
-    const std::uint64_t chunk_idx = pos / chunk_;
-    const std::uint64_t in_chunk = pos % chunk_;
-    const std::uint64_t len = std::min(chunk_ - in_chunk, end - pos);
-    pieces.push_back(Piece{chunk_idx, in_chunk, len, pos - offset});
-    pos += len;
-  }
-  return pieces;
 }
 
 sim::CoTask<Errno> ArrayObject::write(std::uint64_t offset, std::uint64_t length,
@@ -533,13 +453,13 @@ sim::CoTask<Errno> ArrayObject::write(std::uint64_t offset, std::uint64_t length
   if (length == 0) co_return Errno::ok;
   OpTrace tr(client_, "arr_write");
   const std::uint64_t global_end = offset + length;
-  const std::vector<Piece> pieces = split_pieces(offset, length);
+  const std::vector<ArrayPiece> pieces = split_pieces(chunk_, offset, length);
   const std::size_t max_batch = client_.config().max_batch_extents;
 
   // Fan each piece to every replica of its group. Pieces sharing a target
   // this round ride one batched RPC (bounded by max_batch_extents); pairs
   // whose batch came back stale re-group against the refreshed map next
-  // round (bounded, like the old per-piece re-placement loop).
+  // round (bounded, like the placed send's re-placement loop).
   struct Pend {
     std::uint32_t piece;
     std::uint32_t rep;
@@ -564,10 +484,10 @@ sim::CoTask<Errno> ArrayObject::write(std::uint64_t offset, std::uint64_t length
       by_target[tgt].push_back(p);
     }
     // Local fan-out bound: don't materialise more batch coroutines than the
-    // client-wide credit window (update_batch's semaphore is what actually
+    // client-wide credit window (call_credited's semaphore is what actually
     // protects the endpoint's in-flight cap across concurrent calls).
     EventQueue eq(client_.scheduler(), client_.config().max_inflight_rpcs);
-    std::vector<std::pair<std::vector<Pend>, std::shared_ptr<Errno>>> batches;
+    std::vector<std::pair<std::vector<Pend>, std::shared_ptr<Reply>>> batches;
     for (auto& [tgt, list] : by_target) {
       for (std::size_t i = 0; i < list.size(); i += max_batch) {
         const std::size_t n = std::min(max_batch, list.size() - i);
@@ -580,29 +500,30 @@ sim::CoTask<Errno> ArrayObject::write(std::uint64_t offset, std::uint64_t length
         req.extents.reserve(n);
         std::uint64_t payload_bytes = 0;
         for (std::size_t k = 0; k < n; ++k) {
-          const Piece& pc = pieces[list[i + k].piece];
+          const ArrayPiece& pc = pieces[list[i + k].piece];
           req.extents.push_back(
-              {strfmt("%llu", static_cast<unsigned long long>(pc.chunk_idx)), pc.offset,
-               pc.length, payload_bytes});
+              {array_chunk_dkey(pc.chunk_idx), pc.offset, pc.length, payload_bytes});
           payload_bytes += pc.length;
         }
         if (!data.empty()) {
           auto buf = std::make_shared<std::vector<std::byte>>();
           buf->reserve(std::size_t(payload_bytes));
           for (std::size_t k = 0; k < n; ++k) {
-            const Piece& pc = pieces[list[i + k].piece];
+            const ArrayPiece& pc = pieces[list[i + k].piece];
             auto sub = data.subspan(std::size_t(pc.buffer_off), std::size_t(pc.length));
             buf->insert(buf->end(), sub.begin(), sub.end());
           }
           req.data = std::move(buf);
         }
+        client_.note_batch(n);
         const std::uint64_t wire = engine::obj_wire_bytes(n, payload_bytes);
-        auto rc = std::make_shared<Errno>(Errno::ok);
+        auto reply = std::make_shared<Reply>();
         std::vector<Pend> members(list.begin() + std::ptrdiff_t(i),
                                   list.begin() + std::ptrdiff_t(i + n));
-        sim::CoTask<void> task = update_batch(tgt, std::move(req), wire, round_ctx, rc);
+        sim::CoTask<void> task =
+            client_.call_credited(tgt, engine::kOpObjUpdate, std::move(req), wire, round_ctx, reply);
         co_await eq.launch(std::move(task));
-        batches.emplace_back(std::move(members), std::move(rc));
+        batches.emplace_back(std::move(members), std::move(reply));
       }
     }
     co_await eq.wait_all();
@@ -611,11 +532,11 @@ sim::CoTask<Errno> ArrayObject::write(std::uint64_t offset, std::uint64_t length
                  client_.endpoint().node(), 0, round_t0, client_.scheduler().now(), round_ctx);
     }
     std::vector<Pend> next;
-    for (auto& [members, rc] : batches) {
-      if (*rc == Errno::stale) {
+    for (auto& [members, reply] : batches) {
+      if (reply->status == Errno::stale) {
         next.insert(next.end(), members.begin(), members.end());
-      } else if (*rc != Errno::ok) {
-        status = *rc;
+      } else if (reply->status != Errno::ok) {
+        status = reply->status;
       }
     }
     pending = std::move(next);
@@ -629,10 +550,9 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
                                                      vos::Epoch epoch) {
   if (out.empty()) co_return std::uint64_t{0};
   OpTrace tr(client_, "arr_read");
-  const std::vector<Piece> pieces = split_pieces(offset, out.size());
+  const std::vector<ArrayPiece> pieces = split_pieces(chunk_, offset, out.size());
   const std::size_t max_batch = client_.config().max_batch_extents;
   const std::uint32_t nreps = layout_.replicas;
-
   // Degraded read, batched: each round every unfinished piece probes one
   // (target, replica) — pieces sharing a target ride one RPC. Replies that
   // are stale re-place (bounded) on the same replica unless the target is
@@ -688,16 +608,18 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
         req.extents.reserve(n);
         std::uint64_t payload_bytes = 0;
         for (std::size_t k = 0; k < n; ++k) {
-          const Piece& pc = pieces[list[b + k]];
+          const ArrayPiece& pc = pieces[list[b + k]];
           req.extents.push_back(
-              {strfmt("%llu", static_cast<unsigned long long>(pc.chunk_idx)), pc.offset,
-               pc.length, payload_bytes});
+              {array_chunk_dkey(pc.chunk_idx), pc.offset, pc.length, payload_bytes});
           payload_bytes += pc.length;
         }
+        client_.note_batch(n);
         auto reply = std::make_shared<Reply>();
         std::vector<std::uint32_t> members(list.begin() + std::ptrdiff_t(b),
                                            list.begin() + std::ptrdiff_t(b + n));
-        sim::CoTask<void> task = fetch_batch(tgt, std::move(req), round_ctx, reply);
+        sim::CoTask<void> task =
+            client_.call_credited(tgt, engine::kOpObjFetch, std::move(req),
+                                  engine::obj_wire_bytes(n, 0), round_ctx, reply);
         co_await eq.launch(std::move(task));
         batches.push_back(Batch{tgt, std::move(members), std::move(reply)});
       }
@@ -734,7 +656,7 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
         std::uint64_t payload_off = 0;
         for (std::size_t k = 0; k < members.size(); ++k) {
           const std::uint32_t i = members[k];
-          const Piece& pc = pieces[i];
+          const ArrayPiece& pc = pieces[i];
           ReadProgress& st = prog[i];
           if (!st.have_best || resp.fills[k] > st.best_filled) {
             st.have_best = true;
@@ -806,92 +728,17 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::size() {
   co_return *max_end;
 }
 
-sim::CoTask<void> ArrayObject::update_batch(std::uint32_t map_target, engine::ObjUpdateReq req,
-                                            std::uint64_t wire, sim::TraceContext ctx,
-                                            std::shared_ptr<Errno> out) {
-  req.target = client_.pool_map().targets[map_target].target;
-  client_.note_batch(req.extents.size());
-  Body body = Body::make(std::move(req));
-  // One client-wide credit per in-flight object RPC: many concurrent array
-  // calls (IOR ranks x eq_depth) must collectively stay under the endpoint's
-  // hard in-flight cap, which fails excess calls with Errno::busy.
-  // The wait is a "credit" child span: under EQ pressure this is where
-  // client-side queueing shows up. Id allocated unconditionally.
-  const sim::TraceContext credit_ctx = ctx.child(client_.scheduler().alloc_span_id());
-  const sim::Time c0 = client_.scheduler().now();
-  co_await client_.rpc_credits().acquire();
-  if (sim::SpanSink* sink = client_.scheduler().span_sink()) {
-    sink->span("credit", strfmt("rpc credit ->%u", map_target), client_.endpoint().node(), 0,
-               c0, client_.scheduler().now(), credit_ctx);
-  }
-  Reply reply =
-      co_await client_.call_target(map_target, engine::kOpObjUpdate, std::move(body), wire, ctx);
-  client_.rpc_credits().release();
-  *out = reply.status;
-}
-
-sim::CoTask<void> ArrayObject::fetch_batch(std::uint32_t map_target, engine::ObjFetchReq req,
-                                           sim::TraceContext ctx,
-                                           std::shared_ptr<net::Reply> out) {
-  const std::uint64_t wire = engine::obj_wire_bytes(req.extents.size(), 0);
-  req.target = client_.pool_map().targets[map_target].target;
-  client_.note_batch(req.extents.size());
-  Body body = Body::make(std::move(req));
-  const sim::TraceContext credit_ctx = ctx.child(client_.scheduler().alloc_span_id());
-  const sim::Time c0 = client_.scheduler().now();
-  co_await client_.rpc_credits().acquire();  // see update_batch
-  if (sim::SpanSink* sink = client_.scheduler().span_sink()) {
-    sink->span("credit", strfmt("rpc credit ->%u", map_target), client_.endpoint().node(), 0,
-               c0, client_.scheduler().now(), credit_ctx);
-  }
-  *out = co_await client_.call_target(map_target, engine::kOpObjFetch, std::move(body), wire,
-                                      ctx);
-  client_.rpc_credits().release();
-}
-
 sim::CoTask<void> ArrayObject::query_piece(std::uint32_t shard, engine::ObjQueryReq req,
                                            sim::TraceContext ctx,
                                            std::shared_ptr<Errno> status,
                                            std::shared_ptr<std::uint64_t> max_end) {
-  Reply reply{};
-  for (int round = 0;; ++round) {
-    refresh_layout();
-    const std::uint32_t map_target = layout_.targets[shard];
-    req.target = client_.pool_map().targets[map_target].target;
-    Body body = Body::make(req);
-    reply = co_await client_.call_target(map_target, engine::kOpObjQuery, std::move(body),
-                                         engine::kObjRpcHeader, ctx);
-    if (reply.status != Errno::stale || round >= kMaxPlaceRounds) break;
-  }
+  Reply reply = co_await send_placed(shard, engine::kOpObjQuery, std::move(req),
+                                     engine::kObjRpcHeader, ctx);
   if (reply.status != Errno::ok) {
     *status = reply.status;
     co_return;
   }
   *max_end = std::max(*max_end, reply.body.get<ObjQueryResp>().value);
-}
-
-sim::CoTask<Errno> ArrayObject::punch() {
-  OpTrace tr(client_, "arr_punch");
-  refresh_layout();
-  Errno status = Errno::ok;
-  for (std::uint32_t s = 0; s < layout_.size(); ++s) {
-    ObjPunchReq req;
-    req.cont = cont_;
-    req.oid = oid_;
-    req.scope = PunchScope::object;
-    Reply r{};
-    for (int round = 0;; ++round) {
-      refresh_layout();
-      const std::uint32_t map_target = layout_.targets[s];
-      req.target = client_.pool_map().targets[map_target].target;
-      Body body = Body::make(req);
-      r = co_await client_.call_target(map_target, engine::kOpObjPunch, std::move(body),
-                                       engine::kObjRpcHeader, tr.ctx());
-      if (r.status != Errno::stale || round >= kMaxPlaceRounds) break;
-    }
-    if (r.status != Errno::ok) status = r.status;
-  }
-  co_return status;
 }
 
 }  // namespace daosim::client

@@ -157,11 +157,6 @@ class DaosClient {
     rpc_credits_ = std::make_unique<sim::Semaphore>(sched_, cfg_.max_inflight_rpcs);
   }
 
-  /// The client-wide object-RPC credit window (see
-  /// ClientConfig::max_inflight_rpcs). Batched update/fetch paths hold one
-  /// credit for the duration of each call_target.
-  sim::Semaphore& rpc_credits() { return *rpc_credits_; }
-
   // --- pool service operations ---
   sim::CoTask<Result<ContInfo>> cont_create(vos::Uuid uuid, pool::ContProps props);
   sim::CoTask<Result<ContInfo>> cont_open(vos::Uuid uuid);
@@ -229,6 +224,32 @@ class DaosClient {
   sim::CoTask<net::Reply> call_target(std::uint32_t map_target, std::uint16_t opcode,
                                       net::Body body, std::uint64_t wire_bytes,
                                       sim::TraceContext ctx = {});
+
+  /// The credited send: call_target holding one credit of the client-wide
+  /// object-RPC window (ClientConfig::max_inflight_rpcs), so every batched
+  /// update/fetch and transaction prepare on this client, however many run
+  /// at once (IOR ranks x eq_depth), stays under the endpoint's hard
+  /// in-flight cap, which fails excess calls with Errno::busy. The credit
+  /// wait is a "credit" child span of `ctx`: under EQ pressure this is where
+  /// client-side queueing shows. Fills in `req.target` for `map_target` and
+  /// parks the reply in `out`, so an EventQueue or WaitGroup launches it
+  /// directly.
+  template <typename Req>
+  sim::CoTask<void> call_credited(std::uint32_t map_target, std::uint16_t opcode, Req req,
+                                  std::uint64_t wire_bytes, sim::TraceContext ctx,
+                                  std::shared_ptr<net::Reply> out) {
+    req.target = map_.targets[map_target].target;
+    net::Body body = net::Body::make(std::move(req));
+    const sim::TraceContext credit_ctx = ctx.child(sched_.alloc_span_id());
+    const sim::Time c0 = sched_.now();
+    co_await rpc_credits_->acquire();
+    if (sim::SpanSink* sink = sched_.span_sink()) {
+      sink->span("credit", strfmt("rpc credit ->%u", map_target), endpoint().node(), 0, c0,
+                 sched_.now(), credit_ctx);
+    }
+    *out = co_await call_target(map_target, opcode, std::move(body), wire_bytes, ctx);
+    rpc_credits_->release();
+  }
 
   /// Samples the next client-level op into a trace: bumps the op sequence
   /// and allocates a root span id unconditionally (both pure counters), then
@@ -397,13 +418,52 @@ class OpTrace {
   sim::TraceContext ctx_;
 };
 
+/// What the object handles share: the object's placement on the pool,
+/// re-placed when the client's map moves, the one placed send with bounded
+/// stale re-placement, and the whole-object punch.
+class ObjectHandle {
+ public:
+  vos::ObjId oid() const { return oid_; }
+
+ protected:
+  ObjectHandle(DaosClient& client, vos::Uuid cont, vos::ObjId oid);
+
+  /// Recomputes the layout when the client's pool map moved past the version
+  /// this handle last placed against (refresh-on-stale).
+  void refresh_layout();
+  /// True when every nominal replica of `group` sits on an EXCLUDED target:
+  /// the group's pre-eviction data has no surviving copy.
+  bool group_lost(std::uint32_t group) const;
+
+  /// The placed send: `req` to the target at layout slot `slot` (g*R + r),
+  /// re-placed against the refreshed map after each Errno::stale for up to
+  /// kMaxPlaceRounds more rounds. With `read`, a stale reply whose target
+  /// this client still suspects ends the loop: the wait for its eviction
+  /// expired, so the caller asks another replica rather than this one again.
+  template <typename Req>
+  sim::CoTask<net::Reply> send_placed(std::uint32_t slot, std::uint16_t opcode, Req req,
+                                      std::uint64_t wire_bytes, sim::TraceContext ctx,
+                                      bool read = false);
+  /// Punches the object on every shard (traced as `op`). A degraded layout
+  /// may punch a substitute twice, which is harmless: punch is idempotent.
+  sim::CoTask<Errno> punch_object(const char* op);
+
+  DaosClient& client_;
+  vos::Uuid cont_;
+  vos::ObjId oid_;
+  GroupLayout layout_;   // health-aware: where I/O goes right now
+  GroupLayout nominal_;  // intact-pool placement: which replicas exist at all
+  std::uint32_t map_version_ = 0;
+};
+
 /// KV-style object handle (DAOS "multi-level KV" API): dkey -> akey -> value.
 /// Replicated classes (RP_*) fan puts to every replica of the dkey's
 /// redundancy group and serve degraded gets from any UP replica; a get whose
 /// group lost every nominal replica fails with Errno::data_loss.
-class KvObject {
+class KvObject : public ObjectHandle {
  public:
-  KvObject(DaosClient& client, vos::Uuid cont, vos::ObjId oid);
+  KvObject(DaosClient& client, vos::Uuid cont, vos::ObjId oid)
+      : ObjectHandle(client, cont, oid) {}
 
   /// With `excl`, fails with Errno::exists when the dkey already holds a
   /// visible record (DAOS conditional insert).
@@ -414,29 +474,26 @@ class KvObject {
   sim::CoTask<Result<std::vector<std::byte>>> get(const vos::Key& dkey, const vos::Key& akey,
                                                   vos::Epoch epoch = vos::kEpochMax);
   sim::CoTask<Result<std::vector<vos::Key>>> list_dkeys();
-  sim::CoTask<Errno> punch();
+  sim::CoTask<Errno> punch() { return punch_object("kv_punch"); }
   sim::CoTask<Errno> punch_dkey(const vos::Key& dkey);
-
-  vos::ObjId oid() const { return oid_; }
 
  private:
   std::uint32_t group_of(const vos::Key& dkey) const;
-  bool group_lost(std::uint32_t group) const;
-  /// Recomputes the layout when the client's pool map moved past the version
-  /// this handle last placed against (refresh-on-stale).
-  void refresh_layout();
-
-  DaosClient& client_;
-  vos::Uuid cont_;
-  vos::ObjId oid_;
-  GroupLayout layout_;   // health-aware: where I/O goes right now
-  GroupLayout nominal_;  // intact-pool placement: which replicas exist at all
-  std::uint32_t map_version_ = 0;
+  /// The degraded replica walk over group `g`: asks its replicas from `r0`
+  /// (rotating), the ones this client suspects last, until `accept` takes an
+  /// ok reply, which is returned. Otherwise Errno::data_loss when the group
+  /// lost every nominal replica, Errno::no_entry when every replica answered
+  /// and none was accepted, else the last failure.
+  template <typename Req>
+  sim::CoTask<Result<net::Reply>> read_group(std::uint32_t g, std::uint32_t r0,
+                                             std::uint16_t opcode, Req req,
+                                             sim::TraceContext ctx,
+                                             bool (*accept)(const net::Reply&));
 };
 
 /// Byte-array object handle (the DAOS array API): a flat address space
 /// chunked into dkeys and striped over the object's shards.
-class ArrayObject {
+class ArrayObject : public ObjectHandle {
  public:
   ArrayObject(DaosClient& client, vos::Uuid cont, vos::ObjId oid, std::uint64_t chunk_size);
 
@@ -450,9 +507,8 @@ class ArrayObject {
                                           vos::Epoch epoch = vos::kEpochMax);
   /// Array size = high-water mark of all completed writes.
   sim::CoTask<Result<std::uint64_t>> size();
-  sim::CoTask<Errno> punch();
+  sim::CoTask<Errno> punch() { return punch_object("arr_punch"); }
 
-  vos::ObjId oid() const { return oid_; }
   std::uint64_t chunk_size() const { return chunk_; }
   std::uint32_t shard_count() const { return std::uint32_t(layout_.size()); }
 
@@ -460,19 +516,7 @@ class ArrayObject {
   std::uint32_t group_of_chunk(std::uint64_t chunk_idx) const {
     return array_chunk_group(oid_, chunk_idx, layout_.groups());
   }
-  bool group_lost(std::uint32_t group) const;
-  /// See KvObject::refresh_layout.
-  void refresh_layout();
 
-  /// One chunk piece of a write/read call: a dkey-relative byte range plus
-  /// its offset into the caller's buffer. Pieces are grouped by
-  /// (map_target, replica) into batched RPCs per placement round.
-  struct Piece {
-    std::uint64_t chunk_idx = 0;
-    std::uint64_t offset = 0;       // offset within the chunk (dkey)
-    std::uint64_t length = 0;
-    std::uint64_t buffer_off = 0;   // offset into the caller's data/out span
-  };
   /// Per-piece degraded-read bookkeeping (see ArrayObject::read).
   struct ReadProgress {
     std::uint32_t attempt = 0;  // replica attempts consumed (0..nreps)
@@ -485,28 +529,14 @@ class ArrayObject {
     std::uint64_t best_filled = 0;
     Errno last = Errno::io;
   };
-  std::vector<Piece> split_pieces(std::uint64_t offset, std::uint64_t length) const;
 
-  // Per-batch coroutines (explicit parameters; see CP.51 note in
-  // scheduler.hpp): each sends ONE batched RPC to one resolved target and
-  // parks the reply for the caller's round barrier, which owns stale
-  // re-placement and degraded-read fallback per piece.
-  sim::CoTask<void> update_batch(std::uint32_t map_target, engine::ObjUpdateReq req,
-                                 std::uint64_t wire, sim::TraceContext ctx,
-                                 std::shared_ptr<Errno> out);
-  sim::CoTask<void> fetch_batch(std::uint32_t map_target, engine::ObjFetchReq req,
-                                sim::TraceContext ctx, std::shared_ptr<net::Reply> out);
+  // One array-end query to one shard (explicit parameters; see CP.51 note in
+  // scheduler.hpp): size() fans these out over every shard.
   sim::CoTask<void> query_piece(std::uint32_t shard, engine::ObjQueryReq req,
                                 sim::TraceContext ctx, std::shared_ptr<Errno> status,
                                 std::shared_ptr<std::uint64_t> max_end);
 
-  DaosClient& client_;
-  vos::Uuid cont_;
-  vos::ObjId oid_;
   std::uint64_t chunk_;
-  GroupLayout layout_;   // health-aware: where I/O goes right now
-  GroupLayout nominal_;  // intact-pool placement: which replicas exist at all
-  std::uint32_t map_version_ = 0;
 };
 
 }  // namespace daosim::client

@@ -10,10 +10,14 @@
 // the paper's figures.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "client/object_class.hpp"
 #include "common/error.hpp"
 #include "pool/pool_map.hpp"
 #include "vos/types.hpp"
@@ -113,6 +117,37 @@ inline std::uint32_t kv_dkey_group(const vos::Key& dkey, std::uint32_t groups) {
   return dkey_to_shard(std::hash<std::string>{}(dkey), groups);
 }
 
+/// An array chunk's dkey is its chunk index in decimal. The client's array
+/// writes and reads name chunks with array_chunk_dkey; the rebuild scanner
+/// reads the index back with array_chunk_index to route a record's group.
+inline vos::Key array_chunk_dkey(std::uint64_t chunk_idx) { return std::to_string(chunk_idx); }
+inline std::uint64_t array_chunk_index(const vos::Key& dkey) {
+  return std::strtoull(dkey.c_str(), nullptr, 10);
+}
+
+/// One chunk piece of an array range: a dkey-relative byte range plus its
+/// offset into the caller's buffer.
+struct ArrayPiece {
+  std::uint64_t chunk_idx = 0;
+  std::uint64_t offset = 0;      // offset within the chunk (dkey)
+  std::uint64_t length = 0;
+  std::uint64_t buffer_off = 0;  // offset into the caller's data/out span
+};
+
+/// Splits the array range [offset, offset + length) at `chunk` boundaries.
+inline std::vector<ArrayPiece> split_pieces(std::uint64_t chunk, std::uint64_t offset,
+                                            std::uint64_t length) {
+  std::vector<ArrayPiece> pieces;
+  const std::uint64_t end = offset + length;
+  for (std::uint64_t pos = offset; pos < end;) {
+    const std::uint64_t in_chunk = pos % chunk;
+    const std::uint64_t len = std::min(chunk - in_chunk, end - pos);
+    pieces.push_back(ArrayPiece{pos / chunk, in_chunk, len, pos - offset});
+    pos += len;
+  }
+  return pieces;
+}
+
 /// Layout of a replicated object: `groups` redundancy groups of `replicas`
 /// targets each, group-major (`targets[g*replicas + r]`). Replicas of one
 /// group never share an engine (the failure domain), so losing an engine
@@ -210,6 +245,14 @@ inline GroupLayout compute_group_layout(vos::ObjId oid, std::uint32_t groups,
     }
   }
   return out;
+}
+
+/// Where an object's I/O goes on `map` now: its health-aware group layout,
+/// with the group and replica counts its object class gives on this pool.
+/// Object handles and transactions both place through this.
+inline GroupLayout object_layout(vos::ObjId oid, const pool::PoolMap& map) {
+  const ObjClass cls = class_of(oid);
+  return compute_group_layout(oid, group_count(cls, map.target_count()), replica_count(cls), map);
 }
 
 }  // namespace daosim::client

@@ -33,10 +33,7 @@ std::size_t TxHandle::staged_ops() const {
 void TxHandle::kv_put(vos::ObjId oid, const vos::Key& dkey, const vos::Key& akey,
                       std::span<const std::byte> value) {
   DAOSIM_REQUIRE(state_ == State::open, "kv_put on a decided transaction");
-  const auto cls = class_of(oid);
-  const std::uint32_t n = client_.pool_map().target_count();
-  const GroupLayout layout =
-      compute_group_layout(oid, group_count(cls, n), replica_count(cls), client_.pool_map());
+  const GroupLayout layout = object_layout(oid, client_.pool_map());
   engine::TxOpDesc op;
   op.oid = oid;
   op.dkey = dkey;
@@ -55,33 +52,23 @@ void TxHandle::array_write(vos::ObjId oid, std::uint64_t chunk_size, std::uint64
   DAOSIM_REQUIRE(state_ == State::open, "array_write on a decided transaction");
   DAOSIM_REQUIRE(chunk_size > 0, "chunk size must be positive");
   DAOSIM_REQUIRE(data.empty() || data.size() == length, "payload size mismatch");
-  if (length == 0) return;
-  const auto cls = class_of(oid);
-  const std::uint32_t n = client_.pool_map().target_count();
-  const GroupLayout layout =
-      compute_group_layout(oid, group_count(cls, n), replica_count(cls), client_.pool_map());
-  const std::uint64_t end = offset + length;
-  std::uint64_t pos = offset;
-  while (pos < end) {
-    const std::uint64_t chunk_idx = pos / chunk_size;
-    const std::uint64_t in_chunk = pos % chunk_size;
-    const std::uint64_t len = std::min(chunk_size - in_chunk, end - pos);
+  const GroupLayout layout = object_layout(oid, client_.pool_map());
+  for (const ArrayPiece& pc : split_pieces(chunk_size, offset, length)) {
     engine::Payload payload;  // null: metadata-only
     if (!data.empty()) {
-      auto sub = data.subspan(std::size_t(pos - offset), std::size_t(len));
+      auto sub = data.subspan(std::size_t(pc.buffer_off), std::size_t(pc.length));
       payload = std::make_shared<std::vector<std::byte>>(sub.begin(), sub.end());
     }
     const engine::TxOpDesc op{.oid = oid,
-                              .dkey = strfmt("%llu", static_cast<unsigned long long>(chunk_idx)),
+                              .dkey = array_chunk_dkey(pc.chunk_idx),
                               .akey = "0",
                               .type = engine::RecordType::array,
-                              .offset = in_chunk,
-                              .length = len,
-                              .array_end_hint = end,
+                              .offset = pc.offset,
+                              .length = pc.length,
+                              .array_end_hint = offset + length,
                               .data = std::move(payload)};
-    const std::uint32_t g = array_chunk_group(oid, chunk_idx, layout.groups());
+    const std::uint32_t g = array_chunk_group(oid, pc.chunk_idx, layout.groups());
     for (std::uint32_t rep = 0; rep < layout.replicas; ++rep) stage(layout.at(g, rep), op);
-    pos += len;
   }
 }
 
@@ -104,18 +91,29 @@ sim::CoTask<Errno> TxHandle::commit() {
   // shard's ops at epoch_ and locks the touched keys; any conflict answers
   // Errno::tx_restart.
   sim::WaitGroup wg(sched);
-  std::vector<std::shared_ptr<Errno>> results;
+  std::vector<std::shared_ptr<Reply>> results;
   for (const auto& [mt, ops] : staged_) {
-    auto rc = std::make_shared<Errno>(Errno::ok);
-    sim::CoTask<void> task = prepare_one(mt, tr.ctx(), rc);
+    engine::TxPrepareReq req;
+    req.cont = cont_;
+    req.tx_client = id_.client;
+    req.tx_seq = id_.seq;
+    req.epoch = epoch_;
+    req.leader = leader_;
+    req.ops = ops;
+    std::uint64_t payload = 0;
+    for (const auto& op : ops) payload += op.length;
+    const std::uint64_t wire = engine::obj_wire_bytes(ops.size(), payload);
+    auto reply = std::make_shared<Reply>();
+    sim::CoTask<void> task =
+        client_.call_credited(mt, engine::kOpTxPrepare, std::move(req), wire, tr.ctx(), reply);
     wg.spawn(std::move(task));
-    results.push_back(std::move(rc));
+    results.push_back(std::move(reply));
   }
   co_await wg.wait();
   Errno prep = Errno::ok;
-  for (const auto& rc : results) {
-    if (*rc != Errno::ok && prep == Errno::ok) prep = *rc;
-    if (*rc == Errno::tx_restart) prep = Errno::tx_restart;  // conflicts dominate
+  for (const auto& reply : results) {
+    if (reply->status != Errno::ok && prep == Errno::ok) prep = reply->status;
+    if (reply->status == Errno::tx_restart) prep = Errno::tx_restart;  // conflicts dominate
   }
   if (prep != Errno::ok) {
     // Abort everywhere (including the leader, whose sticky abort record
@@ -172,34 +170,6 @@ sim::CoTask<Errno> TxHandle::abort() {
   staged_.clear();
   client_.note_tx_abort();
   co_return Errno::ok;
-}
-
-sim::CoTask<void> TxHandle::prepare_one(std::uint32_t map_target, sim::TraceContext ctx,
-                                        std::shared_ptr<Errno> out) {
-  engine::TxPrepareReq req;
-  req.cont = cont_;
-  req.tx_client = id_.client;
-  req.tx_seq = id_.seq;
-  req.epoch = epoch_;
-  req.leader = leader_;
-  req.target = client_.pool_map().targets[map_target].target;
-  req.ops = staged_.at(map_target);
-  std::uint64_t payload = 0;
-  for (const auto& op : req.ops) payload += op.length;
-  const std::uint64_t wire = engine::obj_wire_bytes(req.ops.size(), payload);
-  Body body = Body::make(std::move(req));
-  // Credit wait as a "credit" child span (see ArrayObject::update_batch).
-  const sim::TraceContext credit_ctx = ctx.child(client_.scheduler().alloc_span_id());
-  const sim::Time c0 = client_.scheduler().now();
-  co_await client_.rpc_credits().acquire();
-  if (sim::SpanSink* sink = client_.scheduler().span_sink()) {
-    sink->span("credit", strfmt("rpc credit ->%u", map_target), client_.endpoint().node(), 0,
-               c0, client_.scheduler().now(), credit_ctx);
-  }
-  Reply r = co_await client_.call_target(map_target, engine::kOpTxPrepare, std::move(body), wire,
-                                         ctx);
-  client_.rpc_credits().release();
-  *out = r.status;
 }
 
 sim::CoTask<Errno> TxHandle::decide_one(std::uint32_t map_target, std::uint16_t opcode,

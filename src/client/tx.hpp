@@ -59,8 +59,6 @@ class TxHandle {
   void stage(std::uint32_t map_target, engine::TxOpDesc op);
   // `ctx` is the commit-time trace root: the whole 2PC — prepares, the
   // leader decision, the commit/abort fans — assembles into one trace tree.
-  sim::CoTask<void> prepare_one(std::uint32_t map_target, sim::TraceContext ctx,
-                                std::shared_ptr<Errno> out);
   sim::CoTask<Errno> decide_one(std::uint32_t map_target, std::uint16_t opcode,
                                 sim::TraceContext ctx);
   sim::CoTask<void> decide_quiet(std::uint32_t map_target, std::uint16_t opcode,

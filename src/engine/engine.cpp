@@ -190,6 +190,20 @@ sim::CoTask<void> Engine::rebuild_write(std::uint32_t idx, std::uint64_t bytes,
   co_await media_write(t, bytes + 64, ctx);
 }
 
+namespace {
+/// An array request's extents in VOS form, and their total length.
+std::uint64_t vos_extents(const std::vector<IoExtent>& extents,
+                          std::vector<vos::VosContainer::ArrayExtent>& out) {
+  std::uint64_t total = 0;
+  out.reserve(extents.size());
+  for (const IoExtent& e : extents) {
+    out.push_back({e.dkey, e.offset, e.length, e.payload_off});
+    total += e.length;
+  }
+  return total;
+}
+}  // namespace
+
 sim::CoTask<net::Reply> Engine::on_update(net::Request req) {
   auto& r = req.body.get<ObjUpdateReq>();
   Target& t = target_for(r.target);
@@ -201,21 +215,15 @@ sim::CoTask<net::Reply> Engine::on_update(net::Request req) {
 
   // A stream-context miss occupies the target's xstream (serialised): a
   // target fed from many distinct objects loses throughput, not just latency.
-  // A batched request pays one queue entry and one context touch; only the
-  // marginal per-descriptor CPU scales with the extent count.
+  // A request pays one queue entry and one context touch; only the marginal
+  // per-descriptor CPU scales with the extent count.
   const sim::Time sw = stream_context_touch(t, r.cont, r.oid, /*write=*/true);
   co_await xstream_exec(t, cfg_.update_cpu + sim::Time(nex - 1) * cfg_.update_cpu_extent + sw,
                         req.ctx);
 
-  if (!r.extents.empty()) {
-    DAOSIM_REQUIRE(r.type == RecordType::array, "batched update must be an array op");
-    std::uint64_t total = 0;
+  if (r.type == RecordType::array) {
     std::vector<vos::VosContainer::ArrayExtent> exts;
-    exts.reserve(r.extents.size());
-    for (const IoExtent& e : r.extents) {
-      exts.push_back({e.dkey, e.offset, e.length, e.payload_off});
-      total += e.length;
-    }
+    const std::uint64_t total = vos_extents(r.extents, exts);
     // Records + per-extent tree-node writes.
     co_await media_write(t, total + 64 * nex, req.ctx);
     // Shard lookup deliberately after the last suspension: never hold a
@@ -233,21 +241,14 @@ sim::CoTask<net::Reply> Engine::on_update(net::Request req) {
   co_await media_write(t, r.length + 64, req.ctx);  // record + tree-node write
 
   vos::VosContainer& cont = t.vos.container(r.cont);
-  if (r.cond_insert && r.type == RecordType::single_value &&
-      cont.kv_get(r.oid, r.dkey, r.akey, vos::kEpochMax).exists) {
+  if (r.cond_insert && cont.kv_get(r.oid, r.dkey, r.akey, vos::kEpochMax).exists) {
     svc->record(sched_.now() - svc_t0);
     co_return Reply{Errno::exists, kObjRpcHeader, {}};
   }
   cont.observe_time(vos::hlc_base(sched_.now()));
-  const vos::Epoch epoch = cont.next_epoch();
   std::span<const std::byte> data;
   if (r.data != nullptr) data = std::span<const std::byte>(*r.data);
-  if (r.type == RecordType::array) {
-    cont.array_write(r.oid, r.dkey, r.akey, r.offset, r.length, data, epoch);
-    if (r.array_end_hint > 0) cont.note_array_end(r.oid, r.array_end_hint);
-  } else {
-    cont.kv_put(r.oid, r.dkey, r.akey, data, epoch);
-  }
+  cont.kv_put(r.oid, r.dkey, r.akey, data, cont.next_epoch());
   svc->record(sched_.now() - svc_t0);
   co_return Reply{Errno::ok, kObjRpcHeader, {}};
 }
@@ -268,15 +269,10 @@ sim::CoTask<net::Reply> Engine::on_fetch(net::Request req) {
 
   ObjFetchResp resp;
   std::uint64_t reply_bytes = 0;
-  if (!r.extents.empty()) {
-    DAOSIM_REQUIRE(r.type == RecordType::array, "batched fetch must be an array op");
-    std::uint64_t total = 0;
+  if (r.type == RecordType::array) {
+    // A zero-extent fetch (a liveness probe) is charged as one empty extent.
     std::vector<vos::VosContainer::ArrayExtent> exts;
-    exts.reserve(r.extents.size());
-    for (const IoExtent& e : r.extents) {
-      exts.push_back({e.dkey, e.offset, e.length, e.payload_off});
-      total += e.length;
-    }
+    const std::uint64_t total = vos_extents(r.extents, exts);
     co_await media_read(t, total + 64 * nex, req.ctx);
     // Shard lookup after the last suspension (see on_update).
     vos::VosContainer& cont = t.vos.container(r.cont);
@@ -289,22 +285,6 @@ sim::CoTask<net::Reply> Engine::on_fetch(net::Request req) {
     resp.filled = cont.array_read_extents(r.oid, r.akey, exts, payload, resp.fills, r.epoch);
     resp.exists = resp.filled > 0;
     reply_bytes = total + std::uint64_t(nex - 1) * kExtentDescBytes;
-    svc->record(sched_.now() - svc_t0);
-    co_return Reply{Errno::ok, kObjRpcHeader + reply_bytes, Body::make(std::move(resp))};
-  }
-  if (r.type == RecordType::array) {
-    co_await media_read(t, r.length + 64, req.ctx);
-    vos::VosContainer& cont = t.vos.container(r.cont);
-    if (cfg_.payload == vos::PayloadMode::store) {
-      resp.data = std::make_shared<std::vector<std::byte>>(r.length);
-      resp.filled = cont.array_read(r.oid, r.dkey, r.akey, r.offset, *resp.data, r.epoch);
-    } else {
-      // Discard mode: report fill from extent metadata only.
-      const std::uint64_t sz = cont.array_size(r.oid, r.dkey, r.akey, r.epoch);
-      resp.filled = sz > r.offset ? std::min(r.length, sz - r.offset) : 0;
-    }
-    resp.exists = resp.filled > 0;
-    reply_bytes = r.length;
   } else {
     // kv_get copies size/existence into `view` pre-suspension; the data span
     // points at the epoch record, which is immutable once written (VOS is

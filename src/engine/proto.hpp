@@ -50,19 +50,19 @@ constexpr std::uint16_t kOpMapFetch = 0x62;
 /// Fixed per-message protocol overhead added to payload sizes.
 constexpr std::uint64_t kObjRpcHeader = 256;
 
-/// Wire cost of each additional I/O descriptor in a batched (multi-extent)
-/// object RPC: dkey + offset/length + checksum slot, as in a DAOS iod/sgl
-/// entry. The first extent rides in the fixed header, so a single-extent
-/// batch costs exactly what the unbatched protocol did.
+/// Wire cost of each additional I/O descriptor in a multi-extent object RPC:
+/// dkey + offset/length + checksum slot, as in a DAOS iod/sgl entry. The
+/// first extent rides in the fixed header.
 constexpr std::uint64_t kExtentDescBytes = 32;
 
 using Payload = std::shared_ptr<std::vector<std::byte>>;
 
 enum class RecordType : std::uint8_t { array, single_value };
 
-/// One extent of a batched (scatter-gather) array RPC. All extents of a
-/// request share the object/akey and one payload buffer; `payload_off` is
-/// this extent's offset into it.
+/// One extent of an array RPC: every array update and fetch is a
+/// scatter-gather batch of these. All extents of a request share the
+/// object/akey and one payload buffer; `payload_off` is this extent's
+/// offset into it.
 struct IoExtent {
   vos::Key dkey;
   std::uint64_t offset = 0;       // offset within the dkey's array
@@ -71,58 +71,55 @@ struct IoExtent {
 };
 
 /// Request wire bytes for an object RPC carrying `extents` descriptors and
-/// `payload_bytes` of data (extents == 0 or 1 both mean "no extra
-/// descriptors": the legacy single-extent encoding).
+/// `payload_bytes` of data: the header plus payload, plus kExtentDescBytes
+/// per descriptor after the first (0 and 1 extents cost the same; KV
+/// requests carry none).
 constexpr std::uint64_t obj_wire_bytes(std::size_t extents, std::uint64_t payload_bytes) {
   const std::uint64_t extra = extents > 1 ? std::uint64_t(extents - 1) * kExtentDescBytes : 0;
   return kObjRpcHeader + payload_bytes + extra;
 }
 
+/// An array update carries its ranges in `extents`, all applied to the same
+/// target in one service visit, with every extent's bytes in `data` at its
+/// `payload_off`. A single-value (KV) update writes `length` bytes of `data`
+/// to `dkey`/`akey`.
 struct ObjUpdateReq {
   vos::Uuid cont;
   vos::ObjId oid;
   std::uint32_t target = 0;  // target index within the engine
-  vos::Key dkey;
+  vos::Key dkey;             // single value only
   vos::Key akey;
   RecordType type = RecordType::array;
-  std::uint64_t offset = 0;  // array only
-  std::uint64_t length = 0;  // logical bytes (payload may be null in discard mode)
+  std::uint64_t length = 0;  // single value: logical bytes
   Payload data;              // null => metadata-only accounting
-  /// Batched (vectorized) encoding: when non-empty, the request carries
-  /// these extents instead of the dkey/offset/length above, all applied to
-  /// the same target in one service visit. `data` then holds every extent's
-  /// bytes at its `payload_off`. Arrays only.
-  std::vector<IoExtent> extents;
+  std::vector<IoExtent> extents;     // array only
   std::uint64_t array_end_hint = 0;  // global array high-water mark (0 = none)
   /// Conditional dkey insert (DAOS_COND_DKEY_INSERT): fail with
   /// Errno::exists if the dkey already holds a visible record. Serialises
-  /// concurrent create() races on directory entries.
+  /// concurrent create() races on directory entries. Single values only.
   bool cond_insert = false;
 };
 
+/// An array fetch reads every extent in one service visit; the reply's
+/// payload holds each extent's bytes at its `payload_off` and `fills`
+/// reports per-extent overlap. A single-value fetch reads `dkey`/`akey`.
 struct ObjFetchReq {
   vos::Uuid cont;
   vos::ObjId oid;
   std::uint32_t target = 0;
-  vos::Key dkey;
+  vos::Key dkey;  // single value only
   vos::Key akey;
   RecordType type = RecordType::array;
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-  /// Batched encoding (see ObjUpdateReq::extents): when non-empty the fetch
-  /// reads every extent in one service visit; the reply's payload holds each
-  /// extent's bytes at its `payload_off` and `fills` reports per-extent
-  /// overlap. Arrays only.
-  std::vector<IoExtent> extents;
+  std::vector<IoExtent> extents;  // array only
   vos::Epoch epoch = vos::kEpochMax;
 };
 
 struct ObjFetchResp {
-  bool exists = false;       // single-value: record present
-  std::uint64_t filled = 0;  // array: bytes overlapping written data (batched: total)
+  bool exists = false;       // single value: record present; array: filled > 0
+  std::uint64_t filled = 0;  // bytes overlapping written data (array: all extents)
   Payload data;              // null in discard mode
-  /// Batched fetch: bytes overlapping written data per request extent
-  /// (parallel to ObjFetchReq::extents); empty for single-extent requests.
+  /// Array fetch: bytes overlapping written data per request extent
+  /// (parallel to ObjFetchReq::extents).
   std::vector<std::uint64_t> fills;
 };
 

@@ -1,7 +1,6 @@
 #include "rebuild/rebuild.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <span>
 #include <utility>
@@ -179,12 +178,11 @@ engine::RebuildFetchResp RebuildService::fetch_records(const engine::RebuildFetc
   const std::uint32_t groups =
       client::group_count(client::class_of(req.oid), base_map_.target_count());
   for (auto& rec : cont->export_object(req.oid, req.min_epoch)) {
-    // Same group routing the client uses: array dkeys are decimal chunk
-    // indices, KV dkeys hash the key string.
+    // Same group routing the client uses: array dkeys name chunk indices,
+    // KV dkeys hash the key string.
     const std::uint32_t g =
         rec.is_array
-            ? client::array_chunk_group(req.oid, std::strtoull(rec.dkey.c_str(), nullptr, 10),
-                                        groups)
+            ? client::array_chunk_group(req.oid, client::array_chunk_index(rec.dkey), groups)
             : client::kv_dkey_group(rec.dkey, groups);
     if (g != req.group) continue;
     engine::RebuildRecord out;

@@ -403,6 +403,7 @@ sim::CoTask<void> SwimService::sweep_suspects() {
   if (sweeping_) co_return;
   sweeping_ = true;
   const sim::Time now = sched_.now();
+  std::vector<std::uint32_t> verdicts;  // members to campaign against
   for (std::uint32_t m = 0; m < state_.size(); ++m) {
     if (state_[m].suspect && !state_[m].dead &&
         now - state_[m].suspect_since >= cfg_.suspect_timeout) {
@@ -412,25 +413,40 @@ sim::CoTask<void> SwimService::sweep_suspects() {
       sched_.trace_note(kTraceSwimDead ^ (std::uint64_t(index_) << 32) ^ m);
     }
     if (state_[m].dead && !map_excluded(m) && !state_[m].evict_tried) {
-      co_await submit_evict(m);  // state_ re-indexed after the suspension
+      state_[m].evict_tried = true;
+      verdicts.push_back(m);
     }
   }
+  // Every campaign at once: run back to back, k verdicts would keep a
+  // partitioned minority campaigning k campaign lengths after its first
+  // verdict, and a heal inside that span would let a stale verdict evict a
+  // healthy engine. The first campaign runs inline, so a lone verdict costs
+  // no extra scheduler event.
+  sim::WaitGroup rest(sched_);
+  for (std::size_t i = 1; i < verdicts.size(); ++i) rest.spawn(submit_evict(verdicts[i]));
+  if (!verdicts.empty()) co_await submit_evict(verdicts.front());
+  co_await rest.wait();
   sweeping_ = false;
 }
 
 sim::CoTask<net::Reply> SwimService::send_svc(net::NodeId dst, net::Body body) {
+  // svc_ carries nothing but pool_evict: the evicted member names the campaign.
+  const net::NodeId evictee = std::get<pool::PoolEvict>(body.get<pool::PoolSvcReq>().cmd).engine;
+  const std::uint32_t m = *member_index(evictee);
   Reply r = co_await eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body), kSwimMsgBytes);
+  Member& mi = state_[m];  // indexed after the suspension
   if (r.status != Errno::timed_out) {
-    svc_answered_.insert(dst);
-    svc_silent_.erase(dst);
-  } else if (!svc_answered_.contains(dst)) {
-    svc_silent_.insert(dst);
+    mi.svc_answered.insert(dst);
+    mi.svc_silent.erase(dst);
+  } else if (!mi.svc_answered.contains(dst)) {
+    mi.svc_silent.insert(dst);
   }
   co_return r;
 }
 
-bool SwimService::svc_quorum_may_answer() const {
-  return !svc_answered_.empty() && 2 * svc_silent_.size() < svc_.replicas().size();
+bool SwimService::svc_quorum_may_answer(std::uint32_t m) const {
+  const Member& mi = state_[m];
+  return !mi.svc_answered.empty() && 2 * mi.svc_silent.size() < svc_.replicas().size();
 }
 
 sim::CoTask<void> SwimService::submit_evict(std::uint32_t m) {
@@ -445,10 +461,11 @@ sim::CoTask<void> SwimService::submit_evict(std::uint32_t m) {
   // further rounds. A minority hears a majority of the replicas stay silent
   // in its first round, even with a replica on its side of the cut: that
   // replica is a candidate, names no leader, and the round walks them all.
-  state_[m].evict_tried = true;
+  // Refuted or evicted since the sweep picked it: nothing to campaign for.
+  if (!state_[m].dead || map_excluded(m)) co_return;
   const net::NodeId member = members_[m];
-  svc_answered_.clear();
-  svc_silent_.clear();
+  state_[m].svc_answered.clear();
+  state_[m].svc_silent.clear();
   for (int round = 0; round < kEvictRounds; ++round) {
     auto version = co_await svc_.run(pool::PoolEvict{member});
     // The committed eviction comes back as a delta; apply_map_fetch marks
@@ -457,7 +474,7 @@ sim::CoTask<void> SwimService::submit_evict(std::uint32_t m) {
       note_remote_map_version(*version);
       co_return;
     }
-    if (!svc_quorum_may_answer()) co_return;
+    if (!svc_quorum_may_answer(m)) co_return;
   }
 }
 

@@ -92,6 +92,10 @@ class SwimService {
     sim::Time suspect_since = 0;
     bool dead = false;  // local verdict (stops probing; gossiped as suspicion)
     bool evict_tried = false;
+    /// Pool-service replicas that answered / only ever timed out in the evict
+    /// campaign against this member (each verdict runs its own campaign).
+    std::set<net::NodeId> svc_answered;
+    std::set<net::NodeId> svc_silent;
   };
 
   sim::CoTask<net::Reply> on_ping(net::Request req);
@@ -100,20 +104,23 @@ class SwimService {
 
   sim::CoTask<void> probe_loop();
   sim::CoTask<void> probe_once();
+  /// Declares timed-out suspects dead and runs one evict campaign per fresh
+  /// verdict, all at once, so each campaign ends within its own verdict's
+  /// window however many members died together.
   sim::CoTask<void> sweep_suspects();
-  /// Submits `pool_evict` for member `m` with bounded attempts; marks
-  /// evict_tried so one death declaration yields at most one submission
-  /// campaign (a partitioned minority must not replay stale verdicts after
-  /// the partition heals — refutation revives the member instead). The
-  /// campaign outlasts a pool-service election: it keeps going while
-  /// svc_quorum_may_answer().
+  /// Submits `pool_evict` for member `m` with bounded attempts. The sweep
+  /// marks evict_tried, so one death declaration yields at most one
+  /// submission campaign (a partitioned minority must not replay stale
+  /// verdicts after the partition heals — refutation revives the member
+  /// instead). The campaign outlasts a pool-service election: it keeps going
+  /// while svc_quorum_may_answer(m).
   sim::CoTask<void> submit_evict(std::uint32_t m);
-  /// svc_'s transport: one kOpPoolSvc call; notes whether the replica
-  /// answered or stayed silent.
+  /// svc_'s transport: one kOpPoolSvc call; notes in the campaign of the
+  /// member the command evicts whether the replica answered or stayed silent.
   sim::CoTask<net::Reply> send_svc(net::NodeId dst, net::Body body);
-  /// True while the running campaign heard some replica answer and no
+  /// True while the campaign against `m` heard some replica answer and no
   /// majority of the replicas stay silent (never answered, timed out).
-  bool svc_quorum_may_answer() const;
+  bool svc_quorum_may_answer(std::uint32_t m) const;
 
   /// Next rotation member to probe (skips self, dead, excluded); reshuffles
   /// the permutation when exhausted. kNone when nobody is probeable.
@@ -158,10 +165,6 @@ class SwimService {
   LocalMapSource local_map_source_;
   bool running_ = false;
   bool sweeping_ = false;
-  /// Replicas that answered / only ever timed out in the running evict
-  /// campaign (one campaign at a time: sweep_suspects is single-flight).
-  std::set<net::NodeId> svc_answered_;
-  std::set<net::NodeId> svc_silent_;
   telemetry::Counter* probes_ = nullptr;
   telemetry::Counter* ping_reqs_ = nullptr;
   telemetry::Counter* suspects_ = nullptr;

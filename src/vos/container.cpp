@@ -75,17 +75,6 @@ void VosContainer::array_write(ObjId oid, const Key& dkey, const Key& akey,
   logical_bytes_ += length;
 }
 
-std::uint64_t VosContainer::array_read(ObjId oid, const Key& dkey, const Key& akey,
-                                       std::uint64_t offset, std::span<std::byte> out,
-                                       Epoch epoch) const {
-  const AkeyNode* a = find_akey(oid, dkey, akey);
-  if (a == nullptr || !a->has_arr) {
-    std::fill(out.begin(), out.end(), std::byte{0});
-    return 0;
-  }
-  return a->arr.read(offset, out, epoch);
-}
-
 void VosContainer::array_write_extents(ObjId oid, const Key& akey,
                                        std::span<const ArrayExtent> extents,
                                        std::span<const std::byte> payload) {

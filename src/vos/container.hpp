@@ -45,9 +45,6 @@ class VosContainer {
   // --- array records ---
   void array_write(ObjId oid, const Key& dkey, const Key& akey, std::uint64_t offset,
                    std::uint64_t length, std::span<const std::byte> data, Epoch epoch);
-  /// Returns bytes that overlapped written data; holes read as zero.
-  std::uint64_t array_read(ObjId oid, const Key& dkey, const Key& akey, std::uint64_t offset,
-                           std::span<std::byte> out, Epoch epoch) const;
 
   /// One extent of a batched array visit: a dkey-relative byte range plus
   /// its offset into the shared payload buffer.
@@ -65,15 +62,17 @@ class VosContainer {
                            std::span<const std::byte> payload);
   /// Batched array read: one object-table descent, then per-extent dkey/akey
   /// probes. Writes each extent's bytes into `payload` at its payload_off
-  /// (when non-empty; bytes no extent covers are left as they are) and
-  /// `fills[i]` with the extent's overlap; returns the total overlap.
+  /// (when non-empty; holes read as zero, bytes no extent covers are left as
+  /// they are) and `fills[i]` with the extent's overlap; returns the total
+  /// overlap.
   std::uint64_t array_read_extents(ObjId oid, const Key& akey,
                                    std::span<const ArrayExtent> extents,
                                    std::span<std::byte> payload, std::span<std::uint64_t> fills,
                                    Epoch epoch) const;
-  /// Like array_read, but also reports the per-byte fill state in `mask`
-  /// (resized to out.size()). Rebuild merges a pulled image under the bytes
-  /// this replica already holds.
+  /// Reads one akey's array range into `out` (holes read as zero) and
+  /// reports the per-byte fill state in `mask` (resized to out.size()).
+  /// Rebuild merges a pulled image under the bytes this replica already
+  /// holds.
   std::uint64_t array_read_masked(ObjId oid, const Key& dkey, const Key& akey,
                                   std::uint64_t offset, std::span<std::byte> out,
                                   std::vector<bool>& mask, Epoch epoch) const;

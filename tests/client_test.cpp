@@ -591,53 +591,92 @@ TEST(Batch, DegradedTargetMidBatchFallsBackPerExtent) {
   tb.stop();
 }
 
+/// The read paths a silenced replica must not stall: batched array reads,
+/// and KvObject::get / list_dkeys, which share one degraded replica walk.
+enum class SilencedRead { array_read, kv_get, kv_list_dkeys };
+
+/// Service visits engine `e` made for `kind`'s read opcode.
+std::uint64_t reads_served(Testbed& tb, std::uint32_t e, SilencedRead kind) {
+  if (kind != SilencedRead::kv_list_dkeys) return tb.engine(e).fetches_served();
+  const auto* h =
+      tb.engine(e).telemetry().find<telemetry::DurationHistogram>("svc/enum_dkeys/time_ns");
+  return h != nullptr ? h->state().count : 0;
+}
+
 TEST(Batch, FetchSilencedReplicaFallsBackAfterOneWait) {
-  // The replica engine is alive to SWIM (only the client's fetches to it are
-  // lost), so nobody evicts it: the first read waits out one eviction wait
-  // and moves to the other replica; later reads skip the suspected replica.
-  Testbed tb(small_cluster());
-  tb.start();
-  tb.run([&]() -> CoTask<void> {
-    auto& cl = tb.client(0);
-    CO_ASSERT_TRUE((co_await cl.cont_create(kPoolUuid, {})).ok());
-    ArrayObject arr(cl, kPoolUuid, make_oid(46, ObjClass::RP_2G1), 4096);
-    std::vector<std::byte> data(8 * 4096);
-    for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i % 197);
-    EXPECT_EQ(co_await arr.write(0, data.size(), data), Errno::ok);
-
-    std::uint32_t silenced = 0;
-    while (tb.engine(silenced).updates_served() == 0) ++silenced;
-    const net::NodeId silenced_node = tb.engine(silenced).node();
-    const std::uint64_t svc_before = testkit::svc_rpcs_sent(cl);
-    tb.domain().set_fault_hook([silenced_node](net::NodeId, net::NodeId dst, std::uint16_t op) {
-      net::CallFault f;
-      f.drop = op == engine::kOpObjFetch && dst == silenced_node;
-      return f;
-    });
-
-    for (int pass = 0; pass < 2; ++pass) {
-      std::vector<std::byte> out(data.size());
-      const sim::Time t0 = tb.sched().now();
-      auto filled = co_await arr.read(0, out);
-      const sim::Time took = tb.sched().now() - t0;
-      CO_ASSERT_TRUE(filled.ok());
-      EXPECT_EQ(*filled, data.size());
-      EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
-      if (pass == 0) {
-        // One retry budget (~0.5 s) plus one expired eviction wait (11 s),
-        // not one per re-placement round on the same replica.
-        EXPECT_LT(took, 12 * sim::kSec);
+  // The replica engine a read asks first is alive to SWIM (only the client's
+  // reads of it are lost), so nobody evicts it: the first read waits out one
+  // eviction wait and moves to the other replica; later reads skip the
+  // suspected replica.
+  for (const SilencedRead kind :
+       {SilencedRead::array_read, SilencedRead::kv_get, SilencedRead::kv_list_dkeys}) {
+    SCOPED_TRACE(int(kind));
+    const std::uint16_t dropped =
+        kind == SilencedRead::kv_list_dkeys ? engine::kOpObjEnumDkeys : engine::kOpObjFetch;
+    Testbed tb(small_cluster());
+    tb.start();
+    tb.run([&]() -> CoTask<void> {
+      auto& cl = tb.client(0);
+      CO_ASSERT_TRUE((co_await cl.cont_create(kPoolUuid, {})).ok());
+      ArrayObject arr(cl, kPoolUuid, make_oid(46, ObjClass::RP_2G1), 4096);
+      KvObject kv(cl, kPoolUuid, make_oid(47, ObjClass::RP_2G1));
+      std::vector<std::byte> data(8 * 4096);
+      for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i % 197);
+      if (kind == SilencedRead::array_read) {
+        EXPECT_EQ(co_await arr.write(0, data.size(), data), Errno::ok);
       } else {
-        EXPECT_LT(took, 10 * sim::kMs) << "the suspected replica was asked again";
+        EXPECT_EQ(co_await kv.put("dkey", "akey", data), Errno::ok);
       }
-    }
-    tb.domain().set_fault_hook({});
-    // Nobody evicted the silenced engine: it answers SWIM's probes.
-    EXPECT_EQ(cl.pool_map().version, 1u);
-    EXPECT_EQ(testkit::swim_deaths(tb), 0u);
-    EXPECT_EQ(testkit::svc_rpcs_sent(cl), svc_before);
-  });
-  tb.stop();
+      // One read, checked against what was written.
+      auto read_back = [&]() -> CoTask<bool> {
+        if (kind == SilencedRead::array_read) {
+          std::vector<std::byte> out(data.size());
+          auto filled = co_await arr.read(0, out);
+          co_return filled.ok() && *filled == data.size() && out == data;
+        }
+        if (kind == SilencedRead::kv_get) {
+          auto got = co_await kv.get("dkey", "akey");
+          co_return got.ok() && *got == data;
+        }
+        auto keys = co_await kv.list_dkeys();
+        co_return keys.ok() && *keys == std::vector<vos::Key>{"dkey"};
+      };
+
+      // Silence the first engine an unfaulted read asks.
+      std::vector<std::uint64_t> before(tb.engine_count());
+      for (std::uint32_t e = 0; e < tb.engine_count(); ++e) before[e] = reads_served(tb, e, kind);
+      CO_ASSERT_TRUE(co_await read_back());
+      std::uint32_t silenced = 0;
+      while (reads_served(tb, silenced, kind) == before[silenced]) ++silenced;
+      const net::NodeId silenced_node = tb.engine(silenced).node();
+      const std::uint64_t svc_before = testkit::svc_rpcs_sent(cl);
+      tb.domain().set_fault_hook(
+          [silenced_node, dropped](net::NodeId, net::NodeId dst, std::uint16_t op) {
+            net::CallFault f;
+            f.drop = op == dropped && dst == silenced_node;
+            return f;
+          });
+
+      for (int pass = 0; pass < 2; ++pass) {
+        const sim::Time t0 = tb.sched().now();
+        EXPECT_TRUE(co_await read_back()) << "pass " << pass;
+        const sim::Time took = tb.sched().now() - t0;
+        if (pass == 0) {
+          // One retry budget (~0.5 s) plus one expired eviction wait (11 s),
+          // not one per re-placement round on the same replica.
+          EXPECT_LT(took, 12 * sim::kSec);
+        } else {
+          EXPECT_LT(took, 10 * sim::kMs) << "the suspected replica was asked again";
+        }
+      }
+      tb.domain().set_fault_hook({});
+      // Nobody evicted the silenced engine: it answers SWIM's probes.
+      EXPECT_EQ(cl.pool_map().version, 1u);
+      EXPECT_EQ(testkit::swim_deaths(tb), 0u);
+      EXPECT_EQ(testkit::svc_rpcs_sent(cl), svc_before);
+    });
+    tb.stop();
+  }
 }
 
 TEST(Cluster, ConcurrentClientsFromTwoNodes) {

@@ -161,7 +161,9 @@ TEST(DtxVos, CommitAppliesEveryStagedOp) {
   EXPECT_EQ(str(v1), "alpha");
   EXPECT_EQ(str(v2), "beta");
   std::vector<std::byte> out(5);
-  EXPECT_EQ(c.array_read(o1, "0", "arr", 3, out, vos::kEpochMax), 5u);
+  const vos::VosContainer::ArrayExtent ext{"0", 3, 5, 0};
+  std::uint64_t fill = 0;
+  EXPECT_EQ(c.array_read_extents(o1, "arr", {&ext, 1}, out, {&fill, 1}, vos::kEpochMax), 5u);
   EXPECT_EQ(str(out), "gamma");
   // Nothing is visible below the commit epoch.
   EXPECT_FALSE(c.kv_get(o1, "d", "a", ep - 1).exists);

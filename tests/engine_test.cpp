@@ -35,33 +35,34 @@ struct Env {
     sched.run();
   }
 
+  /// One-extent array update of [off, off + len) in `dkey`.
   CoTask<Reply> update(vos::ObjId oid, std::uint32_t target, std::uint64_t off,
-                       std::uint64_t len, vos::Key dkey = "0") {
+                       std::uint64_t len, vos::Key dkey = "0",
+                       std::uint64_t array_end_hint = 0) {
     ObjUpdateReq req;
     req.cont = vos::Uuid{1, 1};
     req.oid = oid;
     req.target = target;
-    req.dkey = std::move(dkey);
     req.akey = "0";
-    req.offset = off;
-    req.length = len;
+    req.extents = {{std::move(dkey), off, len, 0}};
+    req.array_end_hint = array_end_hint;
     Body body = Body::make(std::move(req));
     co_return co_await client->call(eng->node(), kOpObjUpdate, std::move(body),
-                                    kObjRpcHeader + len);
+                                    obj_wire_bytes(1, len));
   }
 
+  /// One-extent array fetch of [off, off + len) in dkey "0".
   CoTask<Reply> fetch(vos::ObjId oid, std::uint32_t target, std::uint64_t off,
                       std::uint64_t len) {
     ObjFetchReq req;
     req.cont = vos::Uuid{1, 1};
     req.oid = oid;
     req.target = target;
-    req.dkey = "0";
     req.akey = "0";
-    req.offset = off;
-    req.length = len;
+    req.extents = {{"0", off, len, 0}};
     Body body = Body::make(std::move(req));
-    co_return co_await client->call(eng->node(), kOpObjFetch, std::move(body), kObjRpcHeader);
+    co_return co_await client->call(eng->node(), kOpObjFetch, std::move(body),
+                                    obj_wire_bytes(1, 0));
   }
 
   sim::Scheduler sched;
@@ -250,18 +251,7 @@ TEST(Engine, PunchObjectHidesData) {
 TEST(Engine, QueryArrayEndHint) {
   Env env;
   env.run([&]() -> CoTask<void> {
-    ObjUpdateReq req;
-    req.cont = vos::Uuid{1, 1};
-    req.oid = kOid;
-    req.target = 0;
-    req.dkey = "7";
-    req.akey = "0";
-    req.offset = 0;
-    req.length = 512;
-    req.array_end_hint = 8 * kMiB;
-    Body body = Body::make(std::move(req));
-    (void)co_await env.client->call(env.eng->node(), kOpObjUpdate, std::move(body),
-                                    kObjRpcHeader + 512);
+    (void)co_await env.update(kOid, 0, 0, 512, "7", /*array_end_hint=*/8 * kMiB);
     ObjQueryReq q;
     q.cont = vos::Uuid{1, 1};
     q.oid = kOid;

@@ -286,6 +286,33 @@ TEST(SwimPartition, MinorityWithReplicaGivesUpAfterOneRound) {
   partition_heal_episode("partition@0s-6s:e0+e1+e3+e4|e2+e5", 2, 5);
 }
 
+TEST(SwimPartition, HealAfterMinorityCampaignsEvictsNoMajorityEngine) {
+  // The minority {e4,e5} declares the four majority engines dead two to a
+  // sweep. Each verdict's evict campaign (4 sends, ~0.6 s) must end within
+  // its own verdict's window: the heal at 3.5 s comes after those windows,
+  // but campaigns run back to back would still be going, reach the pool
+  // service and evict a healthy majority engine.
+  Testbed tb(swim_cluster());
+  tb.start();
+  auto sched = fault::Schedule::parse("partition@0s-3500ms:e0+e1+e2+e3|e4+e5");
+  ASSERT_TRUE(sched.ok());
+  tb.inject_faults(*sched, /*seed=*/13);
+  tb.run([&]() -> CoTask<void> {
+    while (tb.sched().now() < 6 * sim::kSec) co_await tb.sched().delay(100 * sim::kMs);
+    for (const std::uint32_t e : {4u, 5u}) {
+      EXPECT_EQ(tb.swim_service(e).deaths_declared(), 4u) << "engine " << e;
+    }
+    const auto leader = tb.svc_leader();
+    CO_ASSERT_TRUE(leader.has_value());
+    const auto& excluded = tb.svc_replica(*leader).meta().excluded_engines();
+    for (std::uint32_t e = 0; e < 4; ++e) {
+      EXPECT_EQ(excluded.count(tb.engine(e).node()), 0u)
+          << "healthy engine " << e << " evicted by a stale minority verdict";
+    }
+  });
+  tb.stop();
+}
+
 // ---------------------------------------------------------------------------
 // IV piggyback on the client: staleness detected passively from a stamped
 // object reply, resolved by ONE delta fetch (single-flight) from an engine —

@@ -238,7 +238,9 @@ TEST(Container, ArrayAcrossDkeys) {
   c.array_write(kOid, "0", "data", 0, 6, d0, c.next_epoch());
   c.array_write(kOid, "1", "data", 0, 6, d1, c.next_epoch());
   std::vector<std::byte> out(6);
-  c.array_read(kOid, "1", "data", 0, out, kEpochMax);
+  const VosContainer::ArrayExtent ext{"1", 0, 6, 0};
+  std::uint64_t fill = 0;
+  c.array_read_extents(kOid, "data", {&ext, 1}, out, {&fill, 1}, kEpochMax);
   EXPECT_EQ(str(out), "chunk1");
   EXPECT_EQ(c.array_size(kOid, "0", "data", kEpochMax), 6u);
 }

@@ -42,12 +42,13 @@
 #                          must be lifetime- and UB-clean
 #   tools/ci.sh bench-smoke  Release -Werror build (what perfbench measures);
 #                          tiny-scale ablation_xfersize + ablation_dtx +
-#                          ablation_overwrite runs asserting the BENCH_*.json
-#                          perf trajectories parse, are non-empty, and that
-#                          background aggregation keeps the overwrite
-#                          endurance read cost flat (<= 1.2x first pass)
-#                          while the agg-off series grows; the xfersize smoke
-#                          rows and the full-size fig1/fig2/ablation_overwrite
+#                          ablation_membership + ablation_overwrite runs
+#                          asserting the BENCH_*.json perf trajectories parse,
+#                          are non-empty, and that background aggregation
+#                          keeps the overwrite endurance read cost flat
+#                          (<= 1.2x first pass) while the agg-off series
+#                          grows; the xfersize, dtx and membership smoke rows
+#                          and the full-size fig1/fig2/ablation_overwrite
 #                          rows must also match bench/baselines/ exactly on
 #                          every column but wall_s (the overwrite rows' probe
 #                          columns pin VOS read-side probe accounting)
@@ -288,24 +289,26 @@ if [[ $STAGE == bench-smoke ]]; then
   echo "=== [bench-smoke] configure + build ==="
   cmake -B build-ci-bench -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-ci-bench -j "$JOBS" \
-    --target ablation_xfersize ablation_dtx ablation_overwrite \
+    --target ablation_xfersize ablation_dtx ablation_membership ablation_overwrite \
     fig1_fileperprocess fig2_sharedfile
   echo "=== [bench-smoke] run ==="
   # Both ablation_overwrite sizes write BENCH_ablation_overwrite.json: keep the
   # smoke run's rows apart for the invariant checks below.
   (cd build-ci-bench/bench && ./ablation_xfersize --smoke && ./ablation_dtx --smoke &&
-   ./ablation_overwrite --smoke &&
+   ./ablation_membership --smoke && ./ablation_overwrite --smoke &&
    mv BENCH_ablation_overwrite.json BENCH_ablation_overwrite_smoke.json)
   # The paper figures and the overwrite endurance sweep at full size (a few
   # seconds each). The simulation is deterministic, so every simulated column
-  # of these runs and of the xfersize smoke run is gated exactly; wall_s is
-  # host time and is not gated.
-  echo "=== [bench-smoke] xfersize smoke + fig1/fig2/overwrite match bench/baselines ==="
+  # of these runs and of the xfersize, dtx and membership smoke runs is gated
+  # exactly; wall_s is host time and is not gated.
+  echo "=== [bench-smoke] smoke + fig1/fig2/overwrite rows match bench/baselines ==="
   (cd build-ci-bench/bench && ./fig1_fileperprocess && ./fig2_sharedfile &&
    ./ablation_overwrite)
   python3 - <<'EOF'
 import json
 for bench, baseline in (("ablation_xfersize", "ablation_xfersize_smoke"),
+                        ("ablation_dtx", "ablation_dtx_smoke"),
+                        ("ablation_membership", "ablation_membership_smoke"),
                         ("fig1_fileperprocess", "fig1_fileperprocess"),
                         ("fig2_sharedfile", "fig2_sharedfile"),
                         ("ablation_overwrite", "ablation_overwrite")):

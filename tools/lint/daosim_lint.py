@@ -28,9 +28,9 @@ coroutine-heavy C++ codebases:
                       ObjUpdateReq/ObjFetchReq and calls Body::make in its
                       body: one RPC per extent, bypassing the vectorized
                       batcher. Build the extent vector first and let
-                      ArrayObject's update_batch/fetch_batch coalesce pieces
-                      per (target, replica), bounded by
-                      ClientConfig::max_batch_extents.
+                      ArrayObject::write/read coalesce pieces per (target,
+                      replica), bounded by ClientConfig::max_batch_extents,
+                      and send each batch through DaosClient::call_credited.
   tx-unresolved       A TxHandle obtained from tx_begin() that reaches the end
                       of its scope without a co_await'ed .commit() or .abort()
                       (and without escaping via return/std::move). An
@@ -450,8 +450,8 @@ def check_ignored_result(path, text, clean, result_fns):
 # A per-extent RPC loop: the loop body both declares an object-I/O request
 # (one extent each) and serializes it with Body::make — N extents become N
 # RPCs, bypassing the client batcher. Loops that only *build* requests (and
-# hand them to update_batch/fetch_batch for coalescing) don't call Body::make
-# inside the loop and stay clean.
+# hand the typed request to DaosClient::call_credited, which serializes it)
+# don't call Body::make inside the loop and stay clean.
 LOOP_HEAD_RE = re.compile(r"\b(?:for|while)\s*\(")
 EXTENT_REQ_DECL_RE = re.compile(r"\bObj(?:Update|Fetch)Req\s+[A-Za-z_]\w*\s*[;{=]")
 BODY_MAKE_RE = re.compile(r"\bBody\s*::\s*make\s*\(")
@@ -478,8 +478,8 @@ def check_unbatched_extent_rpc(path, text, clean):
                     "unbatched-extent-rpc",
                     "loop declares an ObjUpdateReq/ObjFetchReq and serializes it "
                     "with Body::make per iteration: one RPC per extent bypasses "
-                    "the batcher; collect extents and go through ArrayObject's "
-                    "update_batch/fetch_batch (ClientConfig::max_batch_extents)",
+                    "the batcher; collect extents and send each batch through "
+                    "DaosClient::call_credited (ClientConfig::max_batch_extents)",
                 )
             )
     return out

@@ -1,7 +1,7 @@
 // Fixture: unbatched-extent-rpc — a loop that builds one ObjUpdateReq/
 // ObjFetchReq per extent and serializes it with Body::make sends one RPC per
-// extent, bypassing the client batcher. Collect the extents and let
-// ArrayObject's update_batch/fetch_batch coalesce them per (target, replica).
+// extent, bypassing the client batcher. Collect the extents, coalesce them
+// per (target, replica) and send each batch through DaosClient::call_credited.
 #pragma once
 
 namespace fixture {
