@@ -1,6 +1,7 @@
 // Micro-benchmarks of the simulated stack itself: wall-clock cost of
-// simulating Raft commits and end-to-end object I/O (how fast the simulator
-// runs, i.e. events per second of host time).
+// simulating Raft commits and end-to-end object I/O, in discard mode and with
+// stored payloads (how fast the simulator runs, i.e. events per second of
+// host time).
 #include <benchmark/benchmark.h>
 
 #include "common/units.hpp"
@@ -89,6 +90,47 @@ void BM_SimulatedArrayWrite(benchmark::State& state) {
   state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(8 * kMiB));
 }
 BENCHMARK(BM_SimulatedArrayWrite)->Unit(benchmark::kMicrosecond);
+
+void BM_StoreModeOverwriteRead(benchmark::State& state) {
+  // Host cost of the overwrite_prod I/O shape with stored payloads: one
+  // iteration overwrites a 1 MiB SX array in 64 KiB transfers, then reads it
+  // back in 64 KiB transfers, with background aggregation on. Bytes/s counts
+  // the bytes written plus the bytes read.
+  constexpr std::uint64_t kXfer = 64 * kKiB;
+  constexpr std::uint64_t kArray = 1 * kMiB;
+  cluster::ClusterConfig cfg;
+  cfg.server_nodes = 2;
+  cfg.engines_per_server = 2;
+  cfg.targets_per_engine = 4;
+  cfg.payload = vos::PayloadMode::store;
+  cfg.agg.enabled = true;
+  cluster::Testbed tb(cfg);
+  tb.start();
+  tb.run([&]() -> CoTask<void> {
+    auto cr = co_await tb.client(0).cont_create(cluster::kPoolUuid, {});
+    DAOSIM_REQUIRE(cr.ok(), "cont_create: %s", errno_name(cr.error()));
+  });
+  client::ArrayObject arr(tb.client(0), cluster::kPoolUuid,
+                          client::make_oid(7, client::ObjClass::SX), 1 * kMiB);
+  std::vector<std::byte> buf(kXfer);
+  std::uint8_t pass = 0;
+  for (auto _ : state) {
+    std::fill(buf.begin(), buf.end(), std::byte(++pass));
+    tb.run([&]() -> CoTask<void> {
+      for (std::uint64_t off = 0; off < kArray; off += kXfer) {
+        DAOSIM_REQUIRE(co_await arr.write(off, kXfer, buf) == Errno::ok, "write failed");
+      }
+      for (std::uint64_t off = 0; off < kArray; off += kXfer) {
+        auto filled = co_await arr.read(off, buf);
+        DAOSIM_REQUIRE(filled.ok() && *filled == kXfer, "short read");
+      }
+    });
+    DAOSIM_REQUIRE(buf.front() == std::byte(pass), "read back the wrong pass");
+  }
+  tb.stop();
+  state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(2 * kArray));
+}
+BENCHMARK(BM_StoreModeOverwriteRead)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -100,7 +100,7 @@ void BM_ArrayStoreWrite(benchmark::State& state) {
   for (auto _ : state) {
     vos::ArrayStore a;
     for (vos::Epoch e = 1; e <= 64; ++e) {
-      a.write((e - 1) * 4096, 4096, {}, e, vos::PayloadMode::discard);
+      a.write((e - 1) * 4096, vos::Slice{nullptr, 0, 4096}, e, vos::PayloadMode::discard);
     }
     benchmark::DoNotOptimize(a.extent_count());
   }
@@ -117,11 +117,13 @@ void BM_ArrayStoreReadResolve(benchmark::State& state, bool overwritten) {
   std::vector<std::byte> out(overwritten ? 64 * 1024 : 4096);
   if (overwritten) {
     std::vector<std::byte> data(out.size(), std::byte{0x5A});
-    for (vos::Epoch e = 1; e <= 4; ++e) a.write(0, data.size(), data, e, vos::PayloadMode::store);
+    for (vos::Epoch e = 1; e <= 4; ++e) {
+      a.write(0, vos::copy_slice(data), e, vos::PayloadMode::store);
+    }
   } else {
     std::vector<std::byte> data(1024);
     for (vos::Epoch e = 1; e <= 256; ++e) {
-      a.write(rng.uniform(64 * 1024), 1024, data, e, vos::PayloadMode::store);
+      a.write(rng.uniform(64 * 1024), vos::copy_slice(data), e, vos::PayloadMode::store);
     }
   }
   for (auto _ : state) {
@@ -144,7 +146,7 @@ void BM_ArrayStoreOverwriteAggregate(benchmark::State& state) {
   vos::Epoch e = 0;
   for (auto _ : state) {
     for (std::uint64_t i = 0; i < 16; ++i) {
-      a.write(i * kXfer, kXfer, data, ++e, vos::PayloadMode::store);
+      a.write(i * kXfer, vos::copy_slice(data), ++e, vos::PayloadMode::store);
     }
     benchmark::DoNotOptimize(a.aggregate(e));
   }

@@ -402,9 +402,7 @@ sim::CoTask<Result<std::vector<std::byte>>> KvObject::get(const vos::Key& dkey,
                                  return reply.body.get<ObjFetchResp>().exists;
                                });
   if (!r.ok()) co_return r.error();
-  auto& resp = r->body.get<ObjFetchResp>();
-  if (resp.data == nullptr) co_return std::vector<std::byte>{};
-  co_return std::move(*resp.data);
+  co_return std::move(r->body.get<ObjFetchResp>().value);
 }
 
 sim::CoTask<Result<std::vector<vos::Key>>> KvObject::list_dkeys() {
@@ -506,7 +504,9 @@ sim::CoTask<Errno> ArrayObject::write(std::uint64_t offset, std::uint64_t length
           payload_bytes += pc.length;
         }
         if (!data.empty()) {
-          auto buf = std::make_shared<std::vector<std::byte>>();
+          // The batch's one gather: the target's store adopts this buffer,
+          // so nothing writes it once it is sent.
+          auto buf = std::make_shared<vos::Buffer>();
           buf->reserve(std::size_t(payload_bytes));
           for (std::size_t k = 0; k < n; ++k) {
             const ArrayPiece& pc = pieces[list[i + k].piece];
@@ -651,9 +651,12 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
           consume(st);
         }
       } else {
-        auto& resp = reply->body.get<ObjFetchResp>();
+        const auto& resp = reply->body.get<ObjFetchResp>();
         DAOSIM_REQUIRE(resp.fills.size() == members.size(), "batched fetch fill mismatch");
-        std::uint64_t payload_off = 0;
+        // The reply's slices hold the members' bytes in order (none in
+        // discard mode): each piece is copied once, into the caller's span.
+        vos::SliceReader bytes(resp.slices);
+        const bool payload = !resp.slices.empty();
         for (std::size_t k = 0; k < members.size(); ++k) {
           const std::uint32_t i = members[k];
           const ArrayPiece& pc = pieces[i];
@@ -661,14 +664,12 @@ sim::CoTask<Result<std::uint64_t>> ArrayObject::read(std::uint64_t offset,
           if (!st.have_best || resp.fills[k] > st.best_filled) {
             st.have_best = true;
             st.best_filled = resp.fills[k];
-            if (resp.data != nullptr) {
-              auto src = std::span<const std::byte>(*resp.data)
-                             .subspan(std::size_t(payload_off), std::size_t(pc.length));
-              auto dst = out.subspan(std::size_t(pc.buffer_off), std::size_t(pc.length));
-              std::copy(src.begin(), src.end(), dst.begin());
+            if (payload) {
+              bytes.read(out.subspan(std::size_t(pc.buffer_off), std::size_t(pc.length)));
             }
+          } else if (payload) {
+            bytes.skip(pc.length);
           }
-          payload_off += pc.length;
           if (st.best_filled >= pc.length) {
             st.done = true;
           } else {

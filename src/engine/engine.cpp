@@ -230,9 +230,7 @@ sim::CoTask<net::Reply> Engine::on_update(net::Request req) {
     // storage reference across a media await (suspension-safety audit).
     vos::VosContainer& cont = t.vos.container(r.cont);
     cont.observe_time(vos::hlc_base(sched_.now()));
-    std::span<const std::byte> payload;
-    if (r.data != nullptr) payload = std::span<const std::byte>(*r.data);
-    cont.array_write_extents(r.oid, r.akey, exts, payload);
+    cont.array_write_extents(r.oid, r.akey, exts, r.data);
     if (r.array_end_hint > 0) cont.note_array_end(r.oid, r.array_end_hint);
     svc->record(sched_.now() - svc_t0);
     co_return Reply{Errno::ok, kObjRpcHeader, {}};
@@ -277,26 +275,25 @@ sim::CoTask<net::Reply> Engine::on_fetch(net::Request req) {
     // Shard lookup after the last suspension (see on_update).
     vos::VosContainer& cont = t.vos.container(r.cont);
     resp.fills.resize(r.extents.size());
-    std::span<std::byte> payload;
-    if (cfg_.payload == vos::PayloadMode::store) {
-      resp.data = std::make_shared<std::vector<std::byte>>(total);
-      payload = *resp.data;
-    }
-    resp.filled = cont.array_read_extents(r.oid, r.akey, exts, payload, resp.fills, r.epoch);
+    // Store mode replies with slices of the stored buffers: no byte is
+    // copied here, and later writes never change what the slices read.
+    std::vector<vos::Slice>* slices =
+        cfg_.payload == vos::PayloadMode::store ? &resp.slices : nullptr;
+    resp.filled = cont.array_read_extents(r.oid, r.akey, exts, slices, resp.fills, r.epoch);
     resp.exists = resp.filled > 0;
     reply_bytes = total + std::uint64_t(nex - 1) * kExtentDescBytes;
   } else {
-    // kv_get copies size/existence into `view` pre-suspension; the data span
-    // points at the epoch record, which is immutable once written (VOS is
-    // versioned: overwrites append at a new epoch, they never edit in place).
-    auto view = t.vos.container(r.cont).kv_get(r.oid, r.dkey, r.akey, r.epoch);
-    co_await media_read(t, view.size + 64, req.ctx);
+    // The record is copied before the media wait: `view` spans the resolved
+    // version, which a newer put plus an aggregation pass during the wait
+    // may drop.
+    const auto view = t.vos.container(r.cont).kv_get(r.oid, r.dkey, r.akey, r.epoch);
     resp.exists = view.exists;
     if (view.exists) {
-      resp.data = std::make_shared<std::vector<std::byte>>(view.data.begin(), view.data.end());
+      resp.value.assign(view.data.begin(), view.data.end());
       resp.filled = view.size;
     }
     reply_bytes = view.size;
+    co_await media_read(t, view.size + 64, req.ctx);
   }
   svc->record(sched_.now() - svc_t0);
   co_return Reply{Errno::ok, kObjRpcHeader + reply_bytes, Body::make(std::move(resp))};

@@ -10,6 +10,7 @@
 
 #include "net/fabric.hpp"
 #include "vos/dtx.hpp"
+#include "vos/slice.hpp"
 #include "vos/types.hpp"
 
 namespace daosim::engine {
@@ -55,7 +56,9 @@ constexpr std::uint64_t kObjRpcHeader = 256;
 /// first extent rides in the fixed header.
 constexpr std::uint64_t kExtentDescBytes = 32;
 
-using Payload = std::shared_ptr<std::vector<std::byte>>;
+/// A store-mode request payload: the sender's one gather buffer, adopted by
+/// the receiving store (see vos/slice.hpp). Never written once sent.
+using Payload = vos::BufferRef;
 
 enum class RecordType : std::uint8_t { array, single_value };
 
@@ -101,8 +104,8 @@ struct ObjUpdateReq {
 };
 
 /// An array fetch reads every extent in one service visit; the reply's
-/// payload holds each extent's bytes at its `payload_off` and `fills`
-/// reports per-extent overlap. A single-value fetch reads `dkey`/`akey`.
+/// `slices` hold each extent's bytes in extent order and `fills` reports
+/// per-extent overlap. A single-value fetch reads `dkey`/`akey`.
 struct ObjFetchReq {
   vos::Uuid cont;
   vos::ObjId oid;
@@ -117,7 +120,11 @@ struct ObjFetchReq {
 struct ObjFetchResp {
   bool exists = false;       // single value: record present; array: filled > 0
   std::uint64_t filled = 0;  // bytes overlapping written data (array: all extents)
-  Payload data;              // null in discard mode
+  std::vector<std::byte> value;  // single value: the record's bytes
+  /// Array fetch in store mode: the extents' bytes, concatenated in extent
+  /// order, as slices of the target's stored buffers (payload-free slices
+  /// read as zeros). Empty in discard mode.
+  std::vector<vos::Slice> slices;
   /// Array fetch: bytes overlapping written data per request extent
   /// (parallel to ObjFetchReq::extents).
   std::vector<std::uint64_t> fills;

@@ -355,29 +355,32 @@ void RebuildService::apply_records(std::uint32_t version, const engine::RebuildE
       // the image first: for an eviction rebuild everything local is newer
       // (degraded-window writes); for a resync only bytes written after the
       // reintegration floor are (pre-eviction bytes lose to the image).
-      std::vector<std::byte> img(rec.length, std::byte{0});
-      if (store && rec.data != nullptr) {
-        std::copy(rec.data->begin(), rec.data->end(), img.begin());
-      }
       const std::uint64_t local_size =
           cont.array_size(entry.oid, rec.dkey, rec.akey, vos::kEpochMax);
-      if (local_size > img.size()) img.resize(local_size, std::byte{0});
-      if (store && (local_size > 0 || entry.resync)) {
-        std::vector<std::byte> local(img.size());
-        std::vector<bool> mask;
-        cont.array_read_masked(entry.oid, rec.dkey, rec.akey, 0, local, mask, vos::kEpochMax);
-        if (entry.resync) {
-          // Only bytes touched after the floor are newer than the image; a
-          // post-reint punch masks too (its bytes read back as zeros).
-          mask.assign(img.size(), false);
-          cont.array_mask_newer(entry.oid, rec.dkey, rec.akey, 0, floor, mask);
+      const std::uint64_t length = std::max(rec.length, local_size);
+      vos::Slice image{nullptr, 0, length};
+      if (store) {
+        // The merge image is built here and then handed to the store, which
+        // adopts it as the new version's buffer.
+        auto img = std::make_shared<vos::Buffer>(length, std::byte{0});
+        if (rec.data != nullptr) std::copy(rec.data->begin(), rec.data->end(), img->begin());
+        if (local_size > 0 || entry.resync) {
+          std::vector<std::byte> local(length);
+          std::vector<bool> mask;
+          cont.array_read_masked(entry.oid, rec.dkey, rec.akey, 0, local, mask, vos::kEpochMax);
+          if (entry.resync) {
+            // Only bytes touched after the floor are newer than the image; a
+            // post-reint punch masks too (its bytes read back as zeros).
+            mask.assign(length, false);
+            cont.array_mask_newer(entry.oid, rec.dkey, rec.akey, 0, floor, mask);
+          }
+          for (std::size_t i = 0; i < length; ++i) {
+            if (mask[i]) (*img)[i] = local[i];
+          }
         }
-        for (std::size_t i = 0; i < img.size(); ++i) {
-          if (mask[i]) img[i] = local[i];
-        }
+        image.buf = std::move(img);
       }
-      const auto data = store ? std::span<const std::byte>(img) : std::span<const std::byte>();
-      cont.array_write(entry.oid, rec.dkey, rec.akey, 0, img.size(), data, cont.next_epoch());
+      cont.array_write(entry.oid, rec.dkey, rec.akey, 0, std::move(image), cont.next_epoch());
     }
     ++records_;
     records_pulled_->inc();

@@ -66,35 +66,32 @@ const VosContainer::AkeyNode* VosContainer::find_akey_in(const ObjectNode& o, co
 }
 
 void VosContainer::array_write(ObjId oid, const Key& dkey, const Key& akey,
-                               std::uint64_t offset, std::uint64_t length,
-                               std::span<const std::byte> data, Epoch epoch) {
+                               std::uint64_t offset, Slice data, Epoch epoch) {
   AkeyNode& a = akey_node(oid, dkey, akey);
   DAOSIM_REQUIRE(!a.has_sv, "akey already holds a single value");
   a.has_arr = true;
-  a.arr.write(offset, length, data, epoch, mode_);
-  logical_bytes_ += length;
+  logical_bytes_ += data.length;
+  a.arr.write(offset, std::move(data), epoch, mode_);
 }
 
 void VosContainer::array_write_extents(ObjId oid, const Key& akey,
                                        std::span<const ArrayExtent> extents,
-                                       std::span<const std::byte> payload) {
+                                       const BufferRef& payload) {
   if (extents.empty()) return;
   ObjectNode& o = obj(oid);  // one object-table descent for the whole batch
   for (const ArrayExtent& e : extents) {
     AkeyNode& a = akey_node_in(o, e.dkey, akey);
     DAOSIM_REQUIRE(!a.has_sv, "akey already holds a single value");
     a.has_arr = true;
-    std::span<const std::byte> data;
-    if (!payload.empty()) data = payload.subspan(std::size_t(e.payload_off), std::size_t(e.length));
     // One epoch per extent: versioning identical to N separate updates.
-    a.arr.write(e.offset, e.length, data, next_epoch(), mode_);
+    a.arr.write(e.offset, Slice{payload, e.payload_off, e.length}, next_epoch(), mode_);
     logical_bytes_ += e.length;
   }
 }
 
 std::uint64_t VosContainer::array_read_extents(ObjId oid, const Key& akey,
                                                std::span<const ArrayExtent> extents,
-                                               std::span<std::byte> payload,
+                                               std::vector<Slice>* slices,
                                                std::span<std::uint64_t> fills,
                                                Epoch epoch) const {
   DAOSIM_REQUIRE(fills.size() == extents.size(), "per-extent fill slots mismatch");
@@ -103,15 +100,11 @@ std::uint64_t VosContainer::array_read_extents(ObjId oid, const Key& akey,
   for (std::size_t i = 0; i < extents.size(); ++i) {
     const ArrayExtent& e = extents[i];
     const AkeyNode* a = o != nullptr ? find_akey_in(*o, e.dkey, akey) : nullptr;
-    std::span<std::byte> out;
-    if (!payload.empty()) {
-      out = payload.subspan(std::size_t(e.payload_off), std::size_t(e.length));
-    }
     std::uint64_t filled = 0;
     if (a == nullptr || !a->has_arr) {
-      std::fill(out.begin(), out.end(), std::byte{0});  // a missing akey reads as a hole
-    } else if (!payload.empty()) {
-      filled = a->arr.read(e.offset, out, epoch);  // writes every byte of `out`
+      if (slices != nullptr) slices->push_back(Slice{nullptr, 0, e.length});  // a hole
+    } else if (slices != nullptr) {
+      filled = a->arr.read_slices(e.offset, e.length, epoch, *slices);
     } else {
       // Discard mode: fill state from extent metadata only.
       const std::uint64_t sz = a->arr.size(epoch);

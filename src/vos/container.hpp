@@ -43,8 +43,10 @@ class VosContainer {
   }
 
   // --- array records ---
+  /// Writes data.length bytes at `offset`, adopting `data` (see
+  /// ArrayStore::write).
   void array_write(ObjId oid, const Key& dkey, const Key& akey, std::uint64_t offset,
-                   std::uint64_t length, std::span<const std::byte> data, Epoch epoch);
+                   Slice data, Epoch epoch);
 
   /// One extent of a batched array visit: a dkey-relative byte range plus
   /// its offset into the shared payload buffer.
@@ -57,17 +59,19 @@ class VosContainer {
   /// Batched array write (the engine's single-service-visit entry point):
   /// applies every extent under one object-table descent. Each extent gets
   /// its own epoch from next_epoch(), so versioning is identical to issuing
-  /// the extents as separate updates. `payload` is empty in discard mode.
+  /// the extents as separate updates. Every extent's versions slice
+  /// `payload` at its payload_off: the store adopts the request buffer and
+  /// copies nothing. `payload` is null for metadata-only requests.
   void array_write_extents(ObjId oid, const Key& akey, std::span<const ArrayExtent> extents,
-                           std::span<const std::byte> payload);
+                           const BufferRef& payload);
   /// Batched array read: one object-table descent, then per-extent dkey/akey
-  /// probes. Writes each extent's bytes into `payload` at its payload_off
-  /// (when non-empty; holes read as zero, bytes no extent covers are left as
-  /// they are) and `fills[i]` with the extent's overlap; returns the total
-  /// overlap.
+  /// probes. Appends each extent's bytes to `*slices` (when non-null), in
+  /// extent order, as slices of the stored buffers (see
+  /// ArrayStore::read_slices; a missing akey is one payload-free slice), and
+  /// writes `fills[i]` with the extent's overlap; returns the total overlap.
   std::uint64_t array_read_extents(ObjId oid, const Key& akey,
                                    std::span<const ArrayExtent> extents,
-                                   std::span<std::byte> payload, std::span<std::uint64_t> fills,
+                                   std::vector<Slice>* slices, std::span<std::uint64_t> fills,
                                    Epoch epoch) const;
   /// Reads one akey's array range into `out` (holes read as zero) and
   /// reports the per-byte fill state in `mask` (resized to out.size()).

@@ -58,10 +58,7 @@ void VosContainer::apply_dtx_op(const DtxOp& op, Epoch epoch) {
            epoch);
     return;
   }
-  array_write(op.oid, op.dkey, op.akey, op.offset, op.length,
-              op.data != nullptr ? std::span<const std::byte>(*op.data)
-                                 : std::span<const std::byte>{},
-              epoch);
+  array_write(op.oid, op.dkey, op.akey, op.offset, Slice{op.data, 0, op.length}, epoch);
   if (op.array_end_hint > 0) note_array_end(op.oid, op.array_end_hint);
 }
 

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "vos/slice.hpp"
 #include "vos/types.hpp"
 
 namespace daosim::vos {
@@ -56,7 +57,7 @@ struct DtxOp {
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
   std::uint64_t array_end_hint = 0;  // global array high-water mark (0 = none)
-  std::shared_ptr<std::vector<std::byte>> data;  // null in discard mode
+  BufferRef data;  // null in discard mode; arrays: adopted at commit
 };
 
 /// The prepared-table record for one transaction on one shard.

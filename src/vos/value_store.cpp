@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <set>
+#include <utility>
 
 #include "common/audit.hpp"
 #include "common/error.hpp"
@@ -97,22 +99,17 @@ void ArrayStore::insert_version(Segment& s, Version v) {
   s.versions.insert(pos, std::move(v));
 }
 
-void ArrayStore::apply_range(std::uint64_t offset, std::uint64_t length,
-                             std::span<const std::byte> data, Epoch epoch, bool punch,
-                             bool payload) {
+void ArrayStore::apply_range(std::uint64_t offset, const Slice& data, Epoch epoch,
+                             bool punch) {
   split_at(offset);
-  const std::uint64_t end = offset + length;
+  const std::uint64_t end = offset + data.length;
   split_at(end);
   const std::uint64_t seq = seq_++;
-  // The written bytes are copied once; every segment the write covers gets a
-  // slice of that one buffer. The segments tile [offset, end) exactly.
-  std::shared_ptr<const Buffer> buf;
-  if (payload) {
-    buf = std::make_shared<Buffer>(data.begin(), data.end());
-    stored_bytes_ += length;
-  }
+  // Every segment the write covers gets a slice of the one adopted buffer;
+  // the segments tile [offset, end) exactly.
+  if (data.buf != nullptr) stored_bytes_ += data.length;
   auto version_at = [&](std::uint64_t pos) {
-    return Version{epoch, seq, punch, buf, pos - offset};
+    return Version{epoch, seq, punch, data.buf, data.off + (pos - offset)};
   };
   std::uint64_t pos = offset;
   auto it = segs_.lower_bound(offset);
@@ -138,22 +135,23 @@ void ArrayStore::apply_range(std::uint64_t offset, std::uint64_t length,
   audit_payload();
 }
 
-void ArrayStore::write(std::uint64_t offset, std::uint64_t length,
-                       std::span<const std::byte> data, Epoch epoch, PayloadMode mode) {
-  if (length == 0) return;
-  // An empty span with store mode means "no payload shipped" (callers doing
+void ArrayStore::write(std::uint64_t offset, Slice data, Epoch epoch, PayloadMode mode) {
+  if (data.length == 0) return;
+  // A null buffer in store mode means "no payload shipped" (callers doing
   // metadata-only I/O against a storing container): the extent reads as zeros.
-  const bool payload = mode == PayloadMode::store && !data.empty();
-  if (payload) {
-    DAOSIM_REQUIRE(data.size() == length, "payload size mismatch (%zu vs %llu)", data.size(),
-                   static_cast<unsigned long long>(length));
+  if (mode == PayloadMode::discard) data.buf = nullptr;
+  if (data.buf != nullptr) {
+    DAOSIM_REQUIRE(data.off <= data.buf->size() && data.length <= data.buf->size() - data.off,
+                   "payload slice [%llu, +%llu) overruns its %zu-byte buffer",
+                   static_cast<unsigned long long>(data.off),
+                   static_cast<unsigned long long>(data.length), data.buf->size());
   }
-  apply_range(offset, length, data, epoch, /*punch=*/false, payload);
+  apply_range(offset, data, epoch, /*punch=*/false);
 }
 
 void ArrayStore::punch_range(std::uint64_t offset, std::uint64_t length, Epoch epoch) {
   if (length == 0) return;
-  apply_range(offset, length, {}, epoch, /*punch=*/true, /*payload=*/false);
+  apply_range(offset, Slice{nullptr, 0, length}, epoch, /*punch=*/true);
 }
 
 void ArrayStore::punch_all(Epoch epoch) {
@@ -168,31 +166,16 @@ const ArrayStore::Version* ArrayStore::newest_at(const Segment& s, Epoch epoch) 
   return &*std::prev(it);
 }
 
-std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
-                               Epoch epoch) const {
-  return resolve(offset, out, nullptr, epoch);
-}
-
-std::uint64_t ArrayStore::read_masked(std::uint64_t offset, std::span<std::byte> out,
-                                      std::vector<bool>& filled, Epoch epoch) const {
-  filled.assign(out.size(), false);
-  return resolve(offset, out, &filled, epoch);
-}
-
-std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::span<std::byte> out,
-                                  std::vector<bool>* filled, Epoch epoch) const {
-  if (out.empty()) return 0;
+template <typename Emit>
+std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::uint64_t length, Epoch epoch,
+                                  Emit&& emit) const {
+  if (length == 0) return 0;
   const Epoch floor = last_full_punch_at(epoch);
-  const std::uint64_t end = offset + out.size();
+  const std::uint64_t end = offset + length;
   std::uint64_t probes = 1;  // the ordered-index seek
   std::uint64_t count = 0;
-  // Every byte of `out` below `done` is written. Holes are zeroed lazily, in
-  // one memset per run up to the next visible segment (or the end).
-  std::uint64_t done = offset;
-  auto zero_to = [&](std::uint64_t x) {
-    if (x > done) std::memset(out.data() + (done - offset), 0, std::size_t(x - done));
-    done = x;
-  };
+  std::uint64_t done = offset;  // every byte below `done` has been emitted
+  const Version* const hole = nullptr;
 
   auto it = segs_.upper_bound(offset);
   if (it != segs_.begin()) --it;  // predecessor may extend into the range
@@ -205,23 +188,69 @@ std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::span<std::byte> out
     probes += 1 + std::uint64_t(std::bit_width(s.versions.size()));
     const Version* v = newest_at(s, epoch);
     if (v == nullptr || v->epoch <= floor || v->punch) continue;
-    if (v->buf == nullptr) {
-      zero_to(hi);  // a payload-free version reads as zeros but counts as filled
-    } else {
-      zero_to(lo);
-      std::memcpy(out.data() + (lo - offset), v->bytes() + (lo - start),
-                  std::size_t(hi - lo));
-      done = hi;
-    }
-    if (filled != nullptr) {
-      std::fill(filled->begin() + std::ptrdiff_t(lo - offset),
-                filled->begin() + std::ptrdiff_t(hi - offset), true);
-    }
+    if (lo > done) emit(done, lo, hole, 0);  // the hole before this run
+    emit(lo, hi, v, lo - start);
+    done = hi;
     count += hi - lo;
   }
-  zero_to(end);
+  if (end > done) emit(done, end, hole, 0);
   if (probes_ != nullptr) *probes_ += probes;
   return count;
+}
+
+namespace {
+/// read()/read_masked()'s run consumer: copies a payload run into `out`
+/// (which starts at store offset `base`) and zeroes every other run.
+auto copy_run(std::span<std::byte> out, std::uint64_t base) {
+  return [out, base](std::uint64_t lo, std::uint64_t hi, const auto* v, std::uint64_t skip) {
+    std::byte* dst = out.data() + (lo - base);
+    if (v != nullptr && v->buf != nullptr) {
+      std::memcpy(dst, v->bytes() + skip, std::size_t(hi - lo));
+    } else {
+      std::memset(dst, 0, std::size_t(hi - lo));
+    }
+  };
+}
+}  // namespace
+
+std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
+                               Epoch epoch) const {
+  return resolve(offset, out.size(), epoch, copy_run(out, offset));
+}
+
+std::uint64_t ArrayStore::read_masked(std::uint64_t offset, std::span<std::byte> out,
+                                      std::vector<bool>& filled, Epoch epoch) const {
+  filled.assign(out.size(), false);
+  auto copy = copy_run(out, offset);
+  return resolve(offset, out.size(), epoch,
+                 [&](std::uint64_t lo, std::uint64_t hi, const Version* v, std::uint64_t skip) {
+                   copy(lo, hi, v, skip);
+                   if (v != nullptr) {
+                     std::fill(filled.begin() + std::ptrdiff_t(lo - offset),
+                               filled.begin() + std::ptrdiff_t(hi - offset), true);
+                   }
+                 });
+}
+
+std::uint64_t ArrayStore::read_slices(std::uint64_t offset, std::uint64_t length, Epoch epoch,
+                                      std::vector<Slice>& out) const {
+  // Runs that continue the previous slice (zeros after zeros, or the next
+  // bytes of the same buffer) extend it, so a split-up extent still ships
+  // as one slice. Only runs this call emits are merged.
+  const std::size_t first = out.size();
+  static const BufferRef kZeros;
+  return resolve(offset, length, epoch,
+                 [&](std::uint64_t lo, std::uint64_t hi, const Version* v, std::uint64_t skip) {
+                   const bool payload = v != nullptr && v->buf != nullptr;
+                   const BufferRef& buf = payload ? v->buf : kZeros;
+                   const std::uint64_t off = payload ? v->off + skip : 0;
+                   if (out.size() > first && out.back().buf == buf &&
+                       (!payload || out.back().off + out.back().length == off)) {
+                     out.back().length += hi - lo;
+                   } else {
+                     out.push_back(Slice{buf, off, hi - lo});
+                   }
+                 });
 }
 
 void ArrayStore::mask_newer_than(std::uint64_t offset, Epoch since,
@@ -364,9 +393,22 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
   return res;
 }
 
+std::uint64_t ArrayStore::retained_bytes() const {
+  std::set<const Buffer*> seen;
+  std::uint64_t total = 0;
+  for (const auto& [start, s] : segs_) {
+    for (const Version& v : s.versions) {
+      if (v.buf != nullptr && seen.insert(v.buf.get()).second) total += v.buf->size();
+    }
+  }
+  return total;
+}
+
 void ArrayStore::audit_payload() const {
   if constexpr (kAuditEnabled) {
     std::uint64_t held = 0;
+    // (buffer, write) -> buffer offset minus store offset, the write's shift.
+    std::map<std::pair<const Buffer*, std::uint64_t>, std::uint64_t> shift;
     for (const auto& [start, s] : segs_) {
       for (const Version& v : s.versions) {
         if (v.buf == nullptr) continue;
@@ -377,6 +419,12 @@ void ArrayStore::audit_payload() const {
                        static_cast<unsigned long long>(s.length),
                        static_cast<unsigned long long>(start),
                        static_cast<unsigned long long>(size));
+        const auto [it, fresh] = shift.try_emplace({v.buf.get(), v.seq}, v.off - start);
+        DAOSIM_REQUIRE(fresh || it->second == v.off - start,
+                       "audit: segment %llu slices write %llu's buffer at %llu, off its shift",
+                       static_cast<unsigned long long>(start),
+                       static_cast<unsigned long long>(v.seq),
+                       static_cast<unsigned long long>(v.off));
         held += s.length;
       }
     }

@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "vos/slice.hpp"
 #include "vos/types.hpp"
 
 namespace daosim::vos {
@@ -60,10 +61,11 @@ class SingleValueStore {
 
 class ArrayStore {
  public:
-  /// Records a write of `length` bytes at `offset`. `data` may be empty in
-  /// discard mode; otherwise data.size() == length.
-  void write(std::uint64_t offset, std::uint64_t length, std::span<const std::byte> data,
-             Epoch epoch, PayloadMode mode);
+  /// Records a write of `data.length` bytes at `offset`. In store mode the
+  /// store adopts `data`: every version the write leaves slices data.buf, and
+  /// no byte is copied, so the caller must not write the buffer afterwards.
+  /// A null data.buf (or discard mode) records the extent without payload.
+  void write(std::uint64_t offset, Slice data, Epoch epoch, PayloadMode mode);
 
   /// Punches (logically zeroes / removes) the byte range at `epoch`.
   void punch_range(std::uint64_t offset, std::uint64_t length, Epoch epoch);
@@ -80,6 +82,14 @@ class ArrayStore {
   /// under bytes the local replica already holds.
   std::uint64_t read_masked(std::uint64_t offset, std::span<std::byte> out,
                             std::vector<bool>& mask, Epoch epoch) const;
+
+  /// Like read(), but appends the visible bytes of [offset, offset + length)
+  /// to `out` as slices of the stored buffers (payload-free slices for holes,
+  /// punches and metadata-only extents) instead of copying them. The slices
+  /// tile the range in order and keep their buffers alive: later writes,
+  /// punches and aggregation never change what they read.
+  std::uint64_t read_slices(std::uint64_t offset, std::uint64_t length, Epoch epoch,
+                            std::vector<Slice>& out) const;
 
   /// Highest written offset+length visible at `epoch` (0 if empty/punched).
   std::uint64_t size(Epoch epoch) const;
@@ -109,6 +119,10 @@ class ArrayStore {
   /// Distinct byte ranges in the interval index.
   std::size_t segment_count() const { return segs_.size(); }
   std::uint64_t stored_bytes() const { return stored_bytes_; }
+  /// Bytes of the distinct buffers the stored versions keep alive. At least
+  /// stored_bytes(); more while a buffer outlives some of its slices (see
+  /// docs/vos.md, "Payload buffers").
+  std::uint64_t retained_bytes() const;
 
   /// Epoch of the newest extent or full punch (0 if empty). Rebuild resync
   /// uses this to skip akeys the stale replica already holds.
@@ -126,18 +140,17 @@ class ArrayStore {
 
  private:
   /// A version's payload is a slice, [off, off + segment length), of an
-  /// immutable byte buffer shared by reference count: a write copies its
-  /// bytes once into a new buffer, a split hands both halves the same buffer,
-  /// and only aggregation's gather allocates again. The buffer carries its
-  /// own size, so a version stays six words: a seventh (a separate size
-  /// field) measurably raised the peak RSS of discard-mode runs.
-  using Buffer = std::vector<std::byte>;
+  /// immutable byte buffer shared by reference count: a write adopts the
+  /// caller's buffer, a split hands both halves the same buffer, and only
+  /// aggregation's gather allocates. The buffer carries its own size, so a
+  /// version stays six words: a seventh (a separate size field) measurably
+  /// raised the peak RSS of discard-mode runs.
   struct Version {
     Epoch epoch = 0;
     std::uint64_t seq = 0;  // arrival order among equal epochs (per store)
     bool punch = false;     // range punch: reads as hole above older data
-    std::shared_ptr<const Buffer> buf;  // null: no payload
-    std::uint64_t off = 0;              // slice start within *buf (unused if null)
+    BufferRef buf;          // null: no payload
+    std::uint64_t off = 0;  // slice start within *buf (unused if null)
     const std::byte* bytes() const { return buf->data() + off; }
   };
   /// One byte range [start, start+length) with its epoch-sorted version
@@ -153,23 +166,28 @@ class ArrayStore {
   /// segment boundary; both halves slice the same payload buffers, so no
   /// byte moves and byte totals are conserved.
   void split_at(std::uint64_t x);
-  /// Common write/punch path: stacks one version over [offset, offset+length).
-  void apply_range(std::uint64_t offset, std::uint64_t length,
-                   std::span<const std::byte> data, Epoch epoch, bool punch, bool payload);
+  /// Common write/punch path: stacks one version over
+  /// [offset, offset + data.length), slicing data.buf when it is non-null.
+  void apply_range(std::uint64_t offset, const Slice& data, Epoch epoch, bool punch);
   /// Keeps a segment's stack ascending when a write (e.g. a DTX commit)
   /// lands below the newest stored epoch; equal epochs keep arrival order.
   static void insert_version(Segment& s, Version v);
   /// Newest version with epoch <= `epoch` (nullptr when none).
   static const Version* newest_at(const Segment& s, Epoch epoch);
-  /// The one visibility resolver behind read() and read_masked(): one memcpy
-  /// per visible payload run, one memset per run of holes, punches,
-  /// payload-free versions or versions under a full punch. Sets the bits of
-  /// filled runs in `filled` (pre-sized to out.size()) when it is non-null.
-  std::uint64_t resolve(std::uint64_t offset, std::span<std::byte> out,
-                        std::vector<bool>* filled, Epoch epoch) const;
+  /// The one visibility resolver behind read(), read_masked() and
+  /// read_slices(): emits the runs that tile [offset, offset + length) in
+  /// order, as emit(lo, hi, v, skip). `v` is the visible version (nullptr for
+  /// a hole, a punch or a version under a full punch); a payload-holding
+  /// v's bytes start at v->bytes() + skip. Returns the filled byte count (the
+  /// runs with a non-null v) and charges the probe counter.
+  template <typename Emit>
+  std::uint64_t resolve(std::uint64_t offset, std::uint64_t length, Epoch epoch,
+                        Emit&& emit) const;
   Epoch last_full_punch_at(Epoch epoch) const;
-  /// Audit (DAOSIM_AUDIT): every payload slice lies inside its buffer and
-  /// stored_bytes_ is the sum of the payload-holding slice lengths.
+  /// Audit (DAOSIM_AUDIT): every payload slice lies inside its buffer,
+  /// stored_bytes_ is the sum of the payload-holding slice lengths, and the
+  /// slices one write left in one buffer map store offsets to buffer offsets
+  /// by one shift (a split or merge that moves an adopted slice breaks it).
   void audit_payload() const;
 
   std::map<std::uint64_t, Segment> segs_;  // keyed by segment start offset

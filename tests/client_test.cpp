@@ -220,6 +220,33 @@ TEST(Cluster, ArrayWriteReadRoundTrip) {
   tb.stop();
 }
 
+// The store adopts the client's gathered update buffer, not the caller's
+// span: reusing the caller's buffer as soon as write() returns must not
+// change what was stored.
+TEST(Cluster, ArrayWriteDoesNotAliasCallerBuffer) {
+  Testbed tb(small_cluster());
+  tb.start();
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_TRUE((co_await cl.cont_create(kPoolUuid, {})).ok());
+    // Ten chunks over several redundancy groups: every target's batch
+    // carries different bytes.
+    ArrayObject arr(cl, kPoolUuid, make_oid(6, ObjClass::RP_2GX), /*chunk=*/4096);
+    std::vector<std::byte> data(40'000);
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i % 253);
+    const std::vector<std::byte> original = data;
+    EXPECT_EQ(co_await arr.write(500, data.size(), data), Errno::ok);
+    std::fill(data.begin(), data.end(), std::byte{0xEE});
+
+    std::vector<std::byte> out(data.size());
+    auto filled = co_await arr.read(500, out);
+    CO_ASSERT_TRUE(filled.ok());
+    EXPECT_EQ(*filled, data.size());
+    EXPECT_TRUE(out == original);
+  });
+  tb.stop();
+}
+
 TEST(Cluster, ArrayHolesReadZero) {
   Testbed tb(small_cluster());
   tb.start();

@@ -1,7 +1,7 @@
 // The discard-mode sink contract, shared by the per-layer tests: in
 // PayloadMode::discard no read layer writes the caller's buffer, which is
 // what lets IOR allocate its read sink without initialising it (see
-// docs/io_path.md, "Payloads in discard mode"). Each layer's test fills a
+// docs/io_path.md §6, "Payloads"). Each layer's test fills a
 // sink with kSentinel, reads a written range through the layer and checks
 // that the count is the full length and every byte is still kSentinel.
 #pragma once

@@ -163,7 +163,9 @@ TEST(DtxVos, CommitAppliesEveryStagedOp) {
   std::vector<std::byte> out(5);
   const vos::VosContainer::ArrayExtent ext{"0", 3, 5, 0};
   std::uint64_t fill = 0;
-  EXPECT_EQ(c.array_read_extents(o1, "arr", {&ext, 1}, out, {&fill, 1}, vos::kEpochMax), 5u);
+  std::vector<vos::Slice> slices;
+  EXPECT_EQ(c.array_read_extents(o1, "arr", {&ext, 1}, &slices, {&fill, 1}, vos::kEpochMax), 5u);
+  vos::SliceReader(slices).read(out);
   EXPECT_EQ(str(out), "gamma");
   // Nothing is visible below the commit epoch.
   EXPECT_FALSE(c.kv_get(o1, "d", "a", ep - 1).exists);

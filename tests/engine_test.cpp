@@ -3,6 +3,8 @@
 // inserts — exercised against a single engine without the client library.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/units.hpp"
 
 #include "co_assert.hpp"
@@ -35,10 +37,11 @@ struct Env {
     sched.run();
   }
 
-  /// One-extent array update of [off, off + len) in `dkey`.
+  /// One-extent array update of [off, off + len) in `dkey`, carrying `data`
+  /// (null: metadata only).
   CoTask<Reply> update(vos::ObjId oid, std::uint32_t target, std::uint64_t off,
                        std::uint64_t len, vos::Key dkey = "0",
-                       std::uint64_t array_end_hint = 0) {
+                       std::uint64_t array_end_hint = 0, Payload data = nullptr) {
     ObjUpdateReq req;
     req.cont = vos::Uuid{1, 1};
     req.oid = oid;
@@ -46,6 +49,7 @@ struct Env {
     req.akey = "0";
     req.extents = {{std::move(dkey), off, len, 0}};
     req.array_end_hint = array_end_hint;
+    req.data = std::move(data);
     Body body = Body::make(std::move(req));
     co_return co_await client->call(eng->node(), kOpObjUpdate, std::move(body),
                                     obj_wire_bytes(1, len));
@@ -91,6 +95,127 @@ TEST(Engine, UpdateThenFetchRoundTrip) {
   });
   EXPECT_EQ(env.eng->updates_served(), 1u);
   EXPECT_EQ(env.eng->fetches_served(), 1u);
+}
+
+/// `len` bytes reading as uint8_t(seed + i).
+Payload pattern(std::uint64_t len, std::uint8_t seed) {
+  auto buf = std::make_shared<vos::Buffer>(len);
+  for (std::uint64_t i = 0; i < len; ++i) (*buf)[i] = std::byte(std::uint8_t(seed + i));
+  return buf;
+}
+
+std::vector<std::byte> concat(const std::vector<vos::Slice>& slices, std::uint64_t len) {
+  std::vector<std::byte> out(len);
+  vos::SliceReader(slices).read(out);
+  return out;
+}
+
+// A store-mode fetch reply holds slices of the target's stored buffers, not
+// a copy: overwriting, punching and aggregating the range after the reply
+// is served must not change what the reply reads.
+TEST(Engine, FetchReplyOutlivesOverwritePunchAndAggregate) {
+  Env env;
+  constexpr std::uint64_t kLen = 4096;
+  const Payload first = pattern(kLen, 1);
+  env.run([&]() -> CoTask<void> {
+    // Two writes, so the served image spans two stored buffers.
+    CO_ASSERT_ERRNO((co_await env.update(kOid, 0, 0, kLen, "0", 0, first)).status, Errno::ok);
+    CO_ASSERT_ERRNO((co_await env.update(kOid, 0, 1024, 1024, "0", 0, pattern(1024, 200))).status,
+                    Errno::ok);
+    Reply r = co_await env.fetch(kOid, 0, 0, kLen);
+    CO_ASSERT_ERRNO(r.status, Errno::ok);
+    const auto& resp = r.body.get<ObjFetchResp>();
+    CO_ASSERT_EQ(resp.filled, kLen);
+    std::vector<std::byte> want(first->begin(), first->end());
+    for (std::uint64_t i = 0; i < 1024; ++i) want[1024 + i] = std::byte(std::uint8_t(200 + i));
+    CO_ASSERT_TRUE(concat(resp.slices, kLen) == want);
+
+    CO_ASSERT_ERRNO((co_await env.update(kOid, 0, 0, kLen, "0", 0, pattern(kLen, 77))).status,
+                    Errno::ok);
+    ObjPunchReq punch;
+    punch.cont = vos::Uuid{1, 1};
+    punch.oid = kOid;
+    punch.scope = PunchScope::akey;
+    punch.dkey = "0";
+    punch.akey = "0";
+    Reply p = co_await env.client->call(env.eng->node(), kOpObjPunch, Body::make(punch),
+                                        kObjRpcHeader);
+    CO_ASSERT_ERRNO(p.status, Errno::ok);
+    CO_ASSERT_ERRNO((co_await env.update(kOid, 0, 512, 2048, "0", 0, pattern(2048, 9))).status,
+                    Errno::ok);
+    vos::VosContainer& cont = env.eng->vos_target(0).container(vos::Uuid{1, 1});
+    cont.aggregate(cont.current_epoch());
+    CO_ASSERT_EQ(cont.stored_bytes(), 2048u);  // only the last write survives
+
+    CO_ASSERT_TRUE(concat(resp.slices, kLen) == want);
+    // A fresh fetch sees the new state: the punch, then [512, 2560).
+    Reply again = co_await env.fetch(kOid, 0, 0, kLen);
+    const auto& now = again.body.get<ObjFetchResp>();
+    CO_ASSERT_EQ(now.filled, 2048u);
+    const std::vector<std::byte> img = concat(now.slices, kLen);
+    CO_ASSERT_EQ(img[0], std::byte{0});
+    CO_ASSERT_EQ(img[512], std::byte{9});
+    CO_ASSERT_EQ(img[kLen - 1], std::byte{0});
+  });
+}
+
+// A single-value fetch resolves its record before the media wait; a newer
+// put plus an aggregation pass landing inside that wait drop the resolved
+// version, and the reply must still carry its bytes. The interfering writer
+// is swept across the whole round trip, so some delay lands in the wait.
+TEST(Engine, SingleValueFetchOutlivesAggregationDuringMediaWait) {
+  const vos::Buffer old_value(64, std::byte{0x11});
+  const vos::Buffer new_value(64, std::byte{0x22});
+  // One fetch of the record; with `interfere_after`, that long after the
+  // fetch is sent a newer value is put and the shard aggregated. Returns
+  // the fetched bytes and the fetch's round trip.
+  auto trial = [&](std::optional<Time> interfere_after) {
+    Env env;
+    std::vector<std::byte> got;
+    Time rtt = 0;
+    env.run([&]() -> CoTask<void> {
+      ObjUpdateReq put;
+      put.cont = vos::Uuid{1, 1};
+      put.oid = kOid;
+      put.dkey = "entry";
+      put.akey = "e";
+      put.type = RecordType::single_value;
+      put.length = old_value.size();
+      put.data = std::make_shared<const vos::Buffer>(old_value);
+      Reply w = co_await env.client->call(env.eng->node(), kOpObjUpdate,
+                                          Body::make(std::move(put)),
+                                          kObjRpcHeader + old_value.size());
+      CO_ASSERT_ERRNO(w.status, Errno::ok);
+      const Time t0 = env.sched.now();
+      if (interfere_after) {
+        env.sched.spawn([&env, &new_value, d = *interfere_after]() -> CoTask<void> {
+          co_await env.sched.delay(d);
+          vos::VosContainer& cont = env.eng->vos_target(0).container(vos::Uuid{1, 1});
+          cont.kv_put(kOid, "entry", "e", new_value, cont.next_epoch());
+          cont.aggregate(cont.current_epoch());
+        });
+      }
+      ObjFetchReq req;
+      req.cont = vos::Uuid{1, 1};
+      req.oid = kOid;
+      req.dkey = "entry";
+      req.akey = "e";
+      req.type = RecordType::single_value;
+      Reply r = co_await env.client->call(env.eng->node(), kOpObjFetch, Body::make(req),
+                                          kObjRpcHeader);
+      CO_ASSERT_ERRNO(r.status, Errno::ok);
+      got = r.body.get<ObjFetchResp>().value;
+      rtt = env.sched.now() - t0;
+    });
+    return std::make_pair(got, rtt);
+  };
+  const auto [undisturbed, rtt] = trial(std::nullopt);
+  ASSERT_EQ(undisturbed, old_value);
+  ASSERT_GT(rtt, 0u);
+  for (Time d = 0; d <= rtt; d += 20) {
+    const std::vector<std::byte> got = trial(d).first;
+    ASSERT_TRUE(got == old_value || got == new_value) << "interference " << d << " ns in";
+  }
 }
 
 TEST(Engine, TargetsAreIndependentStores) {

@@ -1,15 +1,18 @@
 // Property tests for the evtree ArrayStore against a flat op-list oracle:
 // randomized write / range-punch / full-punch / below-top-commit sequences
 // must read byte-identically (data, fill mask, newer-than mask, size) at
-// every sampled epoch, before and after aggregation points, through read()
-// and read_masked() over windows that start and end mid-segment. Also pins the
-// equal-epoch arrival-order rule (DTX below-top commits), the exactness of
-// the AggResult accounting, the probe-counter depth signal the endurance
-// bench watches, and reads across the splits and coalesces of shared payload
-// slices (the overwrite_prod shape among them).
+// every sampled epoch, before and after aggregation points, through read(),
+// read_masked() and read_slices() over windows that start and end
+// mid-segment, with some writes adopting two slices of one buffer. Also pins
+// the equal-epoch arrival-order rule (DTX below-top commits), the exactness
+// of the AggResult accounting, the probe-counter depth signal the endurance
+// bench watches, reads across the splits and coalesces of shared payload
+// slices (the overwrite_prod shape among them), and how long an adopted
+// batch buffer stays alive.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -110,8 +113,8 @@ std::vector<std::byte> payload_of(const Op& o) {
   return d;
 }
 
-// Reads [lo, hi) through both read() and read_masked() into buffers
-// pre-filled with 0xA5, so a hole, range punch or full-punch floor the
+// Reads [lo, hi) through read(), read_masked() and read_slices() into
+// buffers pre-filled with 0xA5, so a hole, range punch or full-punch floor the
 // resolver leaves unwritten shows as a wrong byte. Bytes at or past the
 // oracle's space read as unfilled zeros.
 void check_window(const ArrayStore& a, const std::vector<std::uint8_t>& want_img,
@@ -127,11 +130,23 @@ void check_window(const ArrayStore& a, const std::vector<std::uint8_t>& want_img
   ASSERT_EQ(a.read_masked(lo, masked, got_fill, e), want_count)
       << where << " epoch " << e << " [" << lo << ", " << hi << ")";
   ASSERT_EQ(got_fill.size(), hi - lo);
+  // The fetch path's consumer of the same resolver: the slices must tile the
+  // window and concatenate to read()'s bytes, with the same fill count.
+  std::vector<Slice> slices{Slice{nullptr, 0, 1}};  // a prior entry is kept
+  ASSERT_EQ(a.read_slices(lo, hi - lo, e, slices), want_count)
+      << where << " epoch " << e << " [" << lo << ", " << hi << ")";
+  std::uint64_t tiled = 0;
+  for (std::size_t i = 1; i < slices.size(); ++i) tiled += slices[i].length;
+  ASSERT_EQ(slices[0].length, 1u) << where;
+  ASSERT_EQ(tiled, hi - lo) << where << " epoch " << e;
+  std::vector<std::byte> joined(hi - lo, std::byte{0xA5});
+  SliceReader(std::span<const Slice>(slices).subspan(1)).read(joined);
   for (std::uint64_t b = lo; b < hi; ++b) {
     const bool in = b < want_img.size();
     const std::uint8_t want = in ? want_img[b] : 0;
     ASSERT_EQ(std::uint8_t(plain[b - lo]), want) << where << " epoch " << e << " byte " << b;
     ASSERT_EQ(std::uint8_t(masked[b - lo]), want) << where << " epoch " << e << " byte " << b;
+    ASSERT_EQ(std::uint8_t(joined[b - lo]), want) << where << " epoch " << e << " byte " << b;
     ASSERT_EQ(got_fill[b - lo], in && want_fill[b]) << where << " epoch " << e << " fill bit "
                                                     << b;
   }
@@ -211,8 +226,23 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
     } else {
       Op o{rng.uniform(space - 1), 0, e, false, std::uint8_t(rng.uniform(256))};
       o.len = 1 + rng.uniform(std::min<std::uint64_t>(48, space - o.off));
-      a.write(o.off, o.len, payload_of(o), o.epoch, PayloadMode::store);
-      oracle.ops.push_back(o);
+      const std::vector<std::byte> bytes = payload_of(o);
+      if (o.len >= 2 && rng.uniform(2) == 0) {
+        // One request buffer holding two extents in reverse order, as a
+        // batched update may lay them out: the store adopts two slices of it
+        // that sit side by side in the store but not in the buffer.
+        const std::uint64_t cut = 1 + rng.uniform(o.len - 1);
+        auto buf = std::make_shared<Buffer>(bytes.begin() + std::ptrdiff_t(cut), bytes.end());
+        buf->insert(buf->end(), bytes.begin(), bytes.begin() + std::ptrdiff_t(cut));
+        a.write(o.off, Slice{buf, o.len - cut, cut}, o.epoch, PayloadMode::store);
+        a.write(o.off + cut, Slice{buf, 0, o.len - cut}, o.epoch, PayloadMode::store);
+        oracle.ops.push_back(Op{o.off, cut, o.epoch, false, o.seed});
+        oracle.ops.push_back(
+            Op{o.off + cut, o.len - cut, o.epoch, false, std::uint8_t(o.seed + cut)});
+      } else {
+        a.write(o.off, copy_slice(bytes), o.epoch, PayloadMode::store);
+        oracle.ops.push_back(o);
+      }
     }
 
     if (step == 40 || step == 80 || step == 100) {
@@ -285,7 +315,7 @@ TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
     } else {
       Op o{rng.uniform(space - 1), 0, top, false, 0};
       o.len = 1 + rng.uniform(std::min<std::uint64_t>(32, space - o.off));
-      a.write(o.off, o.len, {}, o.epoch, PayloadMode::discard);
+      a.write(o.off, Slice{nullptr, 0, o.len}, o.epoch, PayloadMode::discard);
       oracle.ops.push_back(o);
     }
   }
@@ -317,8 +347,8 @@ TEST(EvtreeOrder, EqualEpochKeepsArrivalOrder) {
   ArrayStore a;
   std::vector<std::byte> first(8, std::byte{0x11});
   std::vector<std::byte> second(8, std::byte{0x22});
-  a.write(0, 8, first, 5, PayloadMode::store);
-  a.write(0, 8, second, 5, PayloadMode::store);  // same epoch, later arrival
+  a.write(0, copy_slice(first), 5, PayloadMode::store);
+  a.write(0, copy_slice(second), 5, PayloadMode::store);  // same epoch, later arrival
   std::vector<std::byte> out(8);
   a.read(0, out, 5);
   EXPECT_EQ(out[0], std::byte{0x22});
@@ -326,9 +356,9 @@ TEST(EvtreeOrder, EqualEpochKeepsArrivalOrder) {
   // A below-top commit at the same epoch as an existing version also lands
   // after it, not before.
   std::vector<std::byte> newer(8, std::byte{0x33});
-  a.write(0, 8, newer, 9, PayloadMode::store);
+  a.write(0, copy_slice(newer), 9, PayloadMode::store);
   std::vector<std::byte> late(8, std::byte{0x44});
-  a.write(0, 8, late, 5, PayloadMode::store);  // below-top, equal epoch
+  a.write(0, copy_slice(late), 5, PayloadMode::store);  // below-top, equal epoch
   a.read(0, out, 5);
   EXPECT_EQ(out[0], std::byte{0x44});  // latest arrival among epoch 5
   a.read(0, out, 9);
@@ -343,7 +373,7 @@ TEST(EvtreeProbes, AggregationRestoresFlatReadCost) {
   std::uint64_t probes = 0;
   a.bind_probe_counter(&probes);
   std::vector<std::byte> data(64, std::byte{0xAB});
-  for (Epoch e = 1; e <= 64; ++e) a.write(0, 64, data, e, PayloadMode::store);
+  for (Epoch e = 1; e <= 64; ++e) a.write(0, copy_slice(data), e, PayloadMode::store);
 
   std::vector<std::byte> out(64);
   probes = 0;
@@ -400,7 +430,7 @@ TEST(EvtreeSlices, OverwriteProdShapeFlattensEachPass) {
     const Epoch prev_top = e;
     for (std::uint64_t i = 0; i < 16; ++i) {
       const std::uint64_t off = (i * std::uint64_t(2 * p + 1)) % 16 * kXfer;  // per-pass order
-      a.write(off, kXfer, pass_bytes(off, kXfer, p), ++e, PayloadMode::store);
+      a.write(off, copy_slice(pass_bytes(off, kXfer, p)), ++e, PayloadMode::store);
     }
     EXPECT_EQ(a.stored_bytes(), kAkey * (p == 0 ? 1 : 2)) << "pass " << p;
     EXPECT_EQ(a.segment_count(), 16u) << "pass " << p;
@@ -430,13 +460,12 @@ TEST(EvtreeSlices, MidOverwriteOfCoalescedExtentReadsAcrossCuts) {
   ArrayStore a;
   for (Epoch e = 1; e <= 3; ++e) {
     const std::uint64_t off = (e - 1) * 4096;
-    a.write(off, 4096, pass_bytes(off, 4096, 0), e, PayloadMode::store);
+    a.write(off, copy_slice(pass_bytes(off, 4096, 0)), e, PayloadMode::store);
   }
   ASSERT_EQ(a.aggregate(3).extents_retired, 2u);
   ASSERT_EQ(a.segment_count(), 1u);
 
-  a.write(kCutLo, kCutHi - kCutLo, pass_bytes(kCutLo, kCutHi - kCutLo, 1), 4,
-          PayloadMode::store);
+  a.write(kCutLo, copy_slice(pass_bytes(kCutLo, kCutHi - kCutLo, 1)), 4, PayloadMode::store);
   EXPECT_EQ(a.segment_count(), 3u);
   EXPECT_EQ(a.stored_bytes(), kLen + (kCutHi - kCutLo));
   auto new_in_cut = [&](std::uint64_t b) { return b >= kCutLo && b < kCutHi ? 1 : 0; };
@@ -473,9 +502,9 @@ TEST(EvtreeSlices, CoalesceMixesSharedAndFreshBuffers) {
   // [0, 8K) at epoch 1, then [4K, 16K) at epoch 2 and [16K, 20K) at epoch 3:
   // after aggregation [4K, 8K) and [8K, 16K) slice the epoch-2 buffer end to
   // end, between a slice of the epoch-1 buffer and a fresh one.
-  a.write(0, 8192, pass_bytes(0, 8192, 0), 1, PayloadMode::store);
-  a.write(4096, 12288, pass_bytes(4096, 12288, 1), 2, PayloadMode::store);
-  a.write(16384, 4096, pass_bytes(16384, 4096, 2), 3, PayloadMode::store);
+  a.write(0, copy_slice(pass_bytes(0, 8192, 0)), 1, PayloadMode::store);
+  a.write(4096, copy_slice(pass_bytes(4096, 12288, 1)), 2, PayloadMode::store);
+  a.write(16384, copy_slice(pass_bytes(16384, 4096, 2)), 3, PayloadMode::store);
   auto pass_of = [](std::uint64_t b) { return b < 4096 ? 0 : b < 16384 ? 1 : 2; };
   EXPECT_EQ(a.segment_count(), 4u);
   ArrayStore::AggResult r = a.aggregate(3);
@@ -490,8 +519,8 @@ TEST(EvtreeSlices, CoalesceMixesSharedAndFreshBuffers) {
   // the epoch-5 buffer is split around it and, once aggregation drops the
   // epoch-4 version, its three slices lie end to end and merge without a
   // gather.
-  a.write(24576, 8192, pass_bytes(24576, 8192, 3), 5, PayloadMode::store);
-  a.write(26000, 1000, pass_bytes(26000, 1000, 0), 4, PayloadMode::store);
+  a.write(24576, copy_slice(pass_bytes(24576, 8192, 3)), 5, PayloadMode::store);
+  a.write(26000, copy_slice(pass_bytes(26000, 1000, 0)), 4, PayloadMode::store);
   EXPECT_EQ(a.segment_count(), 4u);
   r = a.aggregate(5);
   EXPECT_EQ(r.extents_retired, 3u);  // the epoch-4 version + 2 merges
@@ -516,6 +545,59 @@ TEST(EvtreeSlices, CoalesceMixesSharedAndFreshBuffers) {
   std::vector<std::byte> hole(64, std::byte{0xA5});
   EXPECT_EQ(a.read(11950, hole, kEpochMax), 14u);
   EXPECT_EQ(hole[0], std::byte{0});
+}
+
+// Buffer retention under adoption (docs/vos.md, "Payload buffers"): one
+// 16-extent request buffer, as a batched update leaves it, with 15 of its
+// extents overwritten. Until aggregation every retained byte is some
+// version's payload; aggregation then gathers the lone surviving slice of
+// the request buffer into an exact-size buffer and releases the rest --
+// unless another holder still shares the buffer, which keeps it whole.
+TEST(EvtreeSlices, AdoptedBatchBufferRetention) {
+  constexpr std::uint64_t kExt = 4096;
+  constexpr std::uint64_t kN = 16;
+  for (const bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "buffer shared with another holder" : "store is the only holder");
+    ArrayStore a;
+    // Extent i lands at i * 2 * kExt (apart, so each flattens on its own),
+    // slicing the batch buffer at i * kExt.
+    auto batch = std::make_shared<Buffer>(kN * kExt);
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      const std::vector<std::byte> d = pass_bytes(2 * i * kExt, kExt, 0);
+      std::copy(d.begin(), d.end(), batch->begin() + std::ptrdiff_t(i * kExt));
+    }
+    const std::weak_ptr<const Buffer> watch = batch;
+    BufferRef other = batch;  // stands for another akey's slice or a reply
+    Epoch e = 0;
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      a.write(2 * i * kExt, Slice{batch, i * kExt, kExt}, ++e, PayloadMode::store);
+    }
+    batch.reset();
+    if (!shared) other.reset();
+    for (std::uint64_t i = 0; i + 1 < kN; ++i) {
+      a.write(2 * i * kExt, copy_slice(pass_bytes(2 * i * kExt, kExt, 1)), ++e,
+              PayloadMode::store);
+    }
+    auto pass_at = [](std::uint64_t b) { return b >= 2 * (kN - 1) * kExt ? 0 : 1; };
+    EXPECT_EQ(a.stored_bytes(), (2 * kN - 1) * kExt);
+    EXPECT_EQ(a.retained_bytes(), a.stored_bytes());  // nothing dropped yet
+
+    const ArrayStore::AggResult r = a.aggregate(e);
+    EXPECT_EQ(r.extents_retired, kN - 1);
+    EXPECT_EQ(r.bytes_flattened, (kN - 1) * kExt);
+    EXPECT_EQ(a.stored_bytes(), kN * kExt);
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      expect_pass_bytes(a, 2 * i * kExt, (2 * i + 1) * kExt, kEpochMax, pass_at);
+    }
+    if (shared) {
+      // The survivor keeps slicing the whole batch buffer.
+      EXPECT_FALSE(watch.expired());
+      EXPECT_EQ(a.retained_bytes(), (kN - 1) * kExt + kN * kExt);
+    } else {
+      EXPECT_TRUE(watch.expired());
+      EXPECT_EQ(a.retained_bytes(), kN * kExt);
+    }
+  }
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST(SingleValue, AggregateDropsShadowedVersions) {
 TEST(ArrayStore, WriteReadRoundTrip) {
   ArrayStore a;
   auto d = bytes("hello world");
-  a.write(100, d.size(), d, 1, PayloadMode::store);
+  a.write(100, copy_slice(d), 1, PayloadMode::store);
   std::vector<std::byte> out(11);
   EXPECT_EQ(a.read(100, out, 1), 11u);
   EXPECT_EQ(str(out), "hello world");
@@ -83,7 +83,7 @@ TEST(ArrayStore, WriteReadRoundTrip) {
 TEST(ArrayStore, HolesReadAsZero) {
   ArrayStore a;
   auto d = bytes("xy");
-  a.write(10, 2, d, 1, PayloadMode::store);
+  a.write(10, copy_slice(d), 1, PayloadMode::store);
   std::vector<std::byte> out(6);
   EXPECT_EQ(a.read(8, out, 1), 2u);
   EXPECT_EQ(out[0], std::byte{0});
@@ -96,8 +96,8 @@ TEST(ArrayStore, HolesReadAsZero) {
 TEST(ArrayStore, NewerEpochShadowsOlder) {
   ArrayStore a;
   auto d1 = bytes("aaaa"), d2 = bytes("BB");
-  a.write(0, 4, d1, 1, PayloadMode::store);
-  a.write(1, 2, d2, 2, PayloadMode::store);
+  a.write(0, copy_slice(d1), 1, PayloadMode::store);
+  a.write(1, copy_slice(d2), 2, PayloadMode::store);
   std::vector<std::byte> out(4);
   a.read(0, out, 2);
   EXPECT_EQ(str(out), "aBBa");
@@ -108,7 +108,7 @@ TEST(ArrayStore, NewerEpochShadowsOlder) {
 TEST(ArrayStore, RangePunchZeroes) {
   ArrayStore a;
   auto d = bytes("abcdef");
-  a.write(0, 6, d, 1, PayloadMode::store);
+  a.write(0, copy_slice(d), 1, PayloadMode::store);
   a.punch_range(2, 2, 2);
   std::vector<std::byte> out(6);
   EXPECT_EQ(a.read(0, out, 2), 4u);
@@ -118,12 +118,12 @@ TEST(ArrayStore, RangePunchZeroes) {
 TEST(ArrayStore, FullPunchResetsSize) {
   ArrayStore a;
   auto d = bytes("data");
-  a.write(100, 4, d, 1, PayloadMode::store);
+  a.write(100, copy_slice(d), 1, PayloadMode::store);
   a.punch_all(5);
   EXPECT_EQ(a.size(5), 0u);
   EXPECT_EQ(a.size(4), 104u);
   auto d2 = bytes("x");
-  a.write(0, 1, d2, 6, PayloadMode::store);
+  a.write(0, copy_slice(d2), 6, PayloadMode::store);
   EXPECT_EQ(a.size(6), 1u);
   std::vector<std::byte> out(1);
   EXPECT_EQ(a.read(100, out, 6), 0u);  // pre-punch data invisible
@@ -131,7 +131,7 @@ TEST(ArrayStore, FullPunchResetsSize) {
 
 TEST(ArrayStore, DiscardModeTracksSizesOnly) {
   ArrayStore a;
-  a.write(0, 1024, {}, 1, PayloadMode::discard);
+  a.write(0, Slice{nullptr, 0, 1024}, 1, PayloadMode::discard);
   EXPECT_EQ(a.size(1), 1024u);
   EXPECT_EQ(a.stored_bytes(), 0u);
   std::vector<std::byte> out(16);
@@ -141,9 +141,9 @@ TEST(ArrayStore, DiscardModeTracksSizesOnly) {
 TEST(ArrayStore, AggregateMergesAndPreservesView) {
   ArrayStore a;
   auto d1 = bytes("aaaaaaaa"), d2 = bytes("bbbb"), d3 = bytes("cc");
-  a.write(0, 8, d1, 1, PayloadMode::store);
-  a.write(2, 4, d2, 2, PayloadMode::store);
-  a.write(4, 2, d3, 3, PayloadMode::store);
+  a.write(0, copy_slice(d1), 1, PayloadMode::store);
+  a.write(2, copy_slice(d2), 2, PayloadMode::store);
+  a.write(4, copy_slice(d3), 3, PayloadMode::store);
   std::vector<std::byte> before(8);
   a.read(0, before, 3);
   a.aggregate(3);
@@ -158,8 +158,8 @@ TEST(ArrayStore, AggregateMergesAndPreservesView) {
 TEST(ArrayStore, AggregateKeepsNewerVersions) {
   ArrayStore a;
   auto d1 = bytes("1111"), d2 = bytes("22");
-  a.write(0, 4, d1, 1, PayloadMode::store);
-  a.write(0, 2, d2, 10, PayloadMode::store);
+  a.write(0, copy_slice(d1), 1, PayloadMode::store);
+  a.write(0, copy_slice(d2), 10, PayloadMode::store);
   a.aggregate(5);
   std::vector<std::byte> out(4);
   a.read(0, out, 5);
@@ -171,8 +171,8 @@ TEST(ArrayStore, AggregateKeepsNewerVersions) {
 TEST(ArrayStore, MaskNewerThanMarksOnlyBytesTouchedAfterCut) {
   ArrayStore a;
   auto d1 = bytes("aaaaaaaa"), d2 = bytes("bb");
-  a.write(0, 8, d1, 5, PayloadMode::store);
-  a.write(2, 2, d2, 9, PayloadMode::store);
+  a.write(0, copy_slice(d1), 5, PayloadMode::store);
+  a.write(2, copy_slice(d2), 9, PayloadMode::store);
   std::vector<bool> mask(8, false);
   a.mask_newer_than(0, 5, mask);
   for (std::size_t i = 0; i < 8; ++i) {
@@ -194,7 +194,7 @@ TEST(ArrayStore, MaskNewerThanMarksOnlyBytesTouchedAfterCut) {
 TEST(ArrayStore, MaskNewerThanFullPunchCoversEverything) {
   ArrayStore a;
   auto d = bytes("data");
-  a.write(0, 4, d, 3, PayloadMode::store);
+  a.write(0, copy_slice(d), 3, PayloadMode::store);
   a.punch_all(7);
   std::vector<bool> mask(6, false);
   a.mask_newer_than(0, 5, mask);
@@ -235,12 +235,14 @@ TEST(Container, KvLatestEpochTracksPutsAndPunches) {
 TEST(Container, ArrayAcrossDkeys) {
   VosContainer c(PayloadMode::store);
   auto d0 = bytes("chunk0"), d1 = bytes("chunk1");
-  c.array_write(kOid, "0", "data", 0, 6, d0, c.next_epoch());
-  c.array_write(kOid, "1", "data", 0, 6, d1, c.next_epoch());
+  c.array_write(kOid, "0", "data", 0, copy_slice(d0), c.next_epoch());
+  c.array_write(kOid, "1", "data", 0, copy_slice(d1), c.next_epoch());
   std::vector<std::byte> out(6);
   const VosContainer::ArrayExtent ext{"1", 0, 6, 0};
   std::uint64_t fill = 0;
-  c.array_read_extents(kOid, "data", {&ext, 1}, out, {&fill, 1}, kEpochMax);
+  std::vector<Slice> slices;
+  c.array_read_extents(kOid, "data", {&ext, 1}, &slices, {&fill, 1}, kEpochMax);
+  SliceReader(slices).read(out);
   EXPECT_EQ(str(out), "chunk1");
   EXPECT_EQ(c.array_size(kOid, "0", "data", kEpochMax), 6u);
 }
@@ -249,7 +251,7 @@ TEST(Container, MixingKvAndArrayOnSameAkeyThrows) {
   VosContainer c(PayloadMode::store);
   auto v = bytes("v");
   c.kv_put(kOid, "d", "a", v, c.next_epoch());
-  EXPECT_THROW(c.array_write(kOid, "d", "a", 0, 1, v, c.next_epoch()), DaosimError);
+  EXPECT_THROW(c.array_write(kOid, "d", "a", 0, copy_slice(v), c.next_epoch()), DaosimError);
 }
 
 TEST(Container, PunchDkeyHidesFromEnumeration) {
@@ -270,7 +272,7 @@ TEST(Container, PunchObjectHidesEverything) {
   VosContainer c(PayloadMode::store);
   auto v = bytes("v");
   c.kv_put(kOid, "d1", "a", v, c.next_epoch());
-  c.array_write(kOid, "d2", "arr", 0, 1, v, c.next_epoch());
+  c.array_write(kOid, "d2", "arr", 0, copy_slice(v), c.next_epoch());
   c.punch_object(kOid, c.next_epoch());
   EXPECT_TRUE(c.list_dkeys(kOid, kEpochMax).empty());
 }
@@ -322,7 +324,7 @@ TEST(Target, StoredBytesAccounting) {
   VosTarget t(PayloadMode::store);
   auto& c = t.container(Uuid{1, 1});
   auto d = bytes("12345678");
-  c.array_write(kOid, "0", "data", 0, 8, d, c.next_epoch());
+  c.array_write(kOid, "0", "data", 0, copy_slice(d), c.next_epoch());
   EXPECT_EQ(t.stored_bytes(), 8u);
   EXPECT_EQ(t.logical_bytes_written(), 8u);
 }
@@ -351,7 +353,7 @@ TEST_P(ArrayOracleProperty, MatchesByteOracle) {
       const std::uint64_t len = 1 + rng.uniform(std::min<std::uint64_t>(64, space - off));
       std::vector<std::byte> data(len);
       for (auto& b : data) b = std::byte(rng.uniform(256));
-      a.write(off, len, data, e, PayloadMode::store);
+      a.write(off, copy_slice(data), e, PayloadMode::store);
       for (std::uint64_t i = 0; i < len; ++i) {
         cur.img[off + i] = char(data[i]);
         cur.filled[off + i] = true;

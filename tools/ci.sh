@@ -37,9 +37,11 @@
 #                          index property tests against the flat oracle, the
 #                          service's floor/determinism/crash battery, and the
 #                          DTX/snapshot aggregation pins) under ASan+UBSan
-#                          with the runtime audits on — the merge passes
-#                          share, slice and regather payload buffers and
-#                          must be lifetime- and UB-clean
+#                          with the runtime audits on, plus the fetch-reply
+#                          lifetime and caller-buffer tests — the merge
+#                          passes share, slice and regather payload buffers,
+#                          stores adopt update buffers and replies slice
+#                          stored ones, and all must be lifetime- and UB-clean
 #   tools/ci.sh bench-smoke  Release -Werror build (what perfbench measures);
 #                          tiny-scale ablation_xfersize + ablation_dtx +
 #                          ablation_membership + ablation_overwrite runs
@@ -271,13 +273,16 @@ if [[ $STAGE == agg ]]; then
   # buffers and erase version records while read paths hold spans into them,
   # and the service interleaves with DTX commits, snapshots, rebuild floors,
   # and engine crashes — exactly where a dangling span or UB would hide.
+  # Stores adopt update buffers and fetch replies carry slices of stored
+  # buffers, so the reply-lifetime and caller-buffer tests run here too.
   echo "=== [agg] configure + build ==="
   cmake -B build-ci-agg -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDAOSIM_SANITIZE="address;undefined" -DDAOSIM_AUDIT=ON
-  cmake --build build-ci-agg -j "$JOBS" --target evtree_test agg_test dtx_test
+  cmake --build build-ci-agg -j "$JOBS" \
+    --target evtree_test agg_test dtx_test engine_test client_test
   echo "=== [agg] ctest ==="
   ctest --test-dir build-ci-agg --output-on-failure -j "$JOBS" \
-    -R 'Evtree|AggService|AggDeterminism|AggFloors|AggFault|DtxVos\.PreparedEntriesPinAggregation|DtxCluster\.SnapshotPinsAggregationUntilDestroyed'
+    -R 'Evtree|AggService|AggDeterminism|AggFloors|AggFault|DtxVos\.PreparedEntriesPinAggregation|DtxCluster\.SnapshotPinsAggregationUntilDestroyed|Engine\.(FetchReplyOutlivesOverwritePunchAndAggregate|SingleValueFetchOutlivesAggregationDuringMediaWait)|Cluster\.ArrayWriteDoesNotAliasCallerBuffer'
   stage_end
 fi
 
