@@ -214,18 +214,10 @@ struct RebuildFetchReq {
   vos::Epoch min_epoch = 0;
 };
 
-struct RebuildRecord {
-  vos::Key dkey;
-  vos::Key akey;
-  RecordType type = RecordType::array;
-  std::uint64_t length = 0;
-  Payload data;  // null in discard mode
-};
-
 struct RebuildFetchResp {
-  std::vector<RebuildRecord> records;
-  std::uint64_t array_end = 0;  // source's array end hint for the object
-  std::uint64_t bytes = 0;      // logical bytes transferred
+  std::vector<vos::RecordImage> records;  // the group's records, in tree order
+  std::uint64_t array_end = 0;            // source's array end hint for the object
+  std::uint64_t bytes = 0;                // logical bytes transferred
 };
 
 /// One staged write of a transaction, scoped to the receiving shard. Arrays

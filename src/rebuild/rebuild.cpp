@@ -185,16 +185,8 @@ engine::RebuildFetchResp RebuildService::fetch_records(const engine::RebuildFetc
             ? client::array_chunk_group(req.oid, client::array_chunk_index(rec.dkey), groups)
             : client::kv_dkey_group(rec.dkey, groups);
     if (g != req.group) continue;
-    engine::RebuildRecord out;
-    out.dkey = std::move(rec.dkey);
-    out.akey = std::move(rec.akey);
-    out.type = rec.is_array ? engine::RecordType::array : engine::RecordType::single_value;
-    out.length = rec.length;
-    if (!rec.data.empty()) {
-      out.data = std::make_shared<std::vector<std::byte>>(std::move(rec.data));
-    }
-    resp.bytes += out.length;
-    resp.records.push_back(std::move(out));
+    resp.bytes += rec.length;
+    resp.records.push_back(std::move(rec));
   }
   resp.array_end = cont->array_end_hint(req.oid);
   return resp;
@@ -220,13 +212,15 @@ void RebuildService::record_task_floors(std::uint32_t version) {
   for (std::uint32_t t = 0; t < eng_.target_count(); ++t) {
     vos::VosTarget& vt = eng_.vos_target(t);
     for (const vos::Uuid& uuid : vt.list_containers()) {
-      const vos::VosContainer* cont = vt.find_container(uuid);
-      if (cont == nullptr) continue;
+      vos::VosContainer& cont = vt.container(uuid);
       const auto it = restart_floors_.find({t, uuid});
       // No restart floor (live eviction, no crash): fall back to the clock
       // at first receipt. Post-reint writes racing ahead of this RPC slip
       // under the fallback floor — a window the restart path closes.
-      floors[{t, uuid}] = it != restart_floors_.end() ? it->second : cont->current_epoch();
+      const vos::Epoch floor = it != restart_floors_.end() ? it->second : cont.current_epoch();
+      floors[{t, uuid}] = floor;
+      // The image lands at floor + 1; no local write may take that epoch.
+      cont.observe_time(floor + 1);
     }
   }
 }
@@ -315,6 +309,7 @@ sim::CoTask<void> RebuildService::pull_entry(std::uint32_t version, engine::Rebu
     *failed = true;
   } else {
     apply_records(version, entry, resp);
+    if (entry.resync) resync_bytes_->inc(resp.bytes);
     co_await eng_.rebuild_write(base_map_.targets[entry.dst].target, resp.bytes, ctx);
     sched_.trace_note(kTraceRebuildPull ^ entry.oid.lo ^ (std::uint64_t(entry.dst) << 32));
   }
@@ -326,61 +321,34 @@ void RebuildService::apply_records(std::uint32_t version, const engine::RebuildE
                                    const engine::RebuildFetchResp& resp) {
   const std::uint32_t ti = base_map_.targets[entry.dst].target;
   vos::VosContainer& cont = eng_.vos_target(ti).container(entry.cont);
-  const bool store = cont.payload_mode() == vos::PayloadMode::store;
-  // Resync cut: records the destination wrote at or below the floor are
-  // pre-eviction state the window image supersedes; anything above it is an
-  // acknowledged post-reintegration client write that must stay on top.
-  const vos::Epoch floor = entry.resync ? task_floor(version, ti, entry.cont) : 0;
+  // The image lands just above the task floor and VOS visibility merges it:
+  // every record the destination held at or below the floor (a full punch
+  // at the floor included) is pre-eviction state the image supersedes, and
+  // later local writes and punches stay on top. An eviction rebuild has no
+  // floor, so its image lands at epoch 1, under all local history (epoch 0
+  // would hide under the full-punch floor of 0).
+  const vos::Epoch at = task_floor(version, ti, entry.cont) + 1;
   for (const auto& rec : resp.records) {
-    if (rec.type == engine::RecordType::single_value) {
-      // Eviction rebuild: a value already present here landed during the
-      // degraded window (this destination held nothing for the group before)
-      // and is newer than the pulled image — keep it. A resync overwrites
-      // pre-eviction state, but skips values (and punches) this replica
-      // wrote after reintegration: those are newer than the window image.
-      if (!entry.resync && cont.kv_get(entry.oid, rec.dkey, rec.akey, vos::kEpochMax).exists) {
-        ++records_;
-        continue;
-      }
-      if (entry.resync && cont.kv_latest_epoch(entry.oid, rec.dkey, rec.akey) > floor) {
-        ++records_;
-        continue;
-      }
-      std::span<const std::byte> val;
-      if (rec.data != nullptr) val = std::span<const std::byte>(*rec.data);
-      cont.kv_put(entry.oid, rec.dkey, rec.akey, val, cont.next_epoch());
+    if (!rec.is_array) {
+      const vos::Slice& s = rec.data.front();
+      cont.kv_put(entry.oid, rec.dkey, rec.akey,
+                  std::span<const std::byte>(*s.buf).subspan(s.off, s.length), at);
     } else {
-      // VOS epochs are append-only, so the pulled image must land at a fresh
-      // epoch. To keep it from shadowing newer local bytes, merge those over
-      // the image first: for an eviction rebuild everything local is newer
-      // (degraded-window writes); for a resync only bytes written after the
-      // reintegration floor are (pre-eviction bytes lose to the image).
+      // The store adopts each slice: no payload byte is copied.
+      std::uint64_t off = 0;
+      for (const vos::Slice& s : rec.data) {
+        cont.array_write(entry.oid, rec.dkey, rec.akey, off, s, at);
+        off += s.length;
+      }
+      // Local bytes past the source's size (say, the source punched and
+      // rewrote the akey shorter) are covered by zeros at `at` too, so both
+      // replicas read the tail as zeros.
       const std::uint64_t local_size =
           cont.array_size(entry.oid, rec.dkey, rec.akey, vos::kEpochMax);
-      const std::uint64_t length = std::max(rec.length, local_size);
-      vos::Slice image{nullptr, 0, length};
-      if (store) {
-        // The merge image is built here and then handed to the store, which
-        // adopts it as the new version's buffer.
-        auto img = std::make_shared<vos::Buffer>(length, std::byte{0});
-        if (rec.data != nullptr) std::copy(rec.data->begin(), rec.data->end(), img->begin());
-        if (local_size > 0 || entry.resync) {
-          std::vector<std::byte> local(length);
-          std::vector<bool> mask;
-          cont.array_read_masked(entry.oid, rec.dkey, rec.akey, 0, local, mask, vos::kEpochMax);
-          if (entry.resync) {
-            // Only bytes touched after the floor are newer than the image; a
-            // post-reint punch masks too (its bytes read back as zeros).
-            mask.assign(length, false);
-            cont.array_mask_newer(entry.oid, rec.dkey, rec.akey, 0, floor, mask);
-          }
-          for (std::size_t i = 0; i < length; ++i) {
-            if (mask[i]) (*img)[i] = local[i];
-          }
-        }
-        image.buf = std::move(img);
+      if (local_size > rec.length) {
+        cont.array_write(entry.oid, rec.dkey, rec.akey, rec.length,
+                         vos::Slice{nullptr, 0, local_size - rec.length}, at);
       }
-      cont.array_write(entry.oid, rec.dkey, rec.akey, 0, std::move(image), cont.next_epoch());
     }
     ++records_;
     records_pulled_->inc();
@@ -388,7 +356,6 @@ void RebuildService::apply_records(std::uint32_t version, const engine::RebuildE
   if (resp.array_end > 0) cont.note_array_end(entry.oid, resp.array_end);
   bytes_ += resp.bytes;
   bytes_pulled_->inc(resp.bytes);
-  if (entry.resync) resync_bytes_->inc(resp.bytes);
 }
 
 sim::CoTask<void> RebuildService::report_done(std::uint32_t version) {

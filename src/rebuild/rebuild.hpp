@@ -66,7 +66,7 @@ class RebuildService {
   /// Walks this engine's VOS trees and reports the entries it is the
   /// canonical source for (CPU-only; the data moves later, throttled).
   engine::RebuildScanResp scan_local(const engine::RebuildScanReq& req);
-  /// Flattens one object's records for the requested group (source side).
+  /// Exports one object's records for the requested group (source side).
   engine::RebuildFetchResp fetch_records(const engine::RebuildFetchReq& req) const;
 
   sim::CoTask<void> run_assignment(std::uint32_t version,
@@ -75,6 +75,8 @@ class RebuildService {
   /// local read/write charges hang beneath it as one rebuild trace tree.
   sim::CoTask<void> pull_entry(std::uint32_t version, engine::RebuildEntry entry,
                                sim::TraceContext ctx, std::shared_ptr<bool> failed);
+  /// Writes a pulled image just above the task floor (epoch 1 for an
+  /// eviction rebuild) and lets VOS visibility merge it (docs/rebuild.md §5).
   void apply_records(std::uint32_t version, const engine::RebuildEntry& entry,
                      const engine::RebuildFetchResp& resp);
   sim::CoTask<void> report_done(std::uint32_t version);
@@ -108,8 +110,9 @@ class RebuildService {
   /// Resync floors pinned per task version at the first scan/assign receipt
   /// (restart floor when one exists, current clock otherwise — for live
   /// evictions that never went through a restart). Containers absent at
-  /// pin time default to floor 0, i.e. everything they hold is preserved:
-  /// a container created after reintegration has no pre-eviction state.
+  /// pin time have no floor, so the image lands at epoch 1, under everything
+  /// they hold: a container created after reintegration has no
+  /// pre-eviction state.
   std::map<std::uint32_t, std::map<std::pair<std::uint32_t, vos::Uuid>, vos::Epoch>>
       task_floors_;
   std::uint64_t records_ = 0;

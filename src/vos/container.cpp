@@ -116,18 +116,6 @@ std::uint64_t VosContainer::array_read_extents(ObjId oid, const Key& akey,
   return total;
 }
 
-std::uint64_t VosContainer::array_read_masked(ObjId oid, const Key& dkey, const Key& akey,
-                                              std::uint64_t offset, std::span<std::byte> out,
-                                              std::vector<bool>& mask, Epoch epoch) const {
-  const AkeyNode* a = find_akey(oid, dkey, akey);
-  if (a == nullptr || !a->has_arr) {
-    std::fill(out.begin(), out.end(), std::byte{0});
-    mask.assign(out.size(), false);
-    return 0;
-  }
-  return a->arr.read_masked(offset, out, mask, epoch);
-}
-
 std::uint64_t VosContainer::array_size(ObjId oid, const Key& dkey, const Key& akey,
                                        Epoch epoch) const {
   const AkeyNode* a = find_akey(oid, dkey, akey);
@@ -148,18 +136,6 @@ SingleValueStore::View VosContainer::kv_get(ObjId oid, const Key& dkey, const Ke
   const AkeyNode* a = find_akey(oid, dkey, akey);
   if (a == nullptr || !a->has_sv) return {};
   return a->sv.get(epoch);
-}
-
-Epoch VosContainer::kv_latest_epoch(ObjId oid, const Key& dkey, const Key& akey) const {
-  const AkeyNode* a = find_akey(oid, dkey, akey);
-  return (a != nullptr && a->has_sv) ? a->sv.latest_epoch() : 0;
-}
-
-void VosContainer::array_mask_newer(ObjId oid, const Key& dkey, const Key& akey,
-                                    std::uint64_t offset, Epoch since,
-                                    std::vector<bool>& mask) const {
-  const AkeyNode* a = find_akey(oid, dkey, akey);
-  if (a != nullptr && a->has_arr) a->arr.mask_newer_than(offset, since, mask);
 }
 
 void VosContainer::punch_akey(ObjId oid, const Key& dkey, const Key& akey, Epoch epoch) {
@@ -274,9 +250,8 @@ VosContainer::AggregateResult VosContainer::aggregate(Epoch upto) {
   return total;
 }
 
-std::vector<VosContainer::ExportRecord> VosContainer::export_object(ObjId oid,
-                                                                    Epoch min_epoch) const {
-  std::vector<ExportRecord> out;
+std::vector<RecordImage> VosContainer::export_object(ObjId oid, Epoch min_epoch) const {
+  std::vector<RecordImage> out;
   for (const Key& dkey : list_dkeys(oid, kEpochMax)) {
     for (const Key& akey : list_akeys(oid, dkey, kEpochMax)) {
       const AkeyNode* a = find_akey(oid, dkey, akey);
@@ -284,18 +259,14 @@ std::vector<VosContainer::ExportRecord> VosContainer::export_object(ObjId oid,
       if (a->has_arr && a->arr.latest_epoch() > min_epoch) {
         const std::uint64_t size = a->arr.size(kEpochMax);
         if (size == 0) continue;
-        ExportRecord rec{dkey, akey, /*is_array=*/true, size, {}};
-        if (mode_ == PayloadMode::store) {
-          rec.data.resize(size);
-          a->arr.read(0, rec.data, kEpochMax);
-        }
+        RecordImage rec{dkey, akey, /*is_array=*/true, size, {}};
+        a->arr.read_slices(0, size, kEpochMax, rec.data);
         out.push_back(std::move(rec));
       } else if (a->has_sv && a->sv.latest_epoch() > min_epoch) {
         const auto view = a->sv.get(kEpochMax);
         if (!view.exists) continue;
-        ExportRecord rec{dkey, akey, /*is_array=*/false, view.size, {}};
-        rec.data.assign(view.data.begin(), view.data.end());
-        out.push_back(std::move(rec));
+        out.push_back(RecordImage{dkey, akey, /*is_array=*/false, view.size,
+                                  {copy_slice(view.data)}});
       }
     }
   }

@@ -31,7 +31,6 @@ class VosContainer {
   /// Issues the next write epoch (monotonic per container).
   Epoch next_epoch() { return ++epoch_clock_; }
   Epoch current_epoch() const { return epoch_clock_; }
-  PayloadMode payload_mode() const { return mode_; }
 
   /// Hybrid-logical-clock receive rule: runs the epoch clock forward to an
   /// externally observed timestamp (never backwards). Engines feed it the
@@ -73,27 +72,12 @@ class VosContainer {
                                    std::span<const ArrayExtent> extents,
                                    std::vector<Slice>* slices, std::span<std::uint64_t> fills,
                                    Epoch epoch) const;
-  /// Reads one akey's array range into `out` (holes read as zero) and
-  /// reports the per-byte fill state in `mask` (resized to out.size()).
-  /// Rebuild merges a pulled image under the bytes this replica already
-  /// holds.
-  std::uint64_t array_read_masked(ObjId oid, const Key& dkey, const Key& akey,
-                                  std::uint64_t offset, std::span<std::byte> out,
-                                  std::vector<bool>& mask, Epoch epoch) const;
   std::uint64_t array_size(ObjId oid, const Key& dkey, const Key& akey, Epoch epoch) const;
 
   // --- single-value (KV) records ---
   void kv_put(ObjId oid, const Key& dkey, const Key& akey, std::span<const std::byte> value,
               Epoch epoch);
   SingleValueStore::View kv_get(ObjId oid, const Key& dkey, const Key& akey, Epoch epoch) const;
-  /// Epoch of the akey's newest single-value version (puts and punches);
-  /// 0 if the akey holds no single value. Rebuild resync compares this to
-  /// its reintegration floor to avoid shadowing post-reint writes.
-  Epoch kv_latest_epoch(ObjId oid, const Key& dkey, const Key& akey) const;
-  /// Sets mask bits for bytes of [offset, offset + mask.size()) the akey's
-  /// array store touched after `since` (see ArrayStore::mask_newer_than).
-  void array_mask_newer(ObjId oid, const Key& dkey, const Key& akey, std::uint64_t offset,
-                        Epoch since, std::vector<bool>& mask) const;
 
   // --- punch ---
   void punch_akey(ObjId oid, const Key& dkey, const Key& akey, Epoch epoch);
@@ -150,20 +134,11 @@ class VosContainer {
   std::size_t dtx_prepared_count() const { return dtx_prepared_.size(); }
   std::size_t dtx_decided_count() const { return dtx_decisions_.size(); }
 
-  /// One record flattened for rebuild transfer: arrays export their full
-  /// visible image (holes as zeros), single values the latest version.
-  struct ExportRecord {
-    Key dkey;
-    Key akey;
-    bool is_array = false;
-    std::uint64_t length = 0;
-    std::vector<std::byte> data;  // empty in discard mode
-  };
-
-  /// Flattens the object's records newer than `min_epoch` (per this
+  /// Exports the object's records newer than `min_epoch` (per this
   /// container's epoch clock; 0 = everything) for replication to a peer
-  /// target. Records are emitted in dkey/akey tree order.
-  std::vector<ExportRecord> export_object(ObjId oid, Epoch min_epoch) const;
+  /// target. Records are emitted in dkey/akey tree order; no array payload
+  /// byte is copied.
+  std::vector<RecordImage> export_object(ObjId oid, Epoch min_epoch) const;
 
   std::size_t object_count() const { return objects_.size(); }
   std::uint64_t stored_bytes() const;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "vos/types.hpp"
 
 namespace daosim::vos {
 
@@ -70,6 +71,19 @@ class SliceReader {
   std::span<const Slice> slices_;
   std::size_t i_ = 0;
   std::uint64_t pos_ = 0;  // bytes of slices_[i_] already passed
+};
+
+/// One record's visible image, as a source exports it for rebuild and a
+/// destination applies it: an array's [0, length) as slices of the stored
+/// buffers (payload-free slices for holes, punches and discard-mode extents;
+/// see ArrayStore::read_slices), a single value's latest version as one
+/// slice.
+struct RecordImage {
+  Key dkey;
+  Key akey;
+  bool is_array = false;
+  std::uint64_t length = 0;
+  std::vector<Slice> data;
 };
 
 }  // namespace daosim::vos

@@ -91,9 +91,10 @@ void ArrayStore::insert_version(Segment& s, Version v) {
     s.versions.push_back(std::move(v));
     return;
   }
-  // A below-top insert (DTX commit at its prepare-time epoch): position by
-  // epoch; upper_bound keeps arrival order among equal epochs, so the
-  // resolved visibility stays identical for in-order writers.
+  // A below-top insert (a DTX commit at its prepare-time epoch, a rebuild
+  // image above its task floor): position by epoch; upper_bound keeps arrival
+  // order among equal epochs, so the resolved visibility stays identical for
+  // in-order writers.
   auto pos = std::upper_bound(s.versions.begin(), s.versions.end(), v.epoch,
                               [](Epoch e, const Version& x) { return e < x.epoch; });
   s.versions.insert(pos, std::move(v));
@@ -198,36 +199,16 @@ std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::uint64_t length, Ep
   return count;
 }
 
-namespace {
-/// read()/read_masked()'s run consumer: copies a payload run into `out`
-/// (which starts at store offset `base`) and zeroes every other run.
-auto copy_run(std::span<std::byte> out, std::uint64_t base) {
-  return [out, base](std::uint64_t lo, std::uint64_t hi, const auto* v, std::uint64_t skip) {
-    std::byte* dst = out.data() + (lo - base);
-    if (v != nullptr && v->buf != nullptr) {
-      std::memcpy(dst, v->bytes() + skip, std::size_t(hi - lo));
-    } else {
-      std::memset(dst, 0, std::size_t(hi - lo));
-    }
-  };
-}
-}  // namespace
-
 std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
                                Epoch epoch) const {
-  return resolve(offset, out.size(), epoch, copy_run(out, offset));
-}
-
-std::uint64_t ArrayStore::read_masked(std::uint64_t offset, std::span<std::byte> out,
-                                      std::vector<bool>& filled, Epoch epoch) const {
-  filled.assign(out.size(), false);
-  auto copy = copy_run(out, offset);
+  // Copies each payload run into `out` and zeroes every other run.
   return resolve(offset, out.size(), epoch,
                  [&](std::uint64_t lo, std::uint64_t hi, const Version* v, std::uint64_t skip) {
-                   copy(lo, hi, v, skip);
-                   if (v != nullptr) {
-                     std::fill(filled.begin() + std::ptrdiff_t(lo - offset),
-                               filled.begin() + std::ptrdiff_t(hi - offset), true);
+                   std::byte* dst = out.data() + (lo - offset);
+                   if (v != nullptr && v->buf != nullptr) {
+                     std::memcpy(dst, v->bytes() + skip, std::size_t(hi - lo));
+                   } else {
+                     std::memset(dst, 0, std::size_t(hi - lo));
                    }
                  });
 }
@@ -251,31 +232,6 @@ std::uint64_t ArrayStore::read_slices(std::uint64_t offset, std::uint64_t length
                      out.push_back(Slice{buf, off, hi - lo});
                    }
                  });
-}
-
-void ArrayStore::mask_newer_than(std::uint64_t offset, Epoch since,
-                                 std::vector<bool>& mask) const {
-  if (mask.empty()) return;
-  if (!full_punches_.empty() && full_punches_.back() > since) {
-    std::fill(mask.begin(), mask.end(), true);
-    return;
-  }
-  const std::uint64_t end = offset + mask.size();
-  std::uint64_t probes = 1;
-  auto it = segs_.upper_bound(offset);
-  if (it != segs_.begin()) --it;
-  for (; it != segs_.end() && it->first < end; ++it) {
-    const std::uint64_t lo = std::max(offset, it->first);
-    const std::uint64_t hi = std::min(end, it->first + it->second.length);
-    if (lo >= hi) continue;
-    ++probes;
-    // The segment's newest version is versions.back(); every version spans
-    // the whole segment, so one comparison decides all its bytes.
-    if (it->second.versions.back().epoch <= since) continue;
-    std::fill(mask.begin() + std::ptrdiff_t(lo - offset),
-              mask.begin() + std::ptrdiff_t(hi - offset), true);
-  }
-  if (probes_ != nullptr) *probes_ += probes;
 }
 
 std::uint64_t ArrayStore::size(Epoch epoch) const {
@@ -339,8 +295,8 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
   // Pass 2 — coalesce each maximal run of adjacent fully-aggregated
   // segments (contiguous, single-version, epoch <= upto, matching
   // payload-ness) into one record. The merged record takes the max
-  // (epoch, seq) of the run — never above a real write, so
-  // latest_epoch()/mask_newer_than() stay exact for everything above `upto`.
+  // (epoch, seq) of the run — never above a real write, so latest_epoch()
+  // stays exact for everything above `upto`.
   // A run whose slices lie end to end in one buffer merges metadata only;
   // any other payload run is gathered into one exact-size buffer, one memcpy
   // per segment. So is a run that is the last holder of a larger buffer, so

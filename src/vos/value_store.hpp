@@ -42,8 +42,8 @@ class SingleValueStore {
 
   std::size_t version_count() const { return versions_.size(); }
 
-  /// Epoch of the newest version (0 if empty). Rebuild resync uses this to
-  /// skip records the stale replica already holds.
+  /// Epoch of the newest version (0 if empty). Rebuild's epoch-mark diff
+  /// and the DTX lost-update check compare against it.
   Epoch latest_epoch() const { return versions_.empty() ? 0 : versions_.back().epoch; }
 
  private:
@@ -77,12 +77,6 @@ class ArrayStore {
   /// number of bytes that overlap written data (the "filled" count).
   std::uint64_t read(std::uint64_t offset, std::span<std::byte> out, Epoch epoch) const;
 
-  /// Like read(), but also reports the per-byte fill state in `mask`
-  /// (resized to out.size()). Rebuild uses the mask to merge a pulled image
-  /// under bytes the local replica already holds.
-  std::uint64_t read_masked(std::uint64_t offset, std::span<std::byte> out,
-                            std::vector<bool>& mask, Epoch epoch) const;
-
   /// Like read(), but appends the visible bytes of [offset, offset + length)
   /// to `out` as slices of the stored buffers (payload-free slices for holes,
   /// punches and metadata-only extents) instead of copying them. The slices
@@ -94,12 +88,6 @@ class ArrayStore {
   /// Highest written offset+length visible at `epoch` (0 if empty/punched).
   std::uint64_t size(Epoch epoch) const;
 
-  /// Sets mask bits for bytes in [offset, offset + mask.size()) touched by
-  /// any extent, range punch, or full punch recorded after `since`. Rebuild
-  /// resync uses this to keep bytes the replica wrote after reintegration on
-  /// top of the pulled window image. Only sets bits, never clears them.
-  void mask_newer_than(std::uint64_t offset, Epoch since, std::vector<bool>& mask) const;
-
   /// What one aggregation pass removed (extents-retired feeds the container's
   /// `extent_merges` stat directly — no before/after rescan needed).
   struct AggResult {
@@ -110,8 +98,8 @@ class ArrayStore {
   /// Merges all versions <= `upto` into flat non-overlapping extents. Kept
   /// survivors retain their original epochs (merged runs take the max epoch
   /// of the run), so latest_epoch() never inflates past a real write — the
-  /// rebuild-resync and DTX-conflict guards that compare against it stay
-  /// exact across aggregation.
+  /// rebuild epoch-mark diff and the DTX-conflict guard that compare against
+  /// it stay exact across aggregation.
   AggResult aggregate(Epoch upto);
 
   /// Total version records held (every fragment of every epoch).
@@ -124,8 +112,8 @@ class ArrayStore {
   /// docs/vos.md, "Payload buffers").
   std::uint64_t retained_bytes() const;
 
-  /// Epoch of the newest extent or full punch (0 if empty). Rebuild resync
-  /// uses this to skip akeys the stale replica already holds.
+  /// Epoch of the newest extent or full punch (0 if empty). Rebuild's
+  /// epoch-mark diff uses this to skip akeys unchanged since the mark.
   Epoch latest_epoch() const {
     const Epoch p = full_punches_.empty() ? 0 : full_punches_.back();
     return max_epoch_ > p ? max_epoch_ : p;
@@ -169,16 +157,17 @@ class ArrayStore {
   /// Common write/punch path: stacks one version over
   /// [offset, offset + data.length), slicing data.buf when it is non-null.
   void apply_range(std::uint64_t offset, const Slice& data, Epoch epoch, bool punch);
-  /// Keeps a segment's stack ascending when a write (e.g. a DTX commit)
-  /// lands below the newest stored epoch; equal epochs keep arrival order.
+  /// Keeps a segment's stack ascending when a write (a DTX commit, a rebuild
+  /// image) lands below the newest stored epoch; equal epochs keep arrival
+  /// order.
   static void insert_version(Segment& s, Version v);
   /// Newest version with epoch <= `epoch` (nullptr when none).
   static const Version* newest_at(const Segment& s, Epoch epoch);
-  /// The one visibility resolver behind read(), read_masked() and
-  /// read_slices(): emits the runs that tile [offset, offset + length) in
-  /// order, as emit(lo, hi, v, skip). `v` is the visible version (nullptr for
-  /// a hole, a punch or a version under a full punch); a payload-holding
-  /// v's bytes start at v->bytes() + skip. Returns the filled byte count (the
+  /// The one visibility resolver behind read() and read_slices(): emits the
+  /// runs that tile [offset, offset + length) in order, as
+  /// emit(lo, hi, v, skip). `v` is the visible version (nullptr for a hole, a
+  /// punch or a version under a full punch); a payload-holding v's bytes
+  /// start at v->bytes() + skip. Returns the filled byte count (the
   /// runs with a non-null v) and charges the probe counter.
   template <typename Emit>
   std::uint64_t resolve(std::uint64_t offset, std::uint64_t length, Epoch epoch,

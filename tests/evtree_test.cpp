@@ -1,10 +1,10 @@
 // Property tests for the evtree ArrayStore against a flat op-list oracle:
 // randomized write / range-punch / full-punch / below-top-commit sequences
-// must read byte-identically (data, fill mask, newer-than mask, size) at
-// every sampled epoch, before and after aggregation points, through read(),
-// read_masked() and read_slices() over windows that start and end
-// mid-segment, with some writes adopting two slices of one buffer. Also pins
-// the equal-epoch arrival-order rule (DTX below-top commits), the exactness
+// must read byte-identically (data, fill count, size) at every sampled
+// epoch, before and after aggregation points, through read() and
+// read_slices() over windows that start and end mid-segment, with some
+// writes adopting two slices of one buffer. Also pins the equal-epoch
+// arrival-order rule (DTX below-top commits), the exactness
 // of the AggResult accounting, the probe-counter depth signal the endurance
 // bench watches, reads across the splits and coalesces of shared payload
 // slices (the overwrite_prod shape among them), and how long an adopted
@@ -66,21 +66,6 @@ struct FlatOracle {
     }
   }
 
-  std::vector<bool> mask_newer(Epoch since) const {
-    std::vector<bool> m(space, false);
-    for (Epoch p : fulls) {
-      if (p > since) {
-        m.assign(space, true);
-        return m;
-      }
-    }
-    for (const Op& o : ops) {
-      if (o.epoch <= since) continue;
-      for (std::uint64_t b = o.off; b < o.off + o.len && b < space; ++b) m[b] = true;
-    }
-    return m;
-  }
-
   std::uint64_t size(Epoch e) const {
     const Epoch floor = floor_at(e);
     std::uint64_t hi = 0;
@@ -113,8 +98,8 @@ std::vector<std::byte> payload_of(const Op& o) {
   return d;
 }
 
-// Reads [lo, hi) through read(), read_masked() and read_slices() into
-// buffers pre-filled with 0xA5, so a hole, range punch or full-punch floor the
+// Reads [lo, hi) through read() and read_slices() into buffers pre-filled
+// with 0xA5, so a hole, range punch or full-punch floor the
 // resolver leaves unwritten shows as a wrong byte. Bytes at or past the
 // oracle's space read as unfilled zeros.
 void check_window(const ArrayStore& a, const std::vector<std::uint8_t>& want_img,
@@ -123,13 +108,8 @@ void check_window(const ArrayStore& a, const std::vector<std::uint8_t>& want_img
   std::uint64_t want_count = 0;
   for (std::uint64_t b = lo; b < hi && b < want_fill.size(); ++b) want_count += want_fill[b];
   std::vector<std::byte> plain(hi - lo, std::byte{0xA5});
-  std::vector<std::byte> masked(hi - lo, std::byte{0xA5});
-  std::vector<bool> got_fill(3, true);  // stale contents: read_masked resizes and clears
   ASSERT_EQ(a.read(lo, plain, e), want_count) << where << " epoch " << e << " [" << lo << ", "
                                               << hi << ")";
-  ASSERT_EQ(a.read_masked(lo, masked, got_fill, e), want_count)
-      << where << " epoch " << e << " [" << lo << ", " << hi << ")";
-  ASSERT_EQ(got_fill.size(), hi - lo);
   // The fetch path's consumer of the same resolver: the slices must tile the
   // window and concatenate to read()'s bytes, with the same fill count.
   std::vector<Slice> slices{Slice{nullptr, 0, 1}};  // a prior entry is kept
@@ -145,10 +125,7 @@ void check_window(const ArrayStore& a, const std::vector<std::uint8_t>& want_img
     const bool in = b < want_img.size();
     const std::uint8_t want = in ? want_img[b] : 0;
     ASSERT_EQ(std::uint8_t(plain[b - lo]), want) << where << " epoch " << e << " byte " << b;
-    ASSERT_EQ(std::uint8_t(masked[b - lo]), want) << where << " epoch " << e << " byte " << b;
     ASSERT_EQ(std::uint8_t(joined[b - lo]), want) << where << " epoch " << e << " byte " << b;
-    ASSERT_EQ(got_fill[b - lo], in && want_fill[b]) << where << " epoch " << e << " fill bit "
-                                                    << b;
   }
 }
 
@@ -171,15 +148,6 @@ void check_view(const ArrayStore& a, const FlatOracle& oracle, Epoch e, const ch
     if (o.len > 2) check_window(a, want_img, want_fill, o.off + 1, o.off + o.len - 1, e, where);
   }
   ASSERT_EQ(a.size(e), oracle.size(e)) << where << " epoch " << e;
-}
-
-void check_mask(const ArrayStore& a, const FlatOracle& oracle, Epoch since, const char* where) {
-  std::vector<bool> got(oracle.space, false);
-  a.mask_newer_than(0, since, got);
-  const std::vector<bool> want = oracle.mask_newer(since);
-  for (std::uint64_t b = 0; b < oracle.space; ++b) {
-    ASSERT_EQ(got[b], want[b]) << where << " since " << since << " bit " << b;
-  }
 }
 
 class EvtreeOracleProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -248,9 +216,6 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
     if (step == 40 || step == 80 || step == 100) {
       sample_epochs(epochs);
       for (Epoch q : epochs) check_view(a, oracle, q, "pre-agg");
-      check_mask(a, oracle, agg_floor, "pre-agg");
-      check_mask(a, oracle, top, "pre-agg");
-      check_mask(a, oracle, agg_floor + (top - agg_floor) / 2, "pre-agg");
 
       // Aggregate to the midpoint; retired accounting must be exact.
       const Epoch upto = agg_floor + (top - agg_floor) / 2;
@@ -265,8 +230,6 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
         for (Epoch q : epochs) {
           if (q >= agg_floor) check_view(a, oracle, q, "post-agg");
         }
-        check_mask(a, oracle, agg_floor, "post-agg");
-        check_mask(a, oracle, top, "post-agg");
       }
     }
   }
@@ -293,8 +256,8 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EvtreeOracleProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
-// Discard mode: no payload retained, but fill masks, sizes, and newer-than
-// masks stay oracle-exact and stored_bytes stays zero.
+// Discard mode: no payload retained, but fill counts and sizes stay
+// oracle-exact and stored_bytes stays zero.
 TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
   sim::Xoshiro256 rng(0xD15CA4D);
   const std::uint64_t space = 128;
@@ -324,7 +287,7 @@ TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
     std::vector<std::uint8_t> img;
     std::vector<bool> want;
     oracle.read(e, img, want);
-    const std::vector<std::uint8_t> zeros(space, 0);  // discard mode: zeros, mask only
+    const std::vector<std::uint8_t> zeros(space, 0);  // discard mode: zeros, fill count only
     check_window(a, zeros, want, 0, space, e, "discard");
     check_window(a, zeros, want, 3, space - 2, e, "discard");
     check_window(a, zeros, want, space / 3, space / 3 + 21, e, "discard");
@@ -335,7 +298,6 @@ TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
   oracle.agg = top / 2;
   EXPECT_EQ(r.bytes_flattened, 0u);  // nothing stored, nothing flattened
   EXPECT_EQ(a.stored_bytes(), 0u);
-  check_mask(a, oracle, top / 2, "post-agg");
   for (Epoch e : std::vector<Epoch>{Epoch(top / 2), top, kEpochMax}) {
     ASSERT_EQ(a.size(e), oracle.size(e)) << "post-agg epoch " << e;
   }

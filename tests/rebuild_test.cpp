@@ -625,6 +625,262 @@ TEST(Rebuild, ResyncPreservesPostReintegrationWrites) {
   tb.stop();
 }
 
+// Engine `victim`'s replica of an RP_2G1 object, the surviving peer replica,
+// and the walk-forward substitute that covers for the victim while it is
+// excluded. Targets are pool-map indices; engines are testbed indices.
+struct Cover {
+  std::uint32_t slot = 0;  // the victim's nominal replica slot
+  std::uint32_t victim_target = 0;
+  std::uint32_t peer = 0;
+  std::uint32_t peer_engine = 0;
+  std::uint32_t sub = 0;
+  std::uint32_t sub_engine = 0;
+};
+
+Cover cover_for(Testbed& tb, vos::ObjId oid, std::uint32_t victim) {
+  const pool::PoolMap& map = tb.pool_map();
+  const net::NodeId victim_node = tb.engine(victim).node();
+  pool::PoolMap degraded = map;
+  for (auto& t : degraded.targets) {
+    if (t.engine == victim_node) t.health = pool::TargetHealth::excluded;
+  }
+  const auto nominal = client::compute_nominal_layout(oid, 1, 2, map);
+  Cover c;
+  c.slot = map.targets[nominal.at(0, 0)].engine == victim_node ? 0 : 1;
+  c.victim_target = nominal.at(0, c.slot);
+  c.peer = nominal.at(0, 1 - c.slot);
+  c.sub = client::compute_group_layout(oid, 1, 2, degraded).at(0, c.slot);
+  for (std::uint32_t e = 0; e < tb.engine_count(); ++e) {
+    if (tb.engine(e).node() == map.targets[c.peer].engine) c.peer_engine = e;
+    if (tb.engine(e).node() == map.targets[c.sub].engine) c.sub_engine = e;
+  }
+  return c;
+}
+
+/// Bytes [0, len) of an array object's chunk 0 as the replica on pool-map
+/// target `t` holds them. Tests read the VOS directly: a client read could be
+/// served by the other replica and mask a clobbered one.
+std::string replica_array_bytes(Testbed& tb, std::uint32_t t, vos::ObjId oid, std::uint64_t len) {
+  const pool::TargetRef& ref = tb.pool_map().targets[t];
+  std::uint32_t engine = 0;
+  for (std::uint32_t e = 0; e < tb.engine_count(); ++e) {
+    if (tb.engine(e).node() == ref.engine) engine = e;
+  }
+  const vos::VosContainer* cont =
+      tb.engine(engine).vos_target(ref.target).find_container(kPoolUuid);
+  if (cont == nullptr) return "no container";
+  const vos::VosContainer::ArrayExtent ext{client::array_chunk_dkey(0), 0, len, 0};
+  std::vector<vos::Slice> slices;
+  std::uint64_t fill = 0;
+  cont->array_read_extents(oid, "0", std::span(&ext, 1), &slices, std::span(&fill, 1),
+                           vos::kEpochMax);
+  std::vector<std::byte> got(len);
+  vos::SliceReader(slices).read(got);
+  return str(got);
+}
+
+constexpr std::uint64_t kChunk = 1 << 20;  // every byte the array tests write lives in chunk 0
+
+// The array twin of ResyncPreservesPostReintegrationWrites: the window image
+// replaces the reintegrated replica's pre-eviction bytes, but bytes written
+// there after reintegration stay on top of it.
+TEST(Rebuild, ResyncPreservesPostReintegrationArrayWrites) {
+  Testbed tb(small_cluster());
+  tb.start();
+  std::uint32_t other = 0;
+  const std::uint64_t seq = find_group_on_engine(tb, 3, other);
+  ASSERT_NE(seq, 0u);
+  const auto oid = client::make_oid(seq, ObjClass::RP_2G1);
+  const Cover cv = cover_for(tb, oid, 3);
+
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_OK(co_await cl.cont_create(kPoolUuid, {}));
+    client::ArrayObject arr(cl, kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(0, 64, bytes(std::string(64, 'A'))), Errno::ok);
+    tb.crash_engine(3);
+    CO_ASSERT_ERRNO(co_await arr.write(0, 16, bytes(std::string(16, 'B'))), Errno::ok);
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+  // The eviction image landed under the substitute's degraded-window write.
+  EXPECT_EQ(replica_array_bytes(tb, cv.sub, oid, 64),
+            std::string(16, 'B') + std::string(48, 'A'));
+
+  // Lands above the substitute's epoch mark, so the resync diff carries the
+  // akey's whole window image back.
+  tb.run([&]() -> CoTask<void> {
+    client::ArrayObject arr(tb.client(0), kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(16, 16, bytes(std::string(16, 'C'))), Errno::ok);
+  });
+
+  tb.restart_engine(3);
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    auto r = co_await cl.pool_reint(tb.engine(3).node());
+    CO_ASSERT_TRUE(r.ok());
+    // Wedge the resync source so the window image is applied long after this
+    // write is acknowledged on the reintegrated replica.
+    tb.engine(cv.sub_engine).stall_target(tb.pool_map().targets[cv.sub].target, 500 * sim::kMs);
+    client::ArrayObject arr(cl, kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(40, 8, bytes(std::string(8, 'D'))), Errno::ok);
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+
+  EXPECT_GT(tb.rebuild_service(3).bytes_rebuilt(), 0u);
+  // The window image replaced the pre-eviction bytes [0, 32), and the
+  // post-reintegration bytes [40, 48) stayed on top of it.
+  EXPECT_EQ(replica_array_bytes(tb, cv.victim_target, oid, 64),
+            std::string(16, 'B') + std::string(16, 'C') + std::string(8, 'A') +
+                std::string(8, 'D') + std::string(16, 'A'));
+  tb.stop();
+}
+
+// The reintegrated replica's last pre-crash operation is an object punch, so
+// its restart floor is exactly the punch's epoch. The window image must still
+// supersede that punch: every pre-eviction record loses to the image,
+// including a full punch recorded at the floor itself.
+TEST(Rebuild, ResyncImageSupersedesPunchAtTheFloor) {
+  Testbed tb(small_cluster());
+  tb.start();
+  std::uint32_t other = 0;
+  const std::uint64_t seq = find_group_on_engine(tb, 3, other);
+  ASSERT_NE(seq, 0u);
+  const auto oid = client::make_oid(seq, ObjClass::RP_2G1);
+  const Cover cv = cover_for(tb, oid, 3);
+
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_OK(co_await cl.cont_create(kPoolUuid, {}));
+    client::ArrayObject arr(cl, kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(0, 32, bytes(std::string(32, 'A'))), Errno::ok);
+    CO_ASSERT_ERRNO(co_await arr.punch(), Errno::ok);
+    tb.crash_engine(3);
+    CO_ASSERT_ERRNO(co_await arr.write(0, 16, bytes(std::string(16, 'B'))), Errno::ok);
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+  tb.run([&]() -> CoTask<void> {
+    client::ArrayObject arr(tb.client(0), kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(16, 16, bytes(std::string(16, 'C'))), Errno::ok);
+  });
+
+  tb.restart_engine(3);
+  tb.run([&]() -> CoTask<void> {
+    auto r = co_await tb.client(0).pool_reint(tb.engine(3).node());
+    CO_ASSERT_TRUE(r.ok());
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+
+  EXPECT_GT(tb.rebuild_service(3).bytes_rebuilt(), 0u);
+  EXPECT_EQ(replica_array_bytes(tb, cv.victim_target, oid, 32),
+            std::string(16, 'B') + std::string(16, 'C'));
+  tb.stop();
+}
+
+// The window punches the array and rewrites it shorter, so the window image
+// is shorter than the reintegrated replica's pre-eviction bytes. The image
+// must cover that stale tail too: both replicas then read it as zeros.
+TEST(Rebuild, ResyncImageCoversStaleTailPastShorterRewrite) {
+  Testbed tb(small_cluster());
+  tb.start();
+  std::uint32_t other = 0;
+  const std::uint64_t seq = find_group_on_engine(tb, 3, other);
+  ASSERT_NE(seq, 0u);
+  const auto oid = client::make_oid(seq, ObjClass::RP_2G1);
+  const Cover cv = cover_for(tb, oid, 3);
+
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_OK(co_await cl.cont_create(kPoolUuid, {}));
+    client::ArrayObject arr(cl, kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(0, 64, bytes(std::string(64, 'A'))), Errno::ok);
+    tb.crash_engine(3);
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+  // Both land above the substitute's epoch mark, so the resync carries the
+  // akey's 16-byte window image back.
+  tb.run([&]() -> CoTask<void> {
+    client::ArrayObject arr(tb.client(0), kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.punch(), Errno::ok);
+    CO_ASSERT_ERRNO(co_await arr.write(0, 16, bytes(std::string(16, 'B'))), Errno::ok);
+  });
+
+  tb.restart_engine(3);
+  tb.run([&]() -> CoTask<void> {
+    auto r = co_await tb.client(0).pool_reint(tb.engine(3).node());
+    CO_ASSERT_TRUE(r.ok());
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+
+  EXPECT_GT(tb.rebuild_service(3).bytes_rebuilt(), 0u);
+  const std::string want = std::string(16, 'B') + std::string(48, '\0');
+  EXPECT_EQ(replica_array_bytes(tb, cv.peer, oid, 64), want);
+  EXPECT_EQ(replica_array_bytes(tb, cv.victim_target, oid, 64), want);
+  tb.stop();
+}
+
+// A punch racing an eviction pull: the source exports its image, then the
+// client punches the dkey on the substitute before the image is applied
+// there. The image lands under the punch, so the key stays punched on both
+// replicas instead of reappearing on the substitute alone.
+TEST(Rebuild, EvictionPullDoesNotResurrectRacingPunch) {
+  Testbed tb(small_cluster());
+  tb.start();
+  // An object whose nominal slot 0 is on engine 3: punch_dkey asks the
+  // replicas in slot order, so the substitute taking slot 0 applies the
+  // punch first and the source last.
+  std::uint64_t seq = 1;
+  for (; seq < 500; ++seq) {
+    if (cover_for(tb, client::make_oid(seq, ObjClass::RP_2G1), 3).slot == 0) break;
+  }
+  ASSERT_LT(seq, 500u);
+  const auto oid = client::make_oid(seq, ObjClass::RP_2G1);
+  const Cover cv = cover_for(tb, oid, 3);
+  const pool::PoolMap& map = tb.pool_map();
+
+  // Hold the first pull on the wire, so the punch below is issued after the
+  // eviction rebuild started and before its image reaches the substitute.
+  int delayed = 0;
+  tb.domain().set_fault_hook([&delayed](net::NodeId, net::NodeId, std::uint16_t opcode) {
+    net::CallFault f;
+    if (opcode == engine::kOpRebuildFetch && delayed++ == 0) f.extra_delay = 2 * sim::kSec;
+    return f;
+  });
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_OK(co_await cl.cont_create(kPoolUuid, {}));
+    client::KvObject kv(cl, kPoolUuid, oid);
+    CO_ASSERT_ERRNO(co_await kv.put("k1", "a", bytes("before-crash")), Errno::ok);
+    tb.crash_engine(3);
+    // Rides the crash until SWIM evicts engine 3 and the rebuild starts.
+    CO_ASSERT_ERRNO(co_await kv.put("k0", "a", bytes("rides-the-crash")), Errno::ok);
+    CO_ASSERT_ERRNO(co_await kv.put("k2", "a", bytes("punched-soon")), Errno::ok);
+    // The source applies the punch only after the stall, once it has
+    // exported an image that still holds k2.
+    tb.engine(cv.peer_engine).stall_target(map.targets[cv.peer].target, 5 * sim::kSec);
+    CO_ASSERT_ERRNO(co_await kv.punch_dkey("k2"), Errno::ok);
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+  EXPECT_GE(delayed, 1);
+  tb.domain().set_fault_hook({});
+
+  // The image the substitute applied still held k2 (k0, k1 and k2) ...
+  EXPECT_EQ(tb.rebuild_service(cv.sub_engine).records_rebuilt(), 3u);
+  // ... yet k2 stays punched there, as on the source, and k1 was rebuilt.
+  const vos::VosContainer* cont =
+      tb.engine(cv.sub_engine).vos_target(map.targets[cv.sub].target).find_container(kPoolUuid);
+  ASSERT_NE(cont, nullptr);
+  EXPECT_FALSE(cont->kv_get(oid, "k2", "a", vos::kEpochMax).exists);
+  const auto g1 = cont->kv_get(oid, "k1", "a", vos::kEpochMax);
+  ASSERT_TRUE(g1.exists);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(g1.data.data()), g1.data.size()),
+            "before-crash");
+  const vos::VosContainer* src_cont =
+      tb.engine(cv.peer_engine).vos_target(map.targets[cv.peer].target).find_container(kPoolUuid);
+  ASSERT_NE(src_cont, nullptr);
+  EXPECT_FALSE(src_cont->kv_get(oid, "k2", "a", vos::kEpochMax).exists);
+  tb.stop();
+}
+
 // A re-driven task must re-scan participants that already reported done:
 // sources with empty assignments report done almost immediately, and their
 // scans feed other destinations' assignments. Here the destination's first

@@ -168,43 +168,6 @@ TEST(ArrayStore, AggregateKeepsNewerVersions) {
   EXPECT_EQ(str(out), "2211");
 }
 
-TEST(ArrayStore, MaskNewerThanMarksOnlyBytesTouchedAfterCut) {
-  ArrayStore a;
-  auto d1 = bytes("aaaaaaaa"), d2 = bytes("bb");
-  a.write(0, copy_slice(d1), 5, PayloadMode::store);
-  a.write(2, copy_slice(d2), 9, PayloadMode::store);
-  std::vector<bool> mask(8, false);
-  a.mask_newer_than(0, 5, mask);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(mask[i], i == 2 || i == 3) << "byte " << i;
-  }
-  // A range punch is an edit too: its bytes count as touched.
-  a.punch_range(6, 1, 12);
-  std::vector<bool> punched(8, false);
-  a.mask_newer_than(0, 5, punched);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(punched[i], i == 2 || i == 3 || i == 6) << "byte " << i;
-  }
-  // Existing bits survive: the helper only sets, never clears.
-  std::vector<bool> keep(8, true);
-  a.mask_newer_than(0, 100, keep);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_TRUE(keep[i]);
-}
-
-TEST(ArrayStore, MaskNewerThanFullPunchCoversEverything) {
-  ArrayStore a;
-  auto d = bytes("data");
-  a.write(0, copy_slice(d), 3, PayloadMode::store);
-  a.punch_all(7);
-  std::vector<bool> mask(6, false);
-  a.mask_newer_than(0, 5, mask);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_TRUE(mask[i]) << "byte " << i;
-  // A punch at or below the cut does not count, and neither do older writes.
-  std::vector<bool> none(6, false);
-  a.mask_newer_than(0, 7, none);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_FALSE(none[i]) << "byte " << i;
-}
-
 // ---------------------------------------------------------------------------
 // Container-level
 
@@ -216,20 +179,6 @@ TEST(Container, KvPutGet) {
   ASSERT_TRUE(view.exists);
   EXPECT_EQ(str(view.data), "value");
   EXPECT_FALSE(c.kv_get(kOid, "missing", "entry", kEpochMax).exists);
-}
-
-TEST(Container, KvLatestEpochTracksPutsAndPunches) {
-  VosContainer c(PayloadMode::store);
-  EXPECT_EQ(c.kv_latest_epoch(kOid, "d", "a"), 0u);
-  auto v = bytes("value");
-  const Epoch put_at = c.next_epoch();
-  c.kv_put(kOid, "d", "a", v, put_at);
-  EXPECT_EQ(c.kv_latest_epoch(kOid, "d", "a"), put_at);
-  // A punch is the newest version too: resync must not resurrect a value a
-  // reintegrated replica deleted after the floor.
-  const Epoch punch_at = c.next_epoch();
-  c.punch_akey(kOid, "d", "a", punch_at);
-  EXPECT_EQ(c.kv_latest_epoch(kOid, "d", "a"), punch_at);
 }
 
 TEST(Container, ArrayAcrossDkeys) {

@@ -41,7 +41,10 @@
 #                          lifetime and caller-buffer tests — the merge
 #                          passes share, slice and regather payload buffers,
 #                          stores adopt update buffers and replies slice
-#                          stored ones, and all must be lifetime- and UB-clean
+#                          stored ones, and all must be lifetime- and UB-clean;
+#                          the Rebuild suite too, whose destinations adopt
+#                          slices of the source's buffers below their newest
+#                          epoch
 #   tools/ci.sh bench-smoke  Release -Werror build (what perfbench measures);
 #                          tiny-scale ablation_xfersize + ablation_dtx +
 #                          ablation_membership + ablation_overwrite runs
@@ -275,14 +278,17 @@ if [[ $STAGE == agg ]]; then
   # and engine crashes — exactly where a dangling span or UB would hide.
   # Stores adopt update buffers and fetch replies carry slices of stored
   # buffers, so the reply-lifetime and caller-buffer tests run here too.
+  # Rebuild inserts its pulled image below the destination's newest epoch
+  # and the destination adopts slices of the source's stored buffers, which
+  # the evtree and payload audits check, so the Rebuild suite runs here too.
   echo "=== [agg] configure + build ==="
   cmake -B build-ci-agg -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDAOSIM_SANITIZE="address;undefined" -DDAOSIM_AUDIT=ON
   cmake --build build-ci-agg -j "$JOBS" \
-    --target evtree_test agg_test dtx_test engine_test client_test
+    --target evtree_test agg_test dtx_test engine_test client_test rebuild_test
   echo "=== [agg] ctest ==="
   ctest --test-dir build-ci-agg --output-on-failure -j "$JOBS" \
-    -R 'Evtree|AggService|AggDeterminism|AggFloors|AggFault|DtxVos\.PreparedEntriesPinAggregation|DtxCluster\.SnapshotPinsAggregationUntilDestroyed|Engine\.(FetchReplyOutlivesOverwritePunchAndAggregate|SingleValueFetchOutlivesAggregationDuringMediaWait)|Cluster\.ArrayWriteDoesNotAliasCallerBuffer'
+    -R 'Evtree|Rebuild\.|AggService|AggDeterminism|AggFloors|AggFault|DtxVos\.PreparedEntriesPinAggregation|DtxCluster\.SnapshotPinsAggregationUntilDestroyed|Engine\.(FetchReplyOutlivesOverwritePunchAndAggregate|SingleValueFetchOutlivesAggregationDuringMediaWait)|Cluster\.ArrayWriteDoesNotAliasCallerBuffer'
   stage_end
 fi
 
