@@ -122,8 +122,10 @@ class IorRunner {
   JobInfo last_job_;
 };
 
-/// Deterministic data pattern IOR stamps into write buffers: 8-byte words
-/// derived from the absolute file offset and a file seed.
+/// Deterministic data pattern IOR stamps into write buffers: the 8-byte word
+/// at absolute file offset x (the last one cut short) is mix64(seed) + x. A
+/// word read at the wrong offset (a shifted or misplaced block) or written
+/// under another seed (a stale pass) fails the check, and so does a hole.
 void fill_pattern(std::span<std::byte> buf, std::uint64_t file_offset, std::uint64_t seed);
 /// Returns the size of the mismatching words: 8 per bad whole word, the tail
 /// length for a bad sub-word tail.

@@ -80,10 +80,68 @@ void ArrayStore::split_at(std::uint64_t x) {
   Segment right;
   right.length = s.length - left_len;
   right.versions = s.versions;  // the right half slices the same buffers
-  for (auto& v : right.versions) v.off += left_len;
+  for (std::size_t i = 0; i < right.versions.size(); ++i) {
+    Version& v = right.versions[i];
+    if (!v.merged) {
+      v.off += left_len;
+      continue;
+    }
+    // The run splits between its pieces; the piece across x (if any) is
+    // sliced in two.
+    Run run = std::move(runs_.at(start));
+    auto cut = std::partition_point(run.begin(), run.end(),
+                                    [x](const Piece& p) { return p.pos < x; });
+    Run tail;
+    if (cut == run.end() || cut->pos > x) {
+      Piece p = *std::prev(cut);
+      p.off += x - p.pos;
+      p.pos = x;
+      tail.push_back(std::move(p));
+    }
+    tail.insert(tail.end(), std::make_move_iterator(cut), std::make_move_iterator(run.end()));
+    run.erase(cut, run.end());
+    settle(start, s.versions[i], std::move(run));
+    settle(x, v, std::move(tail));
+  }
   s.length = left_len;
   segs_.emplace_hint(std::next(it), x, std::move(right));
   audit_payload();
+}
+
+void ArrayStore::settle(std::uint64_t start, Version& v, Run run) {
+  if (run.size() == 1) {
+    Piece& p = run.front();
+    v.merged = false;
+    v.seq = p.seq;  // the audit keys the slice by the write that adopted it
+    v.buf = std::move(p.buf);
+    v.off = p.off;
+    runs_.erase(start);
+  } else {
+    v.merged = true;
+    v.buf = nullptr;
+    v.off = 0;
+    runs_.insert_or_assign(start, std::move(run));
+  }
+}
+
+void ArrayStore::take_pieces(std::uint64_t start, Version& v, Run& run) {
+  auto append = [&run](Piece p) {
+    if (!run.empty()) {
+      const Piece& b = run.back();
+      if (b.buf == p.buf && p.off == b.off + (p.pos - b.pos)) return;  // continues b
+    }
+    run.push_back(std::move(p));
+  };
+  if (!v.merged) {
+    append(Piece{start, v.seq, std::move(v.buf), v.off});
+    return;
+  }
+  auto node = runs_.extract(start);
+  if (run.empty()) {
+    run = std::move(node.mapped());  // already coalesced
+    return;
+  }
+  for (Piece& p : node.mapped()) append(std::move(p));
 }
 
 void ArrayStore::insert_version(Segment& s, Version v) {
@@ -110,7 +168,7 @@ void ArrayStore::apply_range(std::uint64_t offset, const Slice& data, Epoch epoc
   // the segments tile [offset, end) exactly.
   if (data.buf != nullptr) stored_bytes_ += data.length;
   auto version_at = [&](std::uint64_t pos) {
-    return Version{epoch, seq, punch, data.buf, data.off + (pos - offset)};
+    return Version{epoch, seq, punch, false, data.buf, data.off + (pos - offset)};
   };
   std::uint64_t pos = offset;
   auto it = segs_.lower_bound(offset);
@@ -176,7 +234,7 @@ std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::uint64_t length, Ep
   std::uint64_t probes = 1;  // the ordered-index seek
   std::uint64_t count = 0;
   std::uint64_t done = offset;  // every byte below `done` has been emitted
-  const Version* const hole = nullptr;
+  static const BufferRef kZeros;
 
   auto it = segs_.upper_bound(offset);
   if (it != segs_.begin()) --it;  // predecessor may extend into the range
@@ -189,24 +247,35 @@ std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::uint64_t length, Ep
     probes += 1 + std::uint64_t(std::bit_width(s.versions.size()));
     const Version* v = newest_at(s, epoch);
     if (v == nullptr || v->epoch <= floor || v->punch) continue;
-    if (lo > done) emit(done, lo, hole, 0);  // the hole before this run
-    emit(lo, hi, v, lo - start);
+    if (lo > done) emit(done, lo, kZeros, 0);  // the hole before this run
+    if (v->merged) {
+      const Run& run = runs_.at(start);
+      auto p = std::prev(std::partition_point(run.begin(), run.end(),
+                                              [lo](const Piece& q) { return q.pos <= lo; }));
+      for (std::uint64_t at = lo; at < hi; ++p) {
+        const std::uint64_t to = std::next(p) == run.end() ? hi : std::min(hi, std::next(p)->pos);
+        emit(at, to, p->buf, p->off + (at - p->pos));
+        at = to;
+      }
+    } else {
+      emit(lo, hi, v->buf, v->off + (lo - start));
+    }
     done = hi;
     count += hi - lo;
   }
-  if (end > done) emit(done, end, hole, 0);
+  if (end > done) emit(done, end, kZeros, 0);
   if (probes_ != nullptr) *probes_ += probes;
   return count;
 }
 
 std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
                                Epoch epoch) const {
-  // Copies each payload run into `out` and zeroes every other run.
+  // Copies each payload range into `out` and zeroes every other range.
   return resolve(offset, out.size(), epoch,
-                 [&](std::uint64_t lo, std::uint64_t hi, const Version* v, std::uint64_t skip) {
+                 [&](std::uint64_t lo, std::uint64_t hi, const BufferRef& buf, std::uint64_t off) {
                    std::byte* dst = out.data() + (lo - offset);
-                   if (v != nullptr && v->buf != nullptr) {
-                     std::memcpy(dst, v->bytes() + skip, std::size_t(hi - lo));
+                   if (buf != nullptr) {
+                     std::memcpy(dst, buf->data() + off, std::size_t(hi - lo));
                    } else {
                      std::memset(dst, 0, std::size_t(hi - lo));
                    }
@@ -215,18 +284,15 @@ std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
 
 std::uint64_t ArrayStore::read_slices(std::uint64_t offset, std::uint64_t length, Epoch epoch,
                                       std::vector<Slice>& out) const {
-  // Runs that continue the previous slice (zeros after zeros, or the next
+  // Ranges that continue the previous slice (zeros after zeros, or the next
   // bytes of the same buffer) extend it, so a split-up extent still ships
-  // as one slice. Only runs this call emits are merged.
+  // as one slice. Only ranges this call emits are merged.
   const std::size_t first = out.size();
-  static const BufferRef kZeros;
   return resolve(offset, length, epoch,
-                 [&](std::uint64_t lo, std::uint64_t hi, const Version* v, std::uint64_t skip) {
-                   const bool payload = v != nullptr && v->buf != nullptr;
-                   const BufferRef& buf = payload ? v->buf : kZeros;
-                   const std::uint64_t off = payload ? v->off + skip : 0;
+                 [&](std::uint64_t lo, std::uint64_t hi, const BufferRef& buf, std::uint64_t off) {
+                   if (buf == nullptr) off = 0;
                    if (out.size() > first && out.back().buf == buf &&
-                       (!payload || out.back().off + out.back().length == off)) {
+                       (buf == nullptr || out.back().off + out.back().length == off)) {
                      out.back().length += hi - lo;
                    } else {
                      out.push_back(Slice{buf, off, hi - lo});
@@ -271,7 +337,8 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
   // Pass 1 — per segment, drop every version <= upto except the newest
   // survivor in (floor, upto]. A punch survivor (or one shadowed by a full
   // punch) vanishes too: nobody may read below `upto` once aggregated, so a
-  // hole needs no record. Survivors keep their original (epoch, seq).
+  // hole needs no record. Survivors keep their original (epoch, seq); a
+  // dropped merged version takes its run with it.
   for (auto it = segs_.begin(); it != segs_.end();) {
     Segment& s = it->second;
     auto above = std::upper_bound(s.versions.begin(), s.versions.end(), upto,
@@ -283,7 +350,8 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
     }
     for (auto v = s.versions.begin(); v != drop_end; ++v) {
       ++res.extents_retired;
-      if (v->buf != nullptr) {
+      if (v->merged) runs_.erase(it->first);
+      if (v->payload()) {
         res.bytes_flattened += s.length;
         stored_bytes_ -= s.length;
       }
@@ -297,47 +365,77 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
   // payload-ness) into one record. The merged record takes the max
   // (epoch, seq) of the run — never above a real write, so latest_epoch()
   // stays exact for everything above `upto`.
-  // A run whose slices lie end to end in one buffer merges metadata only;
-  // any other payload run is gathered into one exact-size buffer, one memcpy
-  // per segment. So is a run that is the last holder of a larger buffer, so
-  // a dropped neighbour's bytes are not pinned past aggregation.
+  // No payload byte moves: the members' slices become the record's pieces,
+  // one piece for each stretch that lies end to end in one buffer, and a
+  // record of one piece stays a plain version. The only copy compacts a
+  // piece whose buffer is larger and held by no one but this record, so a
+  // dropped neighbour's bytes are not pinned past aggregation.
   auto flat = [upto](const Segment& s) {
     return s.versions.size() == 1 && s.versions[0].epoch <= upto && !s.versions[0].punch;
+  };
+  auto compact = [](BufferRef& buf, std::uint64_t& off, std::uint64_t len) {
+    buf = std::make_shared<const Buffer>(buf->begin() + std::ptrdiff_t(off),
+                                         buf->begin() + std::ptrdiff_t(off + len));
+    off = 0;
   };
   for (auto it = segs_.begin(); it != segs_.end(); ++it) {
     if (!flat(it->second)) continue;
     Version& va = it->second.versions[0];
-    const bool payload = va.buf != nullptr;
+    const bool payload = va.payload();
     std::uint64_t len = it->second.length;
-    long members = 1;
-    bool adjacent = true;  // every member slices va.buf, end to end
+    std::uint64_t seq = va.seq;  // the members keep theirs until their pieces are taken
     auto last = std::next(it);
     for (; last != segs_.end() && it->first + len == last->first && flat(last->second) &&
-           (last->second.versions[0].buf != nullptr) == payload;
-         ++last, ++members) {
+           last->second.versions[0].payload() == payload;
+         ++last) {
       const Version& vb = last->second.versions[0];
       va.epoch = std::max(va.epoch, vb.epoch);
-      va.seq = std::max(va.seq, vb.seq);
-      adjacent = adjacent && vb.buf == va.buf && vb.off == va.off + len;
+      seq = std::max(seq, vb.seq);
       len += last->second.length;
       ++res.extents_retired;
     }
-    if (payload && (!adjacent || (va.buf.use_count() == members && len < va.buf->size()))) {
-      auto gathered = std::make_shared<Buffer>();
-      gathered->reserve(len);
-      for (auto s = it; s != last; ++s) {
-        const std::byte* src = s->second.versions[0].bytes();
-        gathered->insert(gathered->end(), src, src + s->second.length);
+    if (!payload || (!va.merged && last == std::next(it))) {
+      // A metadata-only run or a lone plain segment: no pieces to build.
+      va.seq = seq;
+      if (payload && va.buf.use_count() == 1 && len < va.buf->size()) {
+        compact(va.buf, va.off, len);
       }
-      va.buf = std::move(gathered);
-      va.off = 0;
+    } else {
+      Run run;
+      for (auto s = it; s != last; ++s) take_pieces(s->first, s->second.versions[0], run);
+      auto piece_len = [&](std::size_t i) {
+        return (i + 1 < run.size() ? run[i + 1].pos : it->first + len) - run[i].pos;
+      };
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        // The run's pieces of a buffer are its last holders when they
+        // account for every reference; each is compacted when together they
+        // cover less than the buffer.
+        Piece& p = run[i];
+        const long refs = p.buf.use_count();
+        long held = 1;
+        std::uint64_t covered = piece_len(i);
+        if (refs > 1) {
+          held = 0;
+          covered = 0;
+          for (std::size_t j = 0; j < run.size() && refs <= long(run.size()); ++j) {
+            if (run[j].buf != p.buf) continue;
+            ++held;
+            covered += piece_len(j);
+          }
+        }
+        if (held == refs && covered < p.buf->size()) compact(p.buf, p.off, piece_len(i));
+      }
+      va.seq = seq;
+      settle(it->first, va, std::move(run));
     }
     it->second.length = len;
     segs_.erase(std::next(it), last);
   }
 
-  // Full punches <= upto are baked into the surviving records.
-  std::erase_if(full_punches_, [&](Epoch p) { return p <= upto; });
+  // Full punches below the newest one <= upto are baked into the surviving
+  // records. That one stays: a version inserted under it later (a DTX
+  // commit, a rebuild image) must stay hidden.
+  std::erase_if(full_punches_, [&](Epoch p) { return p < floor; });
 
   // Recompute the exact newest-extent epoch: aggregation may have dropped
   // the previous maximum (e.g. a punch top).
@@ -352,10 +450,14 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
 std::uint64_t ArrayStore::retained_bytes() const {
   std::set<const Buffer*> seen;
   std::uint64_t total = 0;
+  auto count = [&](const BufferRef& buf) {
+    if (buf != nullptr && seen.insert(buf.get()).second) total += buf->size();
+  };
   for (const auto& [start, s] : segs_) {
-    for (const Version& v : s.versions) {
-      if (v.buf != nullptr && seen.insert(v.buf.get()).second) total += v.buf->size();
-    }
+    for (const Version& v : s.versions) count(v.buf);
+  }
+  for (const auto& [start, run] : runs_) {
+    for (const Piece& p : run) count(p.buf);
   }
   return total;
 }
@@ -363,27 +465,52 @@ std::uint64_t ArrayStore::retained_bytes() const {
 void ArrayStore::audit_payload() const {
   if constexpr (kAuditEnabled) {
     std::uint64_t held = 0;
+    std::size_t merged = 0;
     // (buffer, write) -> buffer offset minus store offset, the write's shift.
     std::map<std::pair<const Buffer*, std::uint64_t>, std::uint64_t> shift;
+    auto slice = [&](const BufferRef& buf, std::uint64_t off, std::uint64_t pos,
+                     std::uint64_t len, std::uint64_t seq) {
+      const std::uint64_t size = buf->size();
+      DAOSIM_REQUIRE(off <= size && len <= size - off,
+                     "audit: slice [%llu, +%llu) at %llu overruns its %llu-byte buffer",
+                     static_cast<unsigned long long>(off), static_cast<unsigned long long>(len),
+                     static_cast<unsigned long long>(pos), static_cast<unsigned long long>(size));
+      const auto [it, fresh] = shift.try_emplace({buf.get(), seq}, off - pos);
+      DAOSIM_REQUIRE(fresh || it->second == off - pos,
+                     "audit: store offset %llu slices write %llu's buffer at %llu, off its shift",
+                     static_cast<unsigned long long>(pos), static_cast<unsigned long long>(seq),
+                     static_cast<unsigned long long>(off));
+    };
     for (const auto& [start, s] : segs_) {
+      std::size_t merged_here = 0;
       for (const Version& v : s.versions) {
-        if (v.buf == nullptr) continue;
-        const std::uint64_t size = v.buf->size();
-        DAOSIM_REQUIRE(v.off <= size && s.length <= size - v.off,
-                       "audit: slice [%llu, +%llu) of segment %llu overruns its %llu-byte buffer",
-                       static_cast<unsigned long long>(v.off),
-                       static_cast<unsigned long long>(s.length),
-                       static_cast<unsigned long long>(start),
-                       static_cast<unsigned long long>(size));
-        const auto [it, fresh] = shift.try_emplace({v.buf.get(), v.seq}, v.off - start);
-        DAOSIM_REQUIRE(fresh || it->second == v.off - start,
-                       "audit: segment %llu slices write %llu's buffer at %llu, off its shift",
-                       static_cast<unsigned long long>(start),
-                       static_cast<unsigned long long>(v.seq),
-                       static_cast<unsigned long long>(v.off));
-        held += s.length;
+        if (v.merged) {
+          ++merged_here;
+          const auto r = runs_.find(start);
+          DAOSIM_REQUIRE(r != runs_.end() && r->second.size() >= 2 &&
+                             r->second.front().pos == start,
+                         "audit: merged segment %llu has no run of two pieces from its start",
+                         static_cast<unsigned long long>(start));
+          const Run& run = r->second;
+          for (std::size_t i = 0; i < run.size(); ++i) {
+            const std::uint64_t to = i + 1 < run.size() ? run[i + 1].pos : start + s.length;
+            DAOSIM_REQUIRE(run[i].buf != nullptr && run[i].pos < to,
+                           "audit: run of segment %llu does not tile it at %llu",
+                           static_cast<unsigned long long>(start),
+                           static_cast<unsigned long long>(run[i].pos));
+            slice(run[i].buf, run[i].off, run[i].pos, to - run[i].pos, run[i].seq);
+          }
+        } else if (v.buf != nullptr) {
+          slice(v.buf, v.off, start, s.length, v.seq);
+        }
+        if (v.payload()) held += s.length;
       }
+      DAOSIM_REQUIRE(merged_here <= 1, "audit: segment %llu holds %zu merged versions",
+                     static_cast<unsigned long long>(start), merged_here);
+      merged += merged_here;
     }
+    DAOSIM_REQUIRE(merged == runs_.size(), "audit: %zu runs for %zu merged versions",
+                   runs_.size(), merged);
     DAOSIM_REQUIRE(held == stored_bytes_, "audit: stored_bytes %llu != %llu slice bytes held",
                    static_cast<unsigned long long>(stored_bytes_),
                    static_cast<unsigned long long>(held));

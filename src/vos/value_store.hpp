@@ -99,7 +99,9 @@ class ArrayStore {
   /// survivors retain their original epochs (merged runs take the max epoch
   /// of the run), so latest_epoch() never inflates past a real write — the
   /// rebuild epoch-mark diff and the DTX-conflict guard that compare against
-  /// it stay exact across aggregation.
+  /// it stay exact across aggregation. No payload byte is copied, except to
+  /// compact a slice that is the last holder of a larger buffer, and the
+  /// newest full punch <= `upto` is kept (docs/vos.md §2).
   AggResult aggregate(Epoch upto);
 
   /// Total version records held (every fragment of every epoch).
@@ -129,31 +131,52 @@ class ArrayStore {
  private:
   /// A version's payload is a slice, [off, off + segment length), of an
   /// immutable byte buffer shared by reference count: a write adopts the
-  /// caller's buffer, a split hands both halves the same buffer, and only
-  /// aggregation's gather allocates. The buffer carries its own size, so a
-  /// version stays six words: a seventh (a separate size field) measurably
-  /// raised the peak RSS of discard-mode runs.
+  /// caller's buffer and a split hands both halves the same buffer. A version
+  /// that aggregation merged from slices of several buffers keeps them as a
+  /// run of pieces in runs_ instead (`merged`, with a null buf). The buffer
+  /// carries its own size, so a version stays six words: a seventh (a
+  /// separate size field) measurably raised the peak RSS of discard-mode runs.
   struct Version {
     Epoch epoch = 0;
-    std::uint64_t seq = 0;  // arrival order among equal epochs (per store)
+    std::uint64_t seq = 0;  // arrival stamp; the audit keys a write's slices by it
     bool punch = false;     // range punch: reads as hole above older data
-    BufferRef buf;          // null: no payload
+    bool merged = false;    // payload is the segment's run in runs_
+    BufferRef buf;          // null: no payload (or a merged run's)
     std::uint64_t off = 0;  // slice start within *buf (unused if null)
-    const std::byte* bytes() const { return buf->data() + off; }
+    bool payload() const { return buf != nullptr || merged; }
   };
+  static_assert(sizeof(Version) == 6 * sizeof(std::uint64_t));
   /// One byte range [start, start+length) with its epoch-sorted version
   /// stack. Every version spans the whole segment: writes split segments at
   /// their boundaries before stacking, so per-byte and per-segment
   /// visibility coincide.
   struct Segment {
     std::uint64_t length = 0;
-    std::vector<Version> versions;  // ascending (epoch, seq)
+    std::vector<Version> versions;  // ascending epoch, arrival order within one
   };
+  /// One piece of a merged run: the store bytes from `pos` up to the next
+  /// piece (or the segment end) are *buf from `off`, adopted by write `seq`.
+  struct Piece {
+    std::uint64_t pos = 0;
+    std::uint64_t seq = 0;
+    BufferRef buf;
+    std::uint64_t off = 0;
+  };
+  /// A merged version's pieces, ascending by pos, tiling its segment. No two
+  /// neighbours lie end to end in one buffer, so a run has two pieces or more.
+  using Run = std::vector<Piece>;
 
   /// Splits the segment containing offset `x` (if any) so `x` becomes a
-  /// segment boundary; both halves slice the same payload buffers, so no
-  /// byte moves and byte totals are conserved.
+  /// segment boundary; both halves slice the same payload buffers (a merged
+  /// run splits between its pieces), so no byte moves and byte totals are
+  /// conserved.
   void split_at(std::uint64_t x);
+  /// Hands `run` to the version of the segment at `start`: one piece makes
+  /// it a plain version again, more make it a merged one.
+  void settle(std::uint64_t start, Version& v, Run run);
+  /// Appends the payload of the version of the segment at `start` to `run`,
+  /// extending the last piece where the next bytes continue it in one buffer.
+  void take_pieces(std::uint64_t start, Version& v, Run& run);
   /// Common write/punch path: stacks one version over
   /// [offset, offset + data.length), slicing data.buf when it is non-null.
   void apply_range(std::uint64_t offset, const Slice& data, Epoch epoch, bool punch);
@@ -164,22 +187,26 @@ class ArrayStore {
   /// Newest version with epoch <= `epoch` (nullptr when none).
   static const Version* newest_at(const Segment& s, Epoch epoch);
   /// The one visibility resolver behind read() and read_slices(): emits the
-  /// runs that tile [offset, offset + length) in order, as
-  /// emit(lo, hi, v, skip). `v` is the visible version (nullptr for a hole, a
-  /// punch or a version under a full punch); a payload-holding v's bytes
-  /// start at v->bytes() + skip. Returns the filled byte count (the
-  /// runs with a non-null v) and charges the probe counter.
+  /// ranges that tile [offset, offset + length) in order, as
+  /// emit(lo, hi, buf, off): the bytes are *buf from `off`, or zeros when buf
+  /// is null (a hole, a punch, a version under a full punch, a metadata-only
+  /// extent). A merged version emits one range per piece. Returns the filled
+  /// byte count (the ranges some visible write covers) and charges the probe
+  /// counter.
   template <typename Emit>
   std::uint64_t resolve(std::uint64_t offset, std::uint64_t length, Epoch epoch,
                         Emit&& emit) const;
   Epoch last_full_punch_at(Epoch epoch) const;
-  /// Audit (DAOSIM_AUDIT): every payload slice lies inside its buffer,
-  /// stored_bytes_ is the sum of the payload-holding slice lengths, and the
-  /// slices one write left in one buffer map store offsets to buffer offsets
-  /// by one shift (a split or merge that moves an adopted slice breaks it).
+  /// Audit (DAOSIM_AUDIT): every payload slice (plain version or piece) lies
+  /// inside its buffer, every merged version's run tiles its segment,
+  /// stored_bytes_ is the sum of the payload-holding segment lengths, and
+  /// the slices one write left in one buffer map store offsets to buffer
+  /// offsets by one shift (a split or merge that moves an adopted slice
+  /// breaks it).
   void audit_payload() const;
 
   std::map<std::uint64_t, Segment> segs_;  // keyed by segment start offset
+  std::map<std::uint64_t, Run> runs_;      // merged versions' runs, by segment start
   std::vector<Epoch> full_punches_;        // ascending
   std::uint64_t stored_bytes_ = 0;
   std::uint64_t seq_ = 0;   // next arrival stamp

@@ -379,10 +379,11 @@ void expect_pass_bytes(const ArrayStore& a, std::uint64_t lo, std::uint64_t hi, 
 
 // The overwrite_prod VOS shape: one 1 MiB akey rewritten pass after pass in
 // 64 KiB store-mode transfers, aggregated after each pass. Every pass splits
-// the flattened extent 16 times and coalesces 16 fresh transfers back into
-// one extent; reads and stored bytes must come out exact, and so must the
-// AggResult accounting: 15 merges on the first pass, then 16 shadowed
-// versions dropped plus 15 merges on every later one.
+// the flattened extent 16 times and merges 16 fresh transfers back into one
+// extent whose pieces are the transfers' own buffers (no byte is copied);
+// reads and stored bytes must come out exact, and so must the AggResult
+// accounting: 15 merges on the first pass, then 16 shadowed versions
+// dropped plus 15 merges on every later one.
 TEST(EvtreeSlices, OverwriteProdShapeFlattensEachPass) {
   constexpr std::uint64_t kXfer = 64 * 1024;
   constexpr std::uint64_t kAkey = 16 * kXfer;
@@ -390,9 +391,12 @@ TEST(EvtreeSlices, OverwriteProdShapeFlattensEachPass) {
   Epoch e = 0;
   for (int p = 0; p < 4; ++p) {
     const Epoch prev_top = e;
+    std::vector<std::weak_ptr<const Buffer>> written(16);  // by store offset
     for (std::uint64_t i = 0; i < 16; ++i) {
       const std::uint64_t off = (i * std::uint64_t(2 * p + 1)) % 16 * kXfer;  // per-pass order
-      a.write(off, copy_slice(pass_bytes(off, kXfer, p)), ++e, PayloadMode::store);
+      const Slice data = copy_slice(pass_bytes(off, kXfer, p));
+      written[off / kXfer] = data.buf;
+      a.write(off, data, ++e, PayloadMode::store);
     }
     EXPECT_EQ(a.stored_bytes(), kAkey * (p == 0 ? 1 : 2)) << "pass " << p;
     EXPECT_EQ(a.segment_count(), 16u) << "pass " << p;
@@ -409,6 +413,17 @@ TEST(EvtreeSlices, OverwriteProdShapeFlattensEachPass) {
     EXPECT_EQ(a.latest_epoch(), e) << "pass " << p;
     expect_pass_bytes(a, 0, kAkey, kEpochMax, [&](std::uint64_t) { return p; });
     expect_pass_bytes(a, kXfer - 5, 3 * kXfer + 9, e, [&](std::uint64_t) { return p; });
+    // The merged extent reads as the pass's own write buffers, in order, and
+    // pins no byte beyond them.
+    std::vector<Slice> slices;
+    ASSERT_EQ(a.read_slices(0, kAkey, kEpochMax, slices), kAkey);
+    ASSERT_EQ(slices.size(), 16u) << "pass " << p;
+    for (std::uint64_t k = 0; k < 16; ++k) {
+      EXPECT_EQ(slices[k].buf, written[k].lock()) << "pass " << p << " transfer " << k;
+      EXPECT_EQ(slices[k].off, 0u);
+      EXPECT_EQ(slices[k].length, kXfer);
+    }
+    EXPECT_EQ(a.retained_bytes(), a.stored_bytes()) << "pass " << p;
   }
 }
 
@@ -446,14 +461,114 @@ TEST(EvtreeSlices, MidOverwriteOfCoalescedExtentReadsAcrossCuts) {
   }
   windows("before re-aggregation");
 
-  // Three single-version segments: two slices of the coalesced buffer around
-  // a fresh one. They gather back into one extent.
+  // Three single-version segments: two slices of the coalesced extent around
+  // a fresh one. They merge back into one extent; the middle write's buffer
+  // has only the two slices around the cut left as holders, which are
+  // compacted, so no dropped byte stays pinned.
   const ArrayStore::AggResult r = a.aggregate(4);
   EXPECT_EQ(r.extents_retired, 3u);
   EXPECT_EQ(r.bytes_flattened, kCutHi - kCutLo);
   EXPECT_EQ(a.segment_count(), 1u);
   EXPECT_EQ(a.stored_bytes(), kLen);
+  EXPECT_EQ(a.retained_bytes(), kLen);
   windows("after re-aggregation");
+}
+
+// A merged extent keeps its pieces: five writes of uneven length (one of
+// them two reversed slices of one buffer) merge into one extent, a newer
+// write across a piece boundary and another inside a piece split it, and
+// re-aggregation merges it again. Windows across every piece and cut
+// boundary read exact at every step. The untouched pieces keep slicing the
+// buffers they were written from; the cut ones, now the last holders of
+// larger buffers, are compacted, so no dropped byte stays pinned.
+TEST(EvtreeSlices, MergedRunSplitsAndReaggregatesAcrossPieces) {
+  ArrayStore a;
+  std::vector<std::uint64_t> bounds{0};
+  std::vector<std::weak_ptr<const Buffer>> bufs;  // by piece
+  Epoch e = 0;
+  for (std::uint64_t len : {3000u, 4096u, 1500u, 5000u, 2500u}) {
+    const std::uint64_t off = bounds.back();
+    if (len == 5000) {
+      // One buffer, its halves stored in reverse: two pieces of one buffer
+      // that do not lie end to end in it.
+      const std::vector<std::byte> d = pass_bytes(off, len, 0);
+      auto buf = std::make_shared<Buffer>(d.begin() + 2000, d.end());
+      buf->insert(buf->end(), d.begin(), d.begin() + 2000);
+      a.write(off, Slice{buf, 3000, 2000}, ++e, PayloadMode::store);
+      a.write(off + 2000, Slice{buf, 0, 3000}, e, PayloadMode::store);
+      bounds.push_back(off + 2000);
+      bufs.push_back(buf);
+      bufs.push_back(buf);
+    } else {
+      const Slice data = copy_slice(pass_bytes(off, len, 0));
+      a.write(off, data, ++e, PayloadMode::store);
+      bufs.push_back(data.buf);
+    }
+    bounds.push_back(off + len);
+  }
+  const std::uint64_t kLen = bounds.back();
+  auto boundary_windows = [&](const std::vector<std::uint64_t>& at, Epoch q, auto pass_at) {
+    for (std::uint64_t b : at) {
+      if (b == 0 || b == kLen) continue;
+      expect_pass_bytes(a, b - 1, b + 1, q, pass_at);
+      expect_pass_bytes(a, b - 5, std::min(kLen, b + 7), q, pass_at);
+    }
+    expect_pass_bytes(a, 0, kLen, q, pass_at);
+  };
+  auto old_bytes = [](std::uint64_t) { return 0; };
+
+  ArrayStore::AggResult r = a.aggregate(e);
+  EXPECT_EQ(r.extents_retired, 5u);
+  EXPECT_EQ(r.bytes_flattened, 0u);
+  EXPECT_EQ(a.segment_count(), 1u);
+  EXPECT_EQ(a.extent_count(), 1u);
+  std::vector<Slice> slices;
+  ASSERT_EQ(a.read_slices(0, kLen, kEpochMax, slices), kLen);
+  ASSERT_EQ(slices.size(), bufs.size());
+  for (std::size_t k = 0; k < slices.size(); ++k) {
+    EXPECT_EQ(slices[k].buf, bufs[k].lock()) << "piece " << k;
+    EXPECT_EQ(slices[k].length, bounds[k + 1] - bounds[k]) << "piece " << k;
+  }
+  boundary_windows(bounds, kEpochMax, old_bytes);
+  EXPECT_EQ(a.retained_bytes(), a.stored_bytes());
+  slices.clear();  // a reply holding them would keep every buffer whole
+
+  // A newer write across the boundary of pieces 1 and 2 and one inside
+  // piece 3 (the second half of the reversed buffer).
+  const std::uint64_t kA = bounds[2] - 700, kAEnd = bounds[2] + 900;
+  const std::uint64_t kB = bounds[4] + 100, kBEnd = bounds[4] + 400;
+  a.write(kA, copy_slice(pass_bytes(kA, kAEnd - kA, 1)), ++e, PayloadMode::store);
+  a.write(kB, copy_slice(pass_bytes(kB, kBEnd - kB, 1)), ++e, PayloadMode::store);
+  EXPECT_EQ(a.segment_count(), 5u);
+  EXPECT_EQ(a.stored_bytes(), kLen + (kAEnd - kA) + (kBEnd - kB));
+  auto new_bytes = [&](std::uint64_t b) {
+    return (b >= kA && b < kAEnd) || (b >= kB && b < kBEnd) ? 1 : 0;
+  };
+  std::vector<std::uint64_t> cuts = bounds;
+  cuts.insert(cuts.end(), {kA, kAEnd, kB, kBEnd});
+  std::sort(cuts.begin(), cuts.end());
+  boundary_windows(cuts, e - 2, old_bytes);
+  boundary_windows(cuts, e, new_bytes);
+
+  r = a.aggregate(e);
+  EXPECT_EQ(r.extents_retired, 2u + 4u);  // two shadowed versions, four merges
+  EXPECT_EQ(r.bytes_flattened, (kAEnd - kA) + (kBEnd - kB));
+  EXPECT_EQ(a.segment_count(), 1u);
+  EXPECT_EQ(a.extent_count(), 1u);
+  EXPECT_EQ(a.stored_bytes(), kLen);
+  boundary_windows(cuts, e, new_bytes);
+  boundary_windows(cuts, kEpochMax, new_bytes);
+  // Pieces 0 and 5 are untouched and still slice their own buffers; the
+  // buffers of pieces 1 to 4 lost bytes to the newer writes and were
+  // released for exact-size copies.
+  slices.clear();
+  ASSERT_EQ(a.read_slices(0, kLen, kEpochMax, slices), kLen);
+  EXPECT_EQ(slices.front().buf, bufs[0].lock());
+  EXPECT_EQ(slices.front().length, bounds[1]);
+  EXPECT_EQ(slices.back().buf, bufs[5].lock());
+  EXPECT_EQ(slices.back().length, kLen - bounds[5]);
+  for (std::size_t k = 1; k <= 4; ++k) EXPECT_TRUE(bufs[k].expired()) << "piece " << k;
+  EXPECT_EQ(a.retained_bytes(), a.stored_bytes());
 }
 
 // Coalesce runs that mix slices lying end to end in one buffer with fresh
@@ -474,13 +589,21 @@ TEST(EvtreeSlices, CoalesceMixesSharedAndFreshBuffers) {
   EXPECT_EQ(r.bytes_flattened, 4096u);
   EXPECT_EQ(a.segment_count(), 1u);
   EXPECT_EQ(a.stored_bytes(), 20480u);
+  // Three pieces: the epoch-1 slice (compacted, as the last holder of a
+  // larger buffer), the epoch-2 buffer's two slices as one, the fresh one.
+  std::vector<Slice> slices;
+  a.read_slices(0, 20480, kEpochMax, slices);
+  ASSERT_EQ(slices.size(), 3u);
+  EXPECT_EQ(slices[1].length, 12288u);
+  EXPECT_EQ(a.retained_bytes(), a.stored_bytes());
+  slices.clear();
   expect_pass_bytes(a, 0, 20480, kEpochMax, pass_of);
   expect_pass_bytes(a, 4090, 16390, 3, pass_of);
 
   // Past a hole, a below-top commit at epoch 4 under a write at epoch 5:
   // the epoch-5 buffer is split around it and, once aggregation drops the
-  // epoch-4 version, its three slices lie end to end and merge without a
-  // gather.
+  // epoch-4 version, its three slices lie end to end and merge into one
+  // piece: a plain version again.
   a.write(24576, copy_slice(pass_bytes(24576, 8192, 3)), 5, PayloadMode::store);
   a.write(26000, copy_slice(pass_bytes(26000, 1000, 0)), 4, PayloadMode::store);
   EXPECT_EQ(a.segment_count(), 4u);
@@ -512,7 +635,7 @@ TEST(EvtreeSlices, CoalesceMixesSharedAndFreshBuffers) {
 // Buffer retention under adoption (docs/vos.md, "Payload buffers"): one
 // 16-extent request buffer, as a batched update leaves it, with 15 of its
 // extents overwritten. Until aggregation every retained byte is some
-// version's payload; aggregation then gathers the lone surviving slice of
+// version's payload; aggregation then compacts the lone surviving slice of
 // the request buffer into an exact-size buffer and releases the rest --
 // unless another holder still shares the buffer, which keeps it whole.
 TEST(EvtreeSlices, AdoptedBatchBufferRetention) {
@@ -559,6 +682,26 @@ TEST(EvtreeSlices, AdoptedBatchBufferRetention) {
       EXPECT_TRUE(watch.expired());
       EXPECT_EQ(a.retained_bytes(), kN * kExt);
     }
+  }
+}
+
+// A full punch that aggregation folds stays a record: a version inserted
+// under it afterwards (a DTX commit at its prepare-time epoch, a rebuild
+// image at its floor) must stay hidden, as it is without the aggregation.
+TEST(EvtreePunch, AggregateKeepsFullPunchOverLowerInsert) {
+  for (const bool aggregated : {false, true}) {
+    SCOPED_TRACE(aggregated ? "aggregated past the punch" : "not aggregated");
+    ArrayStore a;
+    std::vector<std::byte> data(8, std::byte{0x5A});
+    a.write(0, copy_slice(data), 5, PayloadMode::store);
+    a.punch_all(10);
+    if (aggregated) a.aggregate(10);
+    a.write(0, copy_slice(data), 1, PayloadMode::store);
+    EXPECT_EQ(a.size(kEpochMax), 0u);
+    std::vector<std::byte> out(8, std::byte{0xA5});
+    EXPECT_EQ(a.read(0, out, kEpochMax), 0u);
+    EXPECT_EQ(out, std::vector<std::byte>(8, std::byte{0}));
+    EXPECT_EQ(a.latest_epoch(), 10u);
   }
 }
 

@@ -295,13 +295,13 @@ TEST(Ior, PatternHelpersRoundTrip) {
   EXPECT_GT(check_pattern(buf, 777, 43), 0u);
 }
 
-// The per-word reference the pattern helpers must match byte for byte: each
-// 8-byte word (the last one cut short) is mix64((file_offset + i) ^ seed).
+// The per-word reference the pattern helpers must match byte for byte: the
+// 8-byte word at file offset x (the last one cut short) is mix64(seed) + x.
 std::vector<std::byte> reference_pattern(std::size_t len, std::uint64_t file_offset,
                                          std::uint64_t seed) {
   std::vector<std::byte> buf(len);
   for (std::size_t i = 0; i < len; i += 8) {
-    const std::uint64_t word = client::mix64((file_offset + i) ^ seed);
+    const std::uint64_t word = client::mix64(seed) + (file_offset + i);
     const std::size_t n = std::min<std::size_t>(8, len - i);
     std::memcpy(buf.data() + i, &word, n);
   }
@@ -332,6 +332,47 @@ TEST(Ior, CheckPatternCountsWholeWordsAndTail) {
   EXPECT_EQ(check_pattern(buf, 13, 9), 3u);
   buf[0] ^= std::byte{0x10};  // plus the first whole word
   EXPECT_EQ(check_pattern(buf, 13, 9), 8u + 3u);
+}
+
+// Each way a verified read can come back wrong fails every word it touches:
+// a block shifted by one word, two blocks swapped, a block left by the
+// previous pass (another seed), and a hole read back as zeros.
+TEST(Ior, CheckPatternFlagsMisplacedStaleAndMissingBlocks) {
+  constexpr std::uint64_t kBlock = 4096;
+  constexpr std::uint64_t kSeed = 0x5EED;
+  constexpr std::uint64_t kPrevSeed = 0x5EEC;
+  for (std::uint64_t base : {0ull, 8ull, 3ull, 1ull << 40}) {
+    SCOPED_TRACE(base);
+    std::vector<std::byte> file(4 * kBlock);
+    fill_pattern(file, base, kSeed);
+    ASSERT_EQ(check_pattern(file, base, kSeed), 0u);
+    const std::span<std::byte> b1(file.data() + kBlock, kBlock);
+    const std::span<std::byte> b2(file.data() + 2 * kBlock, kBlock);
+
+    std::vector<std::byte> shifted(file);  // block 1 landed 8 bytes late
+    fill_pattern(std::span(shifted).subspan(kBlock + 8, kBlock), base + kBlock, kSeed);
+    EXPECT_EQ(check_pattern(std::span(shifted).subspan(kBlock + 8, kBlock), base + kBlock + 8,
+                            kSeed),
+              kBlock);
+    std::vector<std::byte> early(file);  // and 8 bytes early
+    fill_pattern(std::span(early).subspan(kBlock - 8, kBlock), base + kBlock, kSeed);
+    EXPECT_EQ(check_pattern(std::span(early).subspan(kBlock - 8, kBlock), base + kBlock - 8,
+                            kSeed),
+              kBlock);
+
+    std::vector<std::byte> swapped(file);  // blocks 1 and 2 swapped
+    std::copy(b2.begin(), b2.end(), swapped.begin() + kBlock);
+    std::copy(b1.begin(), b1.end(), swapped.begin() + 2 * kBlock);
+    EXPECT_EQ(check_pattern(swapped, base, kSeed), 2 * kBlock);
+
+    std::vector<std::byte> stale(file);  // block 1 from the previous pass
+    fill_pattern(std::span(stale).subspan(kBlock, kBlock), base + kBlock, kPrevSeed);
+    EXPECT_EQ(check_pattern(stale, base, kSeed), kBlock);
+
+    std::vector<std::byte> hole(file);  // block 2 never written
+    std::fill(hole.begin() + 2 * kBlock, hole.begin() + 3 * kBlock, std::byte{0});
+    EXPECT_EQ(check_pattern(hole, base, kSeed), kBlock);
+  }
 }
 
 }  // namespace

@@ -39,7 +39,7 @@
 #                          DTX/snapshot aggregation pins) under ASan+UBSan
 #                          with the runtime audits on, plus the fetch-reply
 #                          lifetime and caller-buffer tests — the merge
-#                          passes share, slice and regather payload buffers,
+#                          passes share, slice and compact payload buffers,
 #                          stores adopt update buffers and replies slice
 #                          stored ones, and all must be lifetime- and UB-clean;
 #                          the Rebuild suite too, whose destinations adopt
@@ -272,7 +272,7 @@ fi
 if [[ $STAGE == agg ]]; then
   stage_begin agg
   # Focused evtree/aggregation run, always sanitized: splits and the
-  # aggregation passes share, slice and regather reference-counted payload
+  # aggregation passes share, slice and compact reference-counted payload
   # buffers and erase version records while read paths hold spans into them,
   # and the service interleaves with DTX commits, snapshots, rebuild floors,
   # and engine crashes — exactly where a dangling span or UB would hide.
