@@ -347,11 +347,7 @@ sim::CoTask<net::Reply> Engine::on_punch(net::Request req) {
   auto& cont = t.vos.container(r.cont);
   cont.observe_time(vos::hlc_base(sched_.now()));
   const vos::Epoch epoch = cont.next_epoch();
-  switch (r.scope) {
-    case PunchScope::object: cont.punch_object(r.oid, epoch); break;
-    case PunchScope::dkey: cont.punch_dkey(r.oid, r.dkey, epoch); break;
-    case PunchScope::akey: cont.punch_akey(r.oid, r.dkey, r.akey, epoch); break;
-  }
+  cont.punch(r.oid, r.scope, r.dkey, r.akey, epoch);
   svc->record(sched_.now() - svc_t0);
   co_return Reply{Errno::ok, kObjRpcHeader, {}};
 }

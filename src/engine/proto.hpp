@@ -142,7 +142,7 @@ struct ObjEnumResp {
   std::vector<vos::Key> keys;
 };
 
-enum class PunchScope : std::uint8_t { object, dkey, akey };
+using PunchScope = vos::PunchScope;
 
 struct ObjPunchReq {
   vos::Uuid cont;

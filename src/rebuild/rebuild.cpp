@@ -179,9 +179,10 @@ engine::RebuildFetchResp RebuildService::fetch_records(const engine::RebuildFetc
       client::group_count(client::class_of(req.oid), base_map_.target_count());
   for (auto& rec : cont->export_object(req.oid, req.min_epoch)) {
     // Same group routing the client uses: array dkeys name chunk indices,
-    // KV dkeys hash the key string.
+    // KV dkeys hash the key string. An object punch concerns every group.
     const std::uint32_t g =
-        rec.is_array
+        rec.punch == vos::PunchScope::object ? req.group
+        : rec.is_array
             ? client::array_chunk_group(req.oid, client::array_chunk_index(rec.dkey), groups)
             : client::kv_dkey_group(rec.dkey, groups);
     if (g != req.group) continue;
@@ -322,14 +323,17 @@ void RebuildService::apply_records(std::uint32_t version, const engine::RebuildE
   const std::uint32_t ti = base_map_.targets[entry.dst].target;
   vos::VosContainer& cont = eng_.vos_target(ti).container(entry.cont);
   // The image lands just above the task floor and VOS visibility merges it:
-  // every record the destination held at or below the floor (a full punch
-  // at the floor included) is pre-eviction state the image supersedes, and
-  // later local writes and punches stay on top. An eviction rebuild has no
-  // floor, so its image lands at epoch 1, under all local history (epoch 0
-  // would hide under the full-punch floor of 0).
+  // every record the destination held at or below the floor (a punch at the
+  // floor included) is pre-eviction state the image supersedes, and later
+  // local writes and punches stay on top. A punch record lands at the floor
+  // itself, where it hides that pre-eviction state of its node and nothing
+  // else. An eviction rebuild has no floor: its image lands at epoch 1,
+  // under all local history, and a punch at 0 would hide nothing.
   const vos::Epoch at = task_floor(version, ti, entry.cont) + 1;
   for (const auto& rec : resp.records) {
-    if (!rec.is_array) {
+    if (rec.punch) {
+      if (at > 1) cont.punch(entry.oid, *rec.punch, rec.dkey, rec.akey, at - 1);
+    } else if (!rec.is_array) {
       const vos::Slice& s = rec.data.front();
       cont.kv_put(entry.oid, rec.dkey, rec.akey,
                   std::span<const std::byte>(*s.buf).subspan(s.off, s.length), at);

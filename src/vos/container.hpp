@@ -80,9 +80,13 @@ class VosContainer {
   SingleValueStore::View kv_get(ObjId oid, const Key& dkey, const Key& akey, Epoch epoch) const;
 
   // --- punch ---
-  void punch_akey(ObjId oid, const Key& dkey, const Key& akey, Epoch epoch);
-  void punch_dkey(ObjId oid, const Key& dkey, Epoch epoch);
-  void punch_object(ObjId oid, Epoch epoch);
+  /// Appends `epoch` to the punch log of the object, of `dkey` or of `akey`
+  /// under `dkey` (the keys a scope does not name are ignored), creating an
+  /// absent node to hold only its log. Reads at `epoch` or later no longer
+  /// see any version at or below it under that node, including versions
+  /// that arrive below it afterwards (a DTX commit, a rebuild image). An
+  /// object punch also resets the array end hint.
+  void punch(ObjId oid, PunchScope scope, const Key& dkey, const Key& akey, Epoch epoch);
 
   // --- enumeration ---
   /// Dkeys with at least one record visible at `epoch`, in key order.
@@ -104,9 +108,10 @@ class VosContainer {
     Epoch upto = 0;
   };
 
-  /// Merges record versions <= `upto` (background aggregation service).
-  /// Never merges across the oldest prepared-transaction epoch: an undecided
-  /// DTX must still be able to commit below everything aggregated so far.
+  /// Merges record versions <= `upto` (background aggregation service) and
+  /// folds each punch log to its newest punch <= `upto`. Never merges across
+  /// the oldest prepared-transaction epoch: an undecided DTX must still be
+  /// able to commit below everything aggregated so far.
   AggregateResult aggregate(Epoch upto);
 
   // --- distributed transactions (implemented in dtx.cpp; see docs/dtx.md) ---
@@ -136,8 +141,9 @@ class VosContainer {
 
   /// Exports the object's records newer than `min_epoch` (per this
   /// container's epoch clock; 0 = everything) for replication to a peer
-  /// target. Records are emitted in dkey/akey tree order; no array payload
-  /// byte is copied.
+  /// target: the visible image of each akey written since, and a punch
+  /// record for each node whose newest punch is newer. Records are emitted
+  /// in dkey/akey tree order; no array payload byte is copied.
   std::vector<RecordImage> export_object(ObjId oid, Epoch min_epoch) const;
 
   std::size_t object_count() const { return objects_.size(); }
@@ -167,32 +173,64 @@ class VosContainer {
   const TreeStats& tree_stats() const { return tree_stats_; }
 
  private:
+  /// One node's punches (the punch half of a VOS incarnation log),
+  /// ascending. The path floor at epoch e is the newest punch <= e on the
+  /// object's, the dkey's and the akey's logs; a version at or below it is
+  /// hidden, and the value stores take it as their `floor`.
+  class PunchLog {
+   public:
+    void add(Epoch epoch);
+    /// Newest punch <= `epoch`; 0 when none.
+    Epoch at(Epoch epoch) const;
+    Epoch latest() const { return punches_.empty() ? 0 : punches_.back(); }
+    /// Drops the punches below the newest one <= `upto`. That one stays, so
+    /// a version inserted under it later stays hidden.
+    void aggregate(Epoch upto);
+
+   private:
+    std::vector<Epoch> punches_;
+  };
   struct AkeyNode {
     SingleValueStore sv;
     ArrayStore arr;
+    PunchLog punches;
     bool has_sv = false;
     bool has_arr = false;
   };
   struct DkeyNode {
     BPlusTree<Key, std::unique_ptr<AkeyNode>> akeys;
+    PunchLog punches;
   };
   struct ObjectNode {
     BPlusTree<Key, std::unique_ptr<DkeyNode>> dkeys;
+    PunchLog punches;
     std::uint64_t array_end_hint = 0;
+  };
+  /// An akey's node (null when absent) and its path floor at the lookup
+  /// epoch.
+  struct FoundAkey {
+    const AkeyNode* node = nullptr;
+    Epoch floor = 0;
   };
 
   ObjectNode& obj(ObjId oid);
   const ObjectNode* find_obj(ObjId oid) const;
+  DkeyNode& dkey_node_in(ObjectNode& o, const Key& dkey);
   AkeyNode& akey_node(ObjId oid, const Key& dkey, const Key& akey);
   /// Descends from an already-resolved object node (batched visits resolve
   /// the object once and reuse it across extents).
   AkeyNode& akey_node_in(ObjectNode& o, const Key& dkey, const Key& akey);
-  const AkeyNode* find_akey_in(const ObjectNode& o, const Key& dkey, const Key& akey) const;
-  const AkeyNode* find_akey(ObjId oid, const Key& dkey, const Key& akey) const;
-  static bool akey_visible(const AkeyNode& a, Epoch epoch);
+  /// `obj_floor` is the object's part of the path floor, read once per
+  /// descent.
+  FoundAkey find_akey_in(const ObjectNode& o, Epoch obj_floor, const Key& dkey, const Key& akey,
+                         Epoch epoch) const;
+  FoundAkey find_akey(ObjId oid, const Key& dkey, const Key& akey, Epoch epoch) const;
+  /// Whether the akey holds a value visible at `epoch`; `floor` is the
+  /// object's and dkey's part of the path floor.
+  static bool akey_visible(const AkeyNode& a, Epoch epoch, Epoch floor);
 
-  /// Newest stored epoch (put/punch, single-value or array) for the akey;
-  /// 0 when the akey holds nothing. The DTX lost-update conflict check.
+  /// Newest stored epoch (a put or write of the akey, or a punch on its
+  /// path); 0 when there is none. The DTX lost-update conflict check.
   Epoch akey_latest_epoch(ObjId oid, const Key& dkey, const Key& akey) const;
   void apply_dtx_op(const DtxOp& op, Epoch epoch);
 

@@ -11,12 +11,17 @@
 namespace daosim::vos {
 
 Epoch VosContainer::akey_latest_epoch(ObjId oid, const Key& dkey, const Key& akey) const {
-  const AkeyNode* a = find_akey(oid, dkey, akey);
-  if (a == nullptr) return 0;
-  Epoch e = 0;
-  if (a->has_sv) e = std::max(e, a->sv.latest_epoch());
-  if (a->has_arr) e = std::max(e, a->arr.latest_epoch());
-  return e;
+  const ObjectNode* o = find_obj(oid);
+  if (o == nullptr) return 0;
+  ++tree_stats_.lookups;
+  const auto* dk = const_cast<ObjectNode*>(o)->dkeys.find(dkey);
+  if (dk == nullptr) return o->punches.latest();
+  ++tree_stats_.lookups;
+  const auto* ak = (*dk)->akeys.find(akey);
+  const Epoch path = std::max(o->punches.latest(), (*dk)->punches.latest());
+  if (ak == nullptr) return path;
+  const AkeyNode& a = **ak;
+  return std::max({path, a.punches.latest(), a.sv.latest_epoch(), a.arr.latest_epoch()});
 }
 
 Errno VosContainer::dtx_prepare(DtxEntry entry) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -73,17 +74,20 @@ class SliceReader {
   std::uint64_t pos_ = 0;  // bytes of slices_[i_] already passed
 };
 
-/// One record's visible image, as a source exports it for rebuild and a
-/// destination applies it: an array's [0, length) as slices of the stored
-/// buffers (payload-free slices for holes, punches and discard-mode extents;
-/// see ArrayStore::read_slices), a single value's latest version as one
-/// slice.
+/// One record as a source exports it for rebuild and a destination applies
+/// it: an array's visible [0, length) as slices of the stored buffers
+/// (payload-free slices for holes, punches and discard-mode extents; see
+/// ArrayStore::read_slices), a single value's latest version as one slice,
+/// or, when `punch` is set, a punch of the object, of `dkey` or of `akey`
+/// (no length, no data). `is_array` routes the record to its redundancy
+/// group.
 struct RecordImage {
   Key dkey;
   Key akey;
   bool is_array = false;
   std::uint64_t length = 0;
   std::vector<Slice> data;
+  std::optional<PunchScope> punch;
 };
 
 }  // namespace daosim::vos

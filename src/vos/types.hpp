@@ -37,6 +37,9 @@ using Key = std::string;
 /// fit in host memory; reads then return zeros. Tests use `store`.
 enum class PayloadMode { store, discard };
 
+/// The node a punch removes: a whole object, one dkey, or one akey.
+enum class PunchScope : std::uint8_t { object, dkey, akey };
+
 }  // namespace daosim::vos
 
 template <>

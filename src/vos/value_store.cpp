@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/audit.hpp"
@@ -14,60 +15,47 @@ namespace daosim::vos {
 // ---------------------------------------------------------------------------
 // SingleValueStore
 
+namespace {
+/// First version newer than `epoch` in an ascending-epoch vector.
+template <typename V>
+auto first_after(V& versions, Epoch epoch) {
+  return std::upper_bound(versions.begin(), versions.end(), epoch,
+                          [](Epoch e, const auto& v) { return e < v.epoch; });
+}
+}  // namespace
+
 // Stores are epoch-sorted, and writes normally arrive in epoch order — but a
-// DTX commit applies at the transaction's prepare-time epoch, which can sit
-// below versions the shard's clock has since issued. Sorted insertion keeps
-// every read/aggregate path (all of which scan ascending epochs) correct.
-void SingleValueStore::insert_sorted(Version v) {
-  auto pos = std::lower_bound(versions_.begin(), versions_.end(), v.epoch,
-                              [](const Version& a, Epoch e) { return a.epoch < e; });
-  if (pos != versions_.end() && pos->epoch == v.epoch) {
-    *pos = std::move(v);  // same-epoch overwrite keeps one version per epoch
-  } else {
-    versions_.insert(pos, std::move(v));
-  }
-}
-
+// DTX commit applies at the transaction's prepare-time epoch, and a rebuild
+// image just above its task floor, both of which can sit below versions the
+// shard's clock has since issued. Sorted insertion keeps every read and
+// aggregate path (all of which scan ascending epochs) correct.
 void SingleValueStore::put(std::span<const std::byte> value, Epoch epoch) {
-  insert_sorted(Version{epoch, false, value.size(), {value.begin(), value.end()}});
+  auto pos = first_after(versions_, epoch);
+  if (pos != versions_.begin() && std::prev(pos)->epoch == epoch) {
+    std::prev(pos)->data.assign(value.begin(), value.end());  // one version per epoch
+  } else {
+    versions_.insert(pos, Version{epoch, {value.begin(), value.end()}});
+  }
 }
 
-void SingleValueStore::punch(Epoch epoch) { insert_sorted(Version{epoch, true, 0, {}}); }
-
-SingleValueStore::View SingleValueStore::get(Epoch epoch) const {
-  // Versions are sorted by epoch: find the last one <= epoch.
-  const Version* best = nullptr;
-  for (const auto& v : versions_) {
-    if (v.epoch > epoch) break;
-    best = &v;
-  }
-  if (best == nullptr || best->punched) return {};
-  return View{true, best->size, std::span<const std::byte>(best->data)};
+SingleValueStore::View SingleValueStore::get(Epoch epoch, Epoch floor) const {
+  const auto above = first_after(versions_, epoch);
+  if (above == versions_.begin() || std::prev(above)->epoch <= floor) return {};
+  const Version& v = *std::prev(above);
+  return View{true, v.data.size(), std::span<const std::byte>(v.data)};
 }
 
-void SingleValueStore::aggregate(Epoch upto) {
-  // Keep the newest version <= upto plus everything > upto.
-  const Version* keep = nullptr;
-  for (const auto& v : versions_) {
-    if (v.epoch > upto) break;
-    keep = &v;
-  }
-  if (keep == nullptr) return;
-  std::vector<Version> out;
-  for (auto& v : versions_) {
-    if (&v == keep || v.epoch > upto) out.push_back(std::move(v));
-  }
-  versions_ = std::move(out);
+void SingleValueStore::aggregate(Epoch upto, Epoch floor) {
+  // Keep the newest version <= upto (unless a punch hides it) plus
+  // everything > upto.
+  const auto above = first_after(versions_, upto);
+  if (above == versions_.begin()) return;
+  const auto keep = std::prev(above);
+  versions_.erase(versions_.begin(), keep->epoch > floor ? keep : above);
 }
 
 // ---------------------------------------------------------------------------
 // ArrayStore
-
-Epoch ArrayStore::last_full_punch_at(Epoch epoch) const {
-  // full_punches_ is ascending: last one <= epoch.
-  auto it = std::upper_bound(full_punches_.begin(), full_punches_.end(), epoch);
-  return it == full_punches_.begin() ? 0 : *std::prev(it);
-}
 
 void ArrayStore::split_at(std::uint64_t x) {
   auto it = segs_.upper_bound(x);
@@ -153,9 +141,7 @@ void ArrayStore::insert_version(Segment& s, Version v) {
   // image above its task floor): position by epoch; upper_bound keeps arrival
   // order among equal epochs, so the resolved visibility stays identical for
   // in-order writers.
-  auto pos = std::upper_bound(s.versions.begin(), s.versions.end(), v.epoch,
-                              [](Epoch e, const Version& x) { return e < x.epoch; });
-  s.versions.insert(pos, std::move(v));
+  s.versions.insert(first_after(s.versions, v.epoch), std::move(v));
 }
 
 void ArrayStore::apply_range(std::uint64_t offset, const Slice& data, Epoch epoch,
@@ -213,23 +199,16 @@ void ArrayStore::punch_range(std::uint64_t offset, std::uint64_t length, Epoch e
   apply_range(offset, Slice{nullptr, 0, length}, epoch, /*punch=*/true);
 }
 
-void ArrayStore::punch_all(Epoch epoch) {
-  auto pos = std::lower_bound(full_punches_.begin(), full_punches_.end(), epoch);
-  if (pos == full_punches_.end() || *pos != epoch) full_punches_.insert(pos, epoch);
-}
-
 const ArrayStore::Version* ArrayStore::newest_at(const Segment& s, Epoch epoch) {
-  auto it = std::upper_bound(s.versions.begin(), s.versions.end(), epoch,
-                             [](Epoch e, const Version& v) { return e < v.epoch; });
+  const auto it = first_after(s.versions, epoch);
   if (it == s.versions.begin()) return nullptr;
   return &*std::prev(it);
 }
 
 template <typename Emit>
 std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::uint64_t length, Epoch epoch,
-                                  Emit&& emit) const {
+                                  Epoch floor, Emit&& emit) const {
   if (length == 0) return 0;
-  const Epoch floor = last_full_punch_at(epoch);
   const std::uint64_t end = offset + length;
   std::uint64_t probes = 1;  // the ordered-index seek
   std::uint64_t count = 0;
@@ -268,10 +247,10 @@ std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::uint64_t length, Ep
   return count;
 }
 
-std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
-                               Epoch epoch) const {
+std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out, Epoch epoch,
+                               Epoch floor) const {
   // Copies each payload range into `out` and zeroes every other range.
-  return resolve(offset, out.size(), epoch,
+  return resolve(offset, out.size(), epoch, floor,
                  [&](std::uint64_t lo, std::uint64_t hi, const BufferRef& buf, std::uint64_t off) {
                    std::byte* dst = out.data() + (lo - offset);
                    if (buf != nullptr) {
@@ -283,12 +262,12 @@ std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
 }
 
 std::uint64_t ArrayStore::read_slices(std::uint64_t offset, std::uint64_t length, Epoch epoch,
-                                      std::vector<Slice>& out) const {
+                                      std::vector<Slice>& out, Epoch floor) const {
   // Ranges that continue the previous slice (zeros after zeros, or the next
   // bytes of the same buffer) extend it, so a split-up extent still ships
   // as one slice. Only ranges this call emits are merged.
   const std::size_t first = out.size();
-  return resolve(offset, length, epoch,
+  return resolve(offset, length, epoch, floor,
                  [&](std::uint64_t lo, std::uint64_t hi, const BufferRef& buf, std::uint64_t off) {
                    if (buf == nullptr) off = 0;
                    if (out.size() > first && out.back().buf == buf &&
@@ -300,8 +279,7 @@ std::uint64_t ArrayStore::read_slices(std::uint64_t offset, std::uint64_t length
                  });
 }
 
-std::uint64_t ArrayStore::size(Epoch epoch) const {
-  const Epoch floor = last_full_punch_at(epoch);
+std::uint64_t ArrayStore::size(Epoch epoch, Epoch floor) const {
   std::uint64_t probes = 1;
   std::uint64_t max_end = 0;
   // Scan from the highest offset down: the first segment holding any
@@ -309,8 +287,7 @@ std::uint64_t ArrayStore::size(Epoch epoch) const {
   for (auto it = segs_.rbegin(); it != segs_.rend() && max_end == 0; ++it) {
     const Segment& s = it->second;
     probes += 1 + std::uint64_t(std::bit_width(s.versions.size()));
-    auto v = std::upper_bound(s.versions.begin(), s.versions.end(), epoch,
-                              [](Epoch e, const Version& x) { return e < x.epoch; });
+    auto v = first_after(s.versions, epoch);
     while (v != s.versions.begin()) {
       --v;
       if (v->epoch <= floor) break;
@@ -330,19 +307,17 @@ std::size_t ArrayStore::extent_count() const {
   return n;
 }
 
-ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
+ArrayStore::AggResult ArrayStore::aggregate(Epoch upto, Epoch floor) {
   AggResult res;
-  const Epoch floor = last_full_punch_at(upto);
 
   // Pass 1 — per segment, drop every version <= upto except the newest
-  // survivor in (floor, upto]. A punch survivor (or one shadowed by a full
-  // punch) vanishes too: nobody may read below `upto` once aggregated, so a
+  // survivor in (floor, upto]. A punch survivor (or one a punch of the key
+  // hides) vanishes too: nobody may read below `upto` once aggregated, so a
   // hole needs no record. Survivors keep their original (epoch, seq); a
   // dropped merged version takes its run with it.
   for (auto it = segs_.begin(); it != segs_.end();) {
     Segment& s = it->second;
-    auto above = std::upper_bound(s.versions.begin(), s.versions.end(), upto,
-                                  [](Epoch e, const Version& v) { return e < v.epoch; });
+    const auto above = first_after(s.versions, upto);
     auto drop_end = above;  // the survivor, if any, is the last version <= upto
     if (above != s.versions.begin()) {
       const auto t = std::prev(above);
@@ -367,16 +342,9 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
   // stays exact for everything above `upto`.
   // No payload byte moves: the members' slices become the record's pieces,
   // one piece for each stretch that lies end to end in one buffer, and a
-  // record of one piece stays a plain version. The only copy compacts a
-  // piece whose buffer is larger and held by no one but this record, so a
-  // dropped neighbour's bytes are not pinned past aggregation.
+  // record of one piece stays a plain version.
   auto flat = [upto](const Segment& s) {
     return s.versions.size() == 1 && s.versions[0].epoch <= upto && !s.versions[0].punch;
-  };
-  auto compact = [](BufferRef& buf, std::uint64_t& off, std::uint64_t len) {
-    buf = std::make_shared<const Buffer>(buf->begin() + std::ptrdiff_t(off),
-                                         buf->begin() + std::ptrdiff_t(off + len));
-    off = 0;
   };
   for (auto it = segs_.begin(); it != segs_.end(); ++it) {
     if (!flat(it->second)) continue;
@@ -394,48 +362,57 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto) {
       len += last->second.length;
       ++res.extents_retired;
     }
-    if (!payload || (!va.merged && last == std::next(it))) {
-      // A metadata-only run or a lone plain segment: no pieces to build.
-      va.seq = seq;
-      if (payload && va.buf.use_count() == 1 && len < va.buf->size()) {
-        compact(va.buf, va.off, len);
-      }
-    } else {
-      Run run;
+    Run run;
+    if (payload && last != std::next(it)) {
       for (auto s = it; s != last; ++s) take_pieces(s->first, s->second.versions[0], run);
-      auto piece_len = [&](std::size_t i) {
-        return (i + 1 < run.size() ? run[i + 1].pos : it->first + len) - run[i].pos;
-      };
-      for (std::size_t i = 0; i < run.size(); ++i) {
-        // The run's pieces of a buffer are its last holders when they
-        // account for every reference; each is compacted when together they
-        // cover less than the buffer.
-        Piece& p = run[i];
-        const long refs = p.buf.use_count();
-        long held = 1;
-        std::uint64_t covered = piece_len(i);
-        if (refs > 1) {
-          held = 0;
-          covered = 0;
-          for (std::size_t j = 0; j < run.size() && refs <= long(run.size()); ++j) {
-            if (run[j].buf != p.buf) continue;
-            ++held;
-            covered += piece_len(j);
-          }
-        }
-        if (held == refs && covered < p.buf->size()) compact(p.buf, p.off, piece_len(i));
-      }
-      va.seq = seq;
-      settle(it->first, va, std::move(run));
     }
+    va.seq = seq;  // only now: va's own piece keeps va's seq
+    if (!run.empty()) settle(it->first, va, std::move(run));
     it->second.length = len;
     segs_.erase(std::next(it), last);
   }
 
-  // Full punches below the newest one <= upto are baked into the surviving
-  // records. That one stays: a version inserted under it later (a DTX
-  // commit, a rebuild image) must stay hidden.
-  std::erase_if(full_punches_, [&](Epoch p) { return p < floor; });
+  // Pass 3 — compact. Per buffer, count the flat records' slices that hold
+  // it and the bytes they cover. When they account for every reference and
+  // cover less than the buffer, each is copied into an exact-size buffer,
+  // so bytes a punch or overwrite retired are not pinned past the pass that
+  // retired them. That is the only copy aggregation makes.
+  auto each_flat_slice = [&](auto&& visit) {
+    for (auto& [start, s] : segs_) {
+      if (!flat(s)) continue;
+      Version& v = s.versions[0];
+      if (v.buf != nullptr) visit(v.buf, v.off, s.length);
+      if (!v.merged) continue;
+      Run& run = runs_.at(start);
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        const std::uint64_t to = i + 1 < run.size() ? run[i + 1].pos : start + s.length;
+        visit(run[i].buf, run[i].off, to - run[i].pos);
+      }
+    }
+  };
+  struct Held {
+    long refs = 0;
+    long uses = 0;  // the buffer's references, counted before any compaction
+    std::uint64_t bytes = 0;
+  };
+  // Buffers of several references, keyed by address: lookups only. A slice
+  // whose buffer is not here held the only reference to it.
+  std::unordered_map<const Buffer*, Held> shared;
+  each_flat_slice([&](BufferRef& buf, std::uint64_t&, std::uint64_t len) {
+    if (buf.use_count() == 1) return;
+    Held& c = shared[buf.get()];
+    c.uses = buf.use_count();
+    ++c.refs;
+    c.bytes += len;
+  });
+  each_flat_slice([&](BufferRef& buf, std::uint64_t& off, std::uint64_t len) {
+    const auto it = shared.find(buf.get());
+    const Held c = it != shared.end() ? it->second : Held{1, 1, len};
+    if (c.refs != c.uses || c.bytes >= buf->size()) return;
+    buf = std::make_shared<const Buffer>(buf->begin() + std::ptrdiff_t(off),
+                                         buf->begin() + std::ptrdiff_t(off + len));
+    off = 0;
+  });
 
   // Recompute the exact newest-extent epoch: aggregation may have dropped
   // the previous maximum (e.g. a punch top).

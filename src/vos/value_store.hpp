@@ -27,18 +27,21 @@ class SingleValueStore {
   /// Single values are always stored, in either payload mode: they are
   /// small metadata records (DFS entries, HDF5 headers) the stack reads back.
   void put(std::span<const std::byte> value, Epoch epoch);
-  void punch(Epoch epoch);
 
-  /// Latest value visible at `epoch`; `exists` is false if none (or punched).
+  /// Latest value visible at `epoch`; `exists` is false if none. A version at
+  /// or below `floor` (the newest punch <= epoch on the key's path, 0 for
+  /// none) is hidden.
   struct View {
     bool exists = false;
     std::uint64_t size = 0;
     std::span<const std::byte> data{};
   };
-  View get(Epoch epoch) const;
+  View get(Epoch epoch, Epoch floor = 0) const;
 
-  /// Drops versions shadowed at `upto`.
-  void aggregate(Epoch upto);
+  /// Drops versions shadowed at `upto`: every version <= upto but the
+  /// newest, and that one too when it is at or below `floor` (the newest
+  /// punch <= upto on the key's path).
+  void aggregate(Epoch upto, Epoch floor = 0);
 
   std::size_t version_count() const { return versions_.size(); }
 
@@ -49,13 +52,8 @@ class SingleValueStore {
  private:
   struct Version {
     Epoch epoch;
-    bool punched;
-    std::uint64_t size;
     std::vector<std::byte> data;
   };
-  /// Keeps versions_ ascending when a write (e.g. a DTX commit) lands below
-  /// the newest stored epoch; a same-epoch insert replaces in place.
-  void insert_sorted(Version v);
   std::vector<Version> versions_;  // ascending epoch
 };
 
@@ -67,15 +65,18 @@ class ArrayStore {
   /// A null data.buf (or discard mode) records the extent without payload.
   void write(std::uint64_t offset, Slice data, Epoch epoch, PayloadMode mode);
 
-  /// Punches (logically zeroes / removes) the byte range at `epoch`.
+  /// Punches (logically zeroes / removes) the byte range at `epoch`. A
+  /// punch of the whole akey is a record of its node's punch log instead
+  /// (see VosContainer): the reads below take its `floor`.
   void punch_range(std::uint64_t offset, std::uint64_t length, Epoch epoch);
-  /// Punches the whole akey at `epoch`: size drops to zero.
-  void punch_all(Epoch epoch);
 
   /// Reads `out.size()` bytes at `offset` as visible at `epoch`, writing
-  /// every byte of `out`: holes and punched ranges read as zero. Returns the
-  /// number of bytes that overlap written data (the "filled" count).
-  std::uint64_t read(std::uint64_t offset, std::span<std::byte> out, Epoch epoch) const;
+  /// every byte of `out`: holes and punched ranges read as zero, and so does
+  /// every version at or below `floor` (the newest punch <= epoch on the
+  /// key's path, 0 for none). Returns the number of bytes that overlap
+  /// written data (the "filled" count).
+  std::uint64_t read(std::uint64_t offset, std::span<std::byte> out, Epoch epoch,
+                     Epoch floor = 0) const;
 
   /// Like read(), but appends the visible bytes of [offset, offset + length)
   /// to `out` as slices of the stored buffers (payload-free slices for holes,
@@ -83,10 +84,11 @@ class ArrayStore {
   /// tile the range in order and keep their buffers alive: later writes,
   /// punches and aggregation never change what they read.
   std::uint64_t read_slices(std::uint64_t offset, std::uint64_t length, Epoch epoch,
-                            std::vector<Slice>& out) const;
+                            std::vector<Slice>& out, Epoch floor = 0) const;
 
-  /// Highest written offset+length visible at `epoch` (0 if empty/punched).
-  std::uint64_t size(Epoch epoch) const;
+  /// Highest written offset+length visible at `epoch` above `floor` (0 if
+  /// empty/punched).
+  std::uint64_t size(Epoch epoch, Epoch floor = 0) const;
 
   /// What one aggregation pass removed (extents-retired feeds the container's
   /// `extent_merges` stat directly — no before/after rescan needed).
@@ -95,14 +97,15 @@ class ArrayStore {
     std::uint64_t bytes_flattened = 0;  // payload bytes those records held
   };
 
-  /// Merges all versions <= `upto` into flat non-overlapping extents. Kept
-  /// survivors retain their original epochs (merged runs take the max epoch
-  /// of the run), so latest_epoch() never inflates past a real write — the
-  /// rebuild epoch-mark diff and the DTX-conflict guard that compare against
-  /// it stay exact across aggregation. No payload byte is copied, except to
-  /// compact a slice that is the last holder of a larger buffer, and the
-  /// newest full punch <= `upto` is kept (docs/vos.md §2).
-  AggResult aggregate(Epoch upto);
+  /// Merges all versions <= `upto` into flat non-overlapping extents,
+  /// dropping every version at or below `floor` (the newest punch <= upto on
+  /// the key's path). Kept survivors retain their original epochs (merged
+  /// runs take the max epoch of the run), so latest_epoch() never inflates
+  /// past a real write — the rebuild epoch-mark diff and the DTX-conflict
+  /// guard that compare against it stay exact across aggregation. No payload
+  /// byte is copied, except to compact the last holders of a larger buffer
+  /// (docs/vos.md §2).
+  AggResult aggregate(Epoch upto, Epoch floor = 0);
 
   /// Total version records held (every fragment of every epoch).
   std::size_t extent_count() const;
@@ -114,12 +117,9 @@ class ArrayStore {
   /// docs/vos.md, "Payload buffers").
   std::uint64_t retained_bytes() const;
 
-  /// Epoch of the newest extent or full punch (0 if empty). Rebuild's
-  /// epoch-mark diff uses this to skip akeys unchanged since the mark.
-  Epoch latest_epoch() const {
-    const Epoch p = full_punches_.empty() ? 0 : full_punches_.back();
-    return max_epoch_ > p ? max_epoch_ : p;
-  }
+  /// Epoch of the newest extent (0 if empty). Rebuild's epoch-mark diff
+  /// uses this to skip akeys unchanged since the mark.
+  Epoch latest_epoch() const { return max_epoch_; }
 
   /// Points visibility-probe accounting at an external counter (the owning
   /// container's TreeStats::extent_probes). Each read-side resolution adds
@@ -189,14 +189,13 @@ class ArrayStore {
   /// The one visibility resolver behind read() and read_slices(): emits the
   /// ranges that tile [offset, offset + length) in order, as
   /// emit(lo, hi, buf, off): the bytes are *buf from `off`, or zeros when buf
-  /// is null (a hole, a punch, a version under a full punch, a metadata-only
-  /// extent). A merged version emits one range per piece. Returns the filled
-  /// byte count (the ranges some visible write covers) and charges the probe
-  /// counter.
+  /// is null (a hole, a punch, a version at or below `floor`, a
+  /// metadata-only extent). A merged version emits one range per piece.
+  /// Returns the filled byte count (the ranges some visible write covers)
+  /// and charges the probe counter.
   template <typename Emit>
-  std::uint64_t resolve(std::uint64_t offset, std::uint64_t length, Epoch epoch,
+  std::uint64_t resolve(std::uint64_t offset, std::uint64_t length, Epoch epoch, Epoch floor,
                         Emit&& emit) const;
-  Epoch last_full_punch_at(Epoch epoch) const;
   /// Audit (DAOSIM_AUDIT): every payload slice (plain version or piece) lies
   /// inside its buffer, every merged version's run tiles its segment,
   /// stored_bytes_ is the sum of the payload-holding segment lengths, and
@@ -207,10 +206,9 @@ class ArrayStore {
 
   std::map<std::uint64_t, Segment> segs_;  // keyed by segment start offset
   std::map<std::uint64_t, Run> runs_;      // merged versions' runs, by segment start
-  std::vector<Epoch> full_punches_;        // ascending
   std::uint64_t stored_bytes_ = 0;
   std::uint64_t seq_ = 0;   // next arrival stamp
-  Epoch max_epoch_ = 0;     // newest extent epoch (full punches tracked apart)
+  Epoch max_epoch_ = 0;     // newest extent epoch
   std::uint64_t* probes_ = nullptr;  // see bind_probe_counter()
 };
 

@@ -221,6 +221,16 @@ TEST(DtxVos, LostUpdateConflictsWithNewerCommittedRecord) {
             Errno::ok);
 }
 
+// A punch of a key the shard never held is a record too: a transaction
+// below it would commit a value the punch hides, so it must restart.
+TEST(DtxVos, PrepareBelowPunchOfAbsentKeyRestarts) {
+  vos::VosContainer c(vos::PayloadMode::store);
+  const auto oid = client::make_oid(1, ObjClass::S1);
+  c.punch(oid, vos::PunchScope::dkey, "d", {}, 10);
+  EXPECT_EQ(c.dtx_prepare(make_entry(1, 5, {kv_op(oid, "d", "a", "under")})), Errno::tx_restart);
+  EXPECT_EQ(c.dtx_prepare(make_entry(2, 11, {kv_op(oid, "d", "a", "over")})), Errno::ok);
+}
+
 TEST(DtxVos, EqualEpochCommitConflictsInsteadOfSilentOverwrite) {
   vos::VosContainer c(vos::PayloadMode::store);
   const auto oid = client::make_oid(1, ObjClass::S1);

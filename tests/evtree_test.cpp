@@ -1,5 +1,6 @@
 // Property tests for the evtree ArrayStore against a flat op-list oracle:
-// randomized write / range-punch / full-punch / below-top-commit sequences
+// randomized write / range-punch / full-punch / below-top-commit sequences,
+// with writes landing under full punches and under aggregated-past ones,
 // must read byte-identically (data, fill count, size) at every sampled
 // epoch, before and after aggregation points, through read() and
 // read_slices() over windows that start and end mid-segment, with some
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "sim/random.hpp"
+#include "vos/container.hpp"
 #include "vos/value_store.hpp"
 
 namespace daosim::vos {
@@ -34,7 +36,9 @@ struct Op {
 
 // Flat-overlay oracle: replays the op list per query, no index. Visibility
 // of byte b at epoch e = the op covering b with the maximum (epoch, arrival)
-// among epochs <= e, holed below the newest full punch <= e.
+// among epochs <= e, holed at or below the newest full punch <= e. The full
+// punches are the akey's punch log, kept by the container; the store only
+// sees the floor, which the checks pass from floor_at().
 struct FlatOracle {
   std::uint64_t space = 0;
   std::vector<Op> ops;
@@ -104,16 +108,16 @@ std::vector<std::byte> payload_of(const Op& o) {
 // oracle's space read as unfilled zeros.
 void check_window(const ArrayStore& a, const std::vector<std::uint8_t>& want_img,
                   const std::vector<bool>& want_fill, std::uint64_t lo, std::uint64_t hi,
-                  Epoch e, const char* where) {
+                  Epoch e, Epoch floor, const char* where) {
   std::uint64_t want_count = 0;
   for (std::uint64_t b = lo; b < hi && b < want_fill.size(); ++b) want_count += want_fill[b];
   std::vector<std::byte> plain(hi - lo, std::byte{0xA5});
-  ASSERT_EQ(a.read(lo, plain, e), want_count) << where << " epoch " << e << " [" << lo << ", "
-                                              << hi << ")";
+  ASSERT_EQ(a.read(lo, plain, e, floor), want_count)
+      << where << " epoch " << e << " [" << lo << ", " << hi << ")";
   // The fetch path's consumer of the same resolver: the slices must tile the
   // window and concatenate to read()'s bytes, with the same fill count.
   std::vector<Slice> slices{Slice{nullptr, 0, 1}};  // a prior entry is kept
-  ASSERT_EQ(a.read_slices(lo, hi - lo, e, slices), want_count)
+  ASSERT_EQ(a.read_slices(lo, hi - lo, e, slices, floor), want_count)
       << where << " epoch " << e << " [" << lo << ", " << hi << ")";
   std::uint64_t tiled = 0;
   for (std::size_t i = 1; i < slices.size(); ++i) tiled += slices[i].length;
@@ -137,17 +141,18 @@ void check_view(const ArrayStore& a, const FlatOracle& oracle, Epoch e, const ch
   std::vector<bool> want_fill;
   oracle.read(e, want_img, want_fill);
   const std::uint64_t space = oracle.space;
-  check_window(a, want_img, want_fill, 0, space, e, where);
-  check_window(a, want_img, want_fill, 1, space - 1, e, where);
-  check_window(a, want_img, want_fill, space / 2 - 7, space / 2 + 9, e, where);
-  check_window(a, want_img, want_fill, space - 5, space + 11, e, where);
+  const Epoch f = oracle.floor_at(e);
+  check_window(a, want_img, want_fill, 0, space, e, f, where);
+  check_window(a, want_img, want_fill, 1, space - 1, e, f, where);
+  check_window(a, want_img, want_fill, space / 2 - 7, space / 2 + 9, e, f, where);
+  check_window(a, want_img, want_fill, space - 5, space + 11, e, f, where);
   const std::size_t n = oracle.ops.size();
   for (std::size_t i = n > 4 ? n - 4 : 0; i < n; ++i) {
     const Op& o = oracle.ops[i];
-    check_window(a, want_img, want_fill, o.off + 1, o.off + o.len + 3, e, where);
-    if (o.len > 2) check_window(a, want_img, want_fill, o.off + 1, o.off + o.len - 1, e, where);
+    check_window(a, want_img, want_fill, o.off + 1, o.off + o.len + 3, e, f, where);
+    if (o.len > 2) check_window(a, want_img, want_fill, o.off + 1, o.off + o.len - 1, e, f, where);
   }
-  ASSERT_EQ(a.size(e), oracle.size(e)) << where << " epoch " << e;
+  ASSERT_EQ(a.size(e, f), oracle.size(e)) << where << " epoch " << e;
 }
 
 class EvtreeOracleProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -179,12 +184,21 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
       // Below-top epoch (a DTX committing under already-applied writes);
       // may collide with an existing epoch, exercising arrival order.
       e = agg_floor + 1 + rng.uniform(top - agg_floor);
+    } else if (kind < 20 && oracle.floor_at(top) > 0) {
+      // A write under a full punch (a DTX commit or a rebuild image landing
+      // below it): the newest full punch, or the newest one the last
+      // aggregation passed, which the container's punch log keeps. It lands
+      // above the aggregation point only when the punch does: below it, the
+      // write must stay hidden at every epoch the store still serves.
+      Epoch under = oracle.floor_at(top);
+      if (rng.uniform(2) == 0 && oracle.floor_at(agg_floor) > 0) under = oracle.floor_at(agg_floor);
+      const Epoch lo = under > agg_floor ? agg_floor + 1 : 1;
+      e = lo + rng.uniform(under - lo + 1);
     } else {
       top += 1 + rng.uniform(3);
       e = top;
     }
     if (kind >= 90 && e == top) {
-      a.punch_all(e);
       oracle.fulls.push_back(e);
     } else if (kind >= 70) {
       Op o{rng.uniform(space - 1), 0, e, true, 0};
@@ -221,7 +235,7 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
       const Epoch upto = agg_floor + (top - agg_floor) / 2;
       if (upto > agg_floor) {
         const std::size_t before = a.extent_count();
-        const ArrayStore::AggResult r = a.aggregate(upto);
+        const ArrayStore::AggResult r = a.aggregate(upto, oracle.floor_at(upto));
         ASSERT_EQ(before - a.extent_count(), r.extents_retired) << "step " << step;
         agg_floor = upto;
         oracle.agg = upto;
@@ -237,7 +251,7 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
   // Final full flatten: one version per segment, stored bytes collapse to
   // exactly the bytes visible at the top epoch, re-aggregation is a no-op.
   const std::size_t before = a.extent_count();
-  const ArrayStore::AggResult r = a.aggregate(top);
+  const ArrayStore::AggResult r = a.aggregate(top, oracle.floor_at(top));
   oracle.agg = top;
   ASSERT_EQ(before - a.extent_count(), r.extents_retired);
   ASSERT_EQ(a.extent_count(), a.segment_count());
@@ -248,7 +262,7 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
   ASSERT_EQ(a.stored_bytes(), visible);
   check_view(a, oracle, top, "final");
   check_view(a, oracle, kEpochMax, "final");
-  const ArrayStore::AggResult again = a.aggregate(top);
+  const ArrayStore::AggResult again = a.aggregate(top, oracle.floor_at(top));
   ASSERT_EQ(again.extents_retired, 0u);
   ASSERT_EQ(again.bytes_flattened, 0u);
 }
@@ -268,7 +282,6 @@ TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
     top += 1;
     const int kind = int(rng.uniform(10));
     if (kind >= 9) {
-      a.punch_all(top);
       oracle.fulls.push_back(top);
     } else if (kind >= 7) {
       Op o{rng.uniform(space - 1), 0, top, true, 0};
@@ -288,18 +301,19 @@ TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
     std::vector<bool> want;
     oracle.read(e, img, want);
     const std::vector<std::uint8_t> zeros(space, 0);  // discard mode: zeros, fill count only
-    check_window(a, zeros, want, 0, space, e, "discard");
-    check_window(a, zeros, want, 3, space - 2, e, "discard");
-    check_window(a, zeros, want, space / 3, space / 3 + 21, e, "discard");
-    check_window(a, zeros, want, space - 9, space + 7, e, "discard");
-    ASSERT_EQ(a.size(e), oracle.size(e)) << "epoch " << e;
+    const Epoch f = oracle.floor_at(e);
+    check_window(a, zeros, want, 0, space, e, f, "discard");
+    check_window(a, zeros, want, 3, space - 2, e, f, "discard");
+    check_window(a, zeros, want, space / 3, space / 3 + 21, e, f, "discard");
+    check_window(a, zeros, want, space - 9, space + 7, e, f, "discard");
+    ASSERT_EQ(a.size(e, f), oracle.size(e)) << "epoch " << e;
   }
-  const ArrayStore::AggResult r = a.aggregate(top / 2);
+  const ArrayStore::AggResult r = a.aggregate(top / 2, oracle.floor_at(top / 2));
   oracle.agg = top / 2;
   EXPECT_EQ(r.bytes_flattened, 0u);  // nothing stored, nothing flattened
   EXPECT_EQ(a.stored_bytes(), 0u);
   for (Epoch e : std::vector<Epoch>{Epoch(top / 2), top, kEpochMax}) {
-    ASSERT_EQ(a.size(e), oracle.size(e)) << "post-agg epoch " << e;
+    ASSERT_EQ(a.size(e, oracle.floor_at(e)), oracle.size(e)) << "post-agg epoch " << e;
   }
 }
 
@@ -685,23 +699,60 @@ TEST(EvtreeSlices, AdoptedBatchBufferRetention) {
   }
 }
 
-// A full punch that aggregation folds stays a record: a version inserted
-// under it afterwards (a DTX commit at its prepare-time epoch, a rebuild
-// image at its floor) must stay hidden, as it is without the aggregation.
+// A punch that aggregation folds stays a record: a version inserted under
+// it afterwards (a DTX commit at its prepare-time epoch, a rebuild image at
+// its floor) must stay hidden, as it is without the aggregation. Each punch
+// log on the path (object, dkey, akey) keeps its newest punch <= upto.
 TEST(EvtreePunch, AggregateKeepsFullPunchOverLowerInsert) {
-  for (const bool aggregated : {false, true}) {
-    SCOPED_TRACE(aggregated ? "aggregated past the punch" : "not aggregated");
-    ArrayStore a;
-    std::vector<std::byte> data(8, std::byte{0x5A});
-    a.write(0, copy_slice(data), 5, PayloadMode::store);
-    a.punch_all(10);
-    if (aggregated) a.aggregate(10);
-    a.write(0, copy_slice(data), 1, PayloadMode::store);
-    EXPECT_EQ(a.size(kEpochMax), 0u);
-    std::vector<std::byte> out(8, std::byte{0xA5});
-    EXPECT_EQ(a.read(0, out, kEpochMax), 0u);
-    EXPECT_EQ(out, std::vector<std::byte>(8, std::byte{0}));
-    EXPECT_EQ(a.latest_epoch(), 10u);
+  constexpr ObjId kOid{1, 7};
+  for (const PunchScope scope : {PunchScope::object, PunchScope::dkey, PunchScope::akey}) {
+    for (const bool aggregated : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "scope " << int(scope)
+                                      << (aggregated ? ", aggregated past the punch" : ""));
+      VosContainer c(PayloadMode::store);
+      std::vector<std::byte> data(8, std::byte{0x5A});
+      c.array_write(kOid, "0", "a", 0, copy_slice(data), 5);
+      c.punch(kOid, scope, "0", "a", 8);
+      c.punch(kOid, scope, "0", "a", 10);
+      if (aggregated) {
+        EXPECT_EQ(c.aggregate(10).upto, 10u);
+      }
+      c.array_write(kOid, "0", "a", 0, copy_slice(data), 1);
+      EXPECT_EQ(c.array_size(kOid, "0", "a", kEpochMax), 0u);
+      const VosContainer::ArrayExtent ext{"0", 0, 8, 0};
+      std::vector<Slice> slices;
+      std::uint64_t fill = 1;
+      EXPECT_EQ(c.array_read_extents(kOid, "a", {&ext, 1}, &slices, {&fill, 1}, kEpochMax), 0u);
+      EXPECT_EQ(fill, 0u);
+      EXPECT_TRUE(c.list_dkeys(kOid, kEpochMax).empty());
+      // The lost-update check still sees the punch: a transaction below it
+      // must restart.
+      DtxEntry tx;
+      tx.id = DtxId{1, 1};
+      tx.epoch = 9;
+      tx.ops.push_back(DtxOp{kOid, "0", "a", false, 0, 8, 0, nullptr});
+      EXPECT_EQ(c.dtx_prepare(std::move(tx)), Errno::tx_restart);
+    }
+  }
+}
+
+// A range punch splits one buffer between two records that a hole
+// separates. Together they hold every reference to it and cover less than
+// it, so aggregation compacts both: the punched bytes are not pinned.
+TEST(Evtree, AggregateCompactsBufferSplitByPunch) {
+  ArrayStore a;
+  std::vector<std::byte> data(100);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i);
+  a.write(0, copy_slice(data), 1, PayloadMode::store);
+  a.punch_range(40, 20, 2);
+  a.aggregate(2);
+  EXPECT_EQ(a.segment_count(), 2u);
+  EXPECT_EQ(a.stored_bytes(), 80u);
+  EXPECT_EQ(a.retained_bytes(), 80u);
+  std::vector<std::byte> out(100, std::byte{0xA5});
+  EXPECT_EQ(a.read(0, out, kEpochMax), 80u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i >= 40 && i < 60 ? std::byte{0} : data[i]) << "byte " << i;
   }
 }
 

@@ -818,6 +818,45 @@ TEST(Rebuild, ResyncImageCoversStaleTailPastShorterRewrite) {
   tb.stop();
 }
 
+// A window punch with no rewrite leaves nothing visible on the source, so
+// the resync carries it as a punch record. Applied at the task floor, it
+// hides the reintegrated replica's pre-eviction bytes: both replicas then
+// read zeros.
+TEST(Rebuild, ResyncCarriesWindowPunchWithoutRewrite) {
+  Testbed tb(small_cluster());
+  tb.start();
+  std::uint32_t other = 0;
+  const std::uint64_t seq = find_group_on_engine(tb, 3, other);
+  ASSERT_NE(seq, 0u);
+  const auto oid = client::make_oid(seq, ObjClass::RP_2G1);
+  const Cover cv = cover_for(tb, oid, 3);
+
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_OK(co_await cl.cont_create(kPoolUuid, {}));
+    client::ArrayObject arr(cl, kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(0, 64, bytes(std::string(64, 'A'))), Errno::ok);
+    tb.crash_engine(3);
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+  tb.run([&]() -> CoTask<void> {
+    client::ArrayObject arr(tb.client(0), kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.punch(), Errno::ok);
+  });
+
+  tb.restart_engine(3);
+  tb.run([&]() -> CoTask<void> {
+    auto r = co_await tb.client(0).pool_reint(tb.engine(3).node());
+    CO_ASSERT_TRUE(r.ok());
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+
+  const std::string zeros(64, '\0');
+  EXPECT_EQ(replica_array_bytes(tb, cv.peer, oid, 64), zeros);
+  EXPECT_EQ(replica_array_bytes(tb, cv.victim_target, oid, 64), zeros);
+  tb.stop();
+}
+
 // A punch racing an eviction pull: the source exports its image, then the
 // client punches the dkey on the substitute before the image is applied
 // there. The image lands under the punch, so the key stays punched on both
@@ -878,6 +917,65 @@ TEST(Rebuild, EvictionPullDoesNotResurrectRacingPunch) {
       tb.engine(cv.peer_engine).vos_target(map.targets[cv.peer].target).find_container(kPoolUuid);
   ASSERT_NE(src_cont, nullptr);
   EXPECT_FALSE(src_cont->kv_get(oid, "k2", "a", vos::kEpochMax).exists);
+  tb.stop();
+}
+
+// The racing punch hits k1, a pre-crash key the substitute never held: its
+// punch of the absent dkey must still leave a record, so the image that
+// follows stays hidden under it there, as on the source.
+TEST(Rebuild, EvictionPullDoesNotResurrectPunchOfKeyNeverHeld) {
+  Testbed tb(small_cluster());
+  tb.start();
+  // An object whose nominal slot 0 is on engine 3: punch_dkey asks the
+  // replicas in slot order, so the substitute taking slot 0 applies the
+  // punch first and the source last.
+  std::uint64_t seq = 1;
+  for (; seq < 500; ++seq) {
+    if (cover_for(tb, client::make_oid(seq, ObjClass::RP_2G1), 3).slot == 0) break;
+  }
+  ASSERT_LT(seq, 500u);
+  const auto oid = client::make_oid(seq, ObjClass::RP_2G1);
+  const Cover cv = cover_for(tb, oid, 3);
+  const pool::PoolMap& map = tb.pool_map();
+
+  // Hold the first pull on the wire, so the punch below is issued after the
+  // eviction rebuild started and before its image reaches the substitute.
+  int delayed = 0;
+  tb.domain().set_fault_hook([&delayed](net::NodeId, net::NodeId, std::uint16_t opcode) {
+    net::CallFault f;
+    if (opcode == engine::kOpRebuildFetch && delayed++ == 0) f.extra_delay = 2 * sim::kSec;
+    return f;
+  });
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_OK(co_await cl.cont_create(kPoolUuid, {}));
+    client::KvObject kv(cl, kPoolUuid, oid);
+    CO_ASSERT_ERRNO(co_await kv.put("k1", "a", bytes("before-crash")), Errno::ok);
+    tb.crash_engine(3);
+    // Rides the crash until SWIM evicts engine 3 and the rebuild starts.
+    CO_ASSERT_ERRNO(co_await kv.put("k0", "a", bytes("rides-the-crash")), Errno::ok);
+    CO_ASSERT_ERRNO(co_await kv.put("k2", "a", bytes("written-in-window")), Errno::ok);
+    // The source applies the punch only after the stall, once it has
+    // exported an image that still holds k1.
+    tb.engine(cv.peer_engine).stall_target(map.targets[cv.peer].target, 5 * sim::kSec);
+    CO_ASSERT_ERRNO(co_await kv.punch_dkey("k1"), Errno::ok);
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+  EXPECT_GE(delayed, 1);
+  tb.domain().set_fault_hook({});
+
+  // The image the substitute applied still held k1 (k0, k1 and k2) ...
+  EXPECT_EQ(tb.rebuild_service(cv.sub_engine).records_rebuilt(), 3u);
+  // ... yet k1 stays punched there, as on the source, and k2 was rebuilt.
+  const vos::VosContainer* cont =
+      tb.engine(cv.sub_engine).vos_target(map.targets[cv.sub].target).find_container(kPoolUuid);
+  ASSERT_NE(cont, nullptr);
+  EXPECT_FALSE(cont->kv_get(oid, "k1", "a", vos::kEpochMax).exists);
+  EXPECT_TRUE(cont->kv_get(oid, "k2", "a", vos::kEpochMax).exists);
+  const vos::VosContainer* src_cont =
+      tb.engine(cv.peer_engine).vos_target(map.targets[cv.peer].target).find_container(kPoolUuid);
+  ASSERT_NE(src_cont, nullptr);
+  EXPECT_FALSE(src_cont->kv_get(oid, "k1", "a", vos::kEpochMax).exists);
   tb.stop();
 }
 

@@ -3,6 +3,7 @@
 // property suite cross-checked against a flat byte-map oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -37,24 +38,27 @@ TEST(SingleValue, LatestVisibleAtEpoch) {
   EXPECT_EQ(str(sv.get(kEpochMax).data), "two");
 }
 
+// A punch is a record of the key's path (VosContainer's punch logs); the
+// store hides every version at or below the floor the container passes.
 TEST(SingleValue, PunchHidesValue) {
   SingleValueStore sv;
   auto v = bytes("x");
   sv.put(v, 5);
-  sv.punch(8);
-  EXPECT_TRUE(sv.get(7).exists);
-  EXPECT_FALSE(sv.get(8).exists);
-  EXPECT_FALSE(sv.get(100).exists);
+  EXPECT_TRUE(sv.get(7).exists);  // punch at 8: no punch <= 7
+  EXPECT_FALSE(sv.get(8, 8).exists);
+  EXPECT_FALSE(sv.get(100, 8).exists);
 }
 
 TEST(SingleValue, RewriteAfterPunch) {
   SingleValueStore sv;
   auto v1 = bytes("a"), v2 = bytes("b");
   sv.put(v1, 1);
-  sv.punch(2);
-  sv.put(v2, 3);
-  EXPECT_FALSE(sv.get(2).exists);
-  EXPECT_EQ(str(sv.get(3).data), "b");
+  sv.put(v2, 3);  // after a punch at 2
+  EXPECT_FALSE(sv.get(2, 2).exists);
+  EXPECT_EQ(str(sv.get(3, 2).data), "b");
+  sv.aggregate(3, 2);
+  EXPECT_EQ(sv.version_count(), 1u);
+  EXPECT_EQ(str(sv.get(3, 2).data), "b");
 }
 
 TEST(SingleValue, AggregateDropsShadowedVersions) {
@@ -119,14 +123,14 @@ TEST(ArrayStore, FullPunchResetsSize) {
   ArrayStore a;
   auto d = bytes("data");
   a.write(100, copy_slice(d), 1, PayloadMode::store);
-  a.punch_all(5);
-  EXPECT_EQ(a.size(5), 0u);
+  // A full punch at 5 is the floor 5 at every epoch >= 5.
+  EXPECT_EQ(a.size(5, 5), 0u);
   EXPECT_EQ(a.size(4), 104u);
   auto d2 = bytes("x");
   a.write(0, copy_slice(d2), 6, PayloadMode::store);
-  EXPECT_EQ(a.size(6), 1u);
+  EXPECT_EQ(a.size(6, 5), 1u);
   std::vector<std::byte> out(1);
-  EXPECT_EQ(a.read(100, out, 6), 0u);  // pre-punch data invisible
+  EXPECT_EQ(a.read(100, out, 6, 5), 0u);  // pre-punch data invisible
 }
 
 TEST(ArrayStore, DiscardModeTracksSizesOnly) {
@@ -209,7 +213,7 @@ TEST(Container, PunchDkeyHidesFromEnumeration) {
   c.kv_put(kOid, "file-a", "entry", v, c.next_epoch());
   c.kv_put(kOid, "file-b", "entry", v, c.next_epoch());
   EXPECT_EQ(c.list_dkeys(kOid, kEpochMax).size(), 2u);
-  c.punch_dkey(kOid, "file-a", c.next_epoch());
+  c.punch(kOid, PunchScope::dkey, "file-a", {}, c.next_epoch());
   auto keys = c.list_dkeys(kOid, kEpochMax);
   ASSERT_EQ(keys.size(), 1u);
   EXPECT_EQ(keys[0], "file-b");
@@ -222,7 +226,7 @@ TEST(Container, PunchObjectHidesEverything) {
   auto v = bytes("v");
   c.kv_put(kOid, "d1", "a", v, c.next_epoch());
   c.array_write(kOid, "d2", "arr", 0, copy_slice(v), c.next_epoch());
-  c.punch_object(kOid, c.next_epoch());
+  c.punch(kOid, PunchScope::object, {}, {}, c.next_epoch());
   EXPECT_TRUE(c.list_dkeys(kOid, kEpochMax).empty());
 }
 
@@ -231,10 +235,41 @@ TEST(Container, ListAkeysFiltersPunched) {
   auto v = bytes("v");
   c.kv_put(kOid, "d", "a1", v, c.next_epoch());
   c.kv_put(kOid, "d", "a2", v, c.next_epoch());
-  c.punch_akey(kOid, "d", "a1", c.next_epoch());
+  c.punch(kOid, PunchScope::akey, "d", "a1", c.next_epoch());
   auto akeys = c.list_akeys(kOid, "d", kEpochMax);
   ASSERT_EQ(akeys.size(), 1u);
   EXPECT_EQ(akeys[0], "a2");
+}
+
+// Punches are records of the object's, dkey's and akey's punch logs, so a
+// version that arrives below a punch later (a DTX commit, a rebuild image)
+// stays hidden, even on a key that did not exist when it was punched.
+TEST(VosPunch, ObjectPunchHidesLaterLowerPutToNewAkey) {
+  VosContainer c(PayloadMode::store);
+  auto v = bytes("v");
+  c.kv_put(kOid, "d", "a", v, 5);
+  c.punch(kOid, PunchScope::object, {}, {}, 10);
+  c.kv_put(kOid, "d", "new", v, 7);
+  EXPECT_FALSE(c.kv_get(kOid, "d", "new", kEpochMax).exists);
+  EXPECT_TRUE(c.list_dkeys(kOid, kEpochMax).empty());
+  EXPECT_TRUE(c.kv_get(kOid, "d", "new", 9).exists);  // below the punch
+  c.kv_put(kOid, "d", "new", v, 11);
+  EXPECT_TRUE(c.kv_get(kOid, "d", "new", kEpochMax).exists);
+}
+
+TEST(VosPunch, DkeyPunchOfAbsentKeyHidesLaterLowerPut) {
+  VosContainer c(PayloadMode::store);
+  auto v = bytes("v");
+  c.punch(kOid, PunchScope::dkey, "k", {}, 10);
+  EXPECT_TRUE(c.list_dkeys(kOid, kEpochMax).empty());  // a log holds no value
+  c.kv_put(kOid, "k", "a", v, 1);
+  EXPECT_FALSE(c.kv_get(kOid, "k", "a", kEpochMax).exists);
+  EXPECT_TRUE(c.list_dkeys(kOid, kEpochMax).empty());
+  EXPECT_TRUE(c.list_akeys(kOid, "k", kEpochMax).empty());
+  // Aggregation keeps the punch and drops what it hides.
+  c.aggregate(kEpochMax - 1);
+  c.kv_put(kOid, "k", "b", v, 2);
+  EXPECT_FALSE(c.kv_get(kOid, "k", "b", kEpochMax).exists);
 }
 
 TEST(Container, ArrayEndHint) {
@@ -294,6 +329,12 @@ TEST_P(ArrayOracleProperty, MatchesByteOracle) {
   const std::uint64_t space = 512;
   std::vector<Snapshot> snaps;  // snaps[e-1] = state at epoch e
   Snapshot cur{std::vector<char>(space, 0), std::vector<bool>(space, false)};
+  // Full punches are the akey's punch log: the reads take its floor.
+  std::vector<Epoch> fulls;  // ascending
+  auto floor_at = [&fulls](Epoch e) {
+    const auto it = std::upper_bound(fulls.begin(), fulls.end(), e);
+    return it == fulls.begin() ? Epoch{0} : *std::prev(it);
+  };
 
   for (Epoch e = 1; e <= 60; ++e) {
     const int op = int(rng.uniform(10));
@@ -316,7 +357,7 @@ TEST_P(ArrayOracleProperty, MatchesByteOracle) {
         cur.filled[off + i] = false;
       }
     } else {  // full punch
-      a.punch_all(e);
+      fulls.push_back(e);
       std::fill(cur.img.begin(), cur.img.end(), 0);
       std::fill(cur.filled.begin(), cur.filled.end(), false);
     }
@@ -329,13 +370,13 @@ TEST_P(ArrayOracleProperty, MatchesByteOracle) {
       // After aggregating to epoch A, views at e >= A must still match.
       if (pass == 1 && e < 30) continue;
       std::vector<std::byte> out(space);
-      a.read(0, out, e);
+      a.read(0, out, e, floor_at(e));
       const auto& snap = snaps[e - 1];
       for (std::uint64_t i = 0; i < space; ++i) {
         ASSERT_EQ(char(out[i]), snap.img[i]) << "epoch " << e << " byte " << i << " pass " << pass;
       }
     }
-    if (pass == 0) a.aggregate(30);
+    if (pass == 0) a.aggregate(30, floor_at(30));
   }
 }
 

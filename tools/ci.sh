@@ -44,7 +44,8 @@
 #                          stored ones, and all must be lifetime- and UB-clean;
 #                          the Rebuild suite too, whose destinations adopt
 #                          slices of the source's buffers below their newest
-#                          epoch
+#                          epoch, and the VosPunch suite, whose punch logs
+#                          aggregation folds
 #   tools/ci.sh bench-smoke  Release -Werror build (what perfbench measures);
 #                          tiny-scale ablation_xfersize + ablation_dtx +
 #                          ablation_membership + ablation_overwrite runs
@@ -281,14 +282,15 @@ if [[ $STAGE == agg ]]; then
   # Rebuild inserts its pulled image below the destination's newest epoch
   # and the destination adopts slices of the source's stored buffers, which
   # the evtree and payload audits check, so the Rebuild suite runs here too.
+  # Aggregation folds the object, dkey and akey punch logs (VosPunch).
   echo "=== [agg] configure + build ==="
   cmake -B build-ci-agg -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDAOSIM_SANITIZE="address;undefined" -DDAOSIM_AUDIT=ON
   cmake --build build-ci-agg -j "$JOBS" \
-    --target evtree_test agg_test dtx_test engine_test client_test rebuild_test
+    --target evtree_test vos_test agg_test dtx_test engine_test client_test rebuild_test
   echo "=== [agg] ctest ==="
   ctest --test-dir build-ci-agg --output-on-failure -j "$JOBS" \
-    -R 'Evtree|Rebuild\.|AggService|AggDeterminism|AggFloors|AggFault|DtxVos\.PreparedEntriesPinAggregation|DtxCluster\.SnapshotPinsAggregationUntilDestroyed|Engine\.(FetchReplyOutlivesOverwritePunchAndAggregate|SingleValueFetchOutlivesAggregationDuringMediaWait)|Cluster\.ArrayWriteDoesNotAliasCallerBuffer'
+    -R 'Evtree|VosPunch|Rebuild\.|AggService|AggDeterminism|AggFloors|AggFault|DtxVos\.PreparedEntriesPinAggregation|DtxCluster\.SnapshotPinsAggregationUntilDestroyed|Engine\.(FetchReplyOutlivesOverwritePunchAndAggregate|SingleValueFetchOutlivesAggregationDuringMediaWait)|Cluster\.ArrayWriteDoesNotAliasCallerBuffer'
   stage_end
 fi
 
